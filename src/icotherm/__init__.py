@@ -28,7 +28,6 @@ from .thermo import (
     PostSelection,
     TwoLevelHamiltonian,
     effective_temperature,
-    ico_heat,
     internal_energy,
     post_select,
     shannon_entropy,

@@ -17,18 +17,21 @@ Exit codes: 0 success, 2 argument error, 3 numerical validation failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import io
 import json
 import math
 import sys
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import kernel
 from .linalg import ValidationError
 from .thermo import TwoLevelHamiltonian
 from .circuit import verify_against_kraus
-from .fridge import CycleParams, ico_sweep, monte_carlo, sweep
+from .fridge import CycleParams, _check_grid, _check_range, monte_carlo
 
 __all__ = ["build_parser", "run", "main"]
 
@@ -47,19 +50,18 @@ def _json_value(x):
     return float(format(float(x), ".12g"))
 
 
-def _emit(header: list[str], rows: list[list], args,
+def _emit(header: list[str], rows: Iterable[Sequence], args,
           extra_json_fields: dict | None = None) -> None:
+    """Write the table to ``--out`` or stdout in one write.
+
+    The text is built before the file is opened, so a failure leaves no file.
+    """
     if args.format == "csv":
-        text_rows = [[_fmt(c) for c in row] for row in rows]
-        if args.out == "-":
-            w = csv.writer(sys.stdout, lineterminator="\n")
-            w.writerow(header)
-            w.writerows(text_rows)
-        else:
-            with open(args.out, "w", newline="") as f:
-                w = csv.writer(f, lineterminator="\n")
-                w.writerow(header)
-                w.writerows(text_rows)
+        buf = io.StringIO()
+        w = csv.writer(buf, lineterminator="\n")
+        w.writerow(header)
+        w.writerows([_fmt(c) for c in row] for row in rows)
+        text = buf.getvalue()
     else:
         objs = []
         for row in rows:
@@ -68,11 +70,10 @@ def _emit(header: list[str], rows: list[list], args,
                 obj.update(extra_json_fields)
             objs.append(obj)
         text = json.dumps(objs, indent=2) + "\n"
-        if args.out == "-":
-            sys.stdout.write(text)
-        else:
-            with open(args.out, "w") as f:
-                f.write(text)
+    newline = "" if args.format == "csv" else None
+    with (contextlib.nullcontext(sys.stdout) if args.out == "-"
+          else open(args.out, "w", newline=newline)) as f:
+        f.write(text)
 
 
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
@@ -149,37 +150,46 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_probs(args) -> None:
+def _grid(args, min_steps: int) -> np.ndarray:
+    _check_grid(args.t_min, args.t_max, args.steps, min_steps)
+    return np.linspace(args.t_min, args.t_max, args.steps)
+
+
+def _switched(args) -> tuple[list[float], kernel.Switched]:
+    """Reported temperatures and both outcomes over the requested grid."""
     h = TwoLevelHamiltonian(args.delta)
-    points = ico_sweep(h, args.phi, args.t_min, args.t_max, args.steps,
-                       basis=args.basis)
-    rows = [[pt.t, pt.phi, pt.plus.probability, pt.minus.probability]
-            for pt in points]
+    temps = kernel.absolute(_grid(args, min_steps=1), h.delta)
+    sw = kernel.switched(h.delta, args.phi, temps, args.basis)
+    return (temps / h.delta).tolist(), sw
+
+
+def _cmd_probs(args) -> None:
+    t, (plus, minus) = _switched(args)
+    rows = zip(t, [args.phi] * len(t), plus.prob.tolist(), minus.prob.tolist())
     _emit(["t", "phi", "p_plus", "p_minus"], rows, args)
 
 
 def _cmd_heat(args) -> None:
-    h = TwoLevelHamiltonian(args.delta)
-    points = ico_sweep(h, args.phi, args.t_min, args.t_max, args.steps,
-                       basis=args.basis)
-    rows = [[pt.t, pt.dq_plus, pt.dq_minus] for pt in points]
+    t, (plus, minus) = _switched(args)
+    rows = zip(t, plus.dq.tolist(), minus.dq.tolist())
     _emit(["t", "dq_plus", "dq_minus"], rows, args)
 
 
 def _cmd_fridge(args) -> None:
-    params = CycleParams(delta=args.delta, t_reset=args.t_reset, phi=args.phi,
-                         entropy_base=_ENTROPY_BASES[args.entropy_base])
-    reports = sweep(params, args.t_min, args.t_max, args.steps)
-    rows = [[r.t_cold, r.p_minus, r.w, r.q_c, r.eta] for r in reports]
+    p = CycleParams(delta=args.delta, t_reset=args.t_reset, phi=args.phi,
+                    entropy_base=_ENTROPY_BASES[args.entropy_base])
+    t = _grid(args, min_steps=2)
+    c = kernel.cycles(p.delta, p.phi, t, t, p.t_reset, p.entropy_base)
+    rows = zip(t.tolist(), c.minus.prob.tolist(), c.w.tolist(), c.q_c.tolist(),
+               c.eta.tolist())
     _emit(["t_cold", "p_minus", "w", "q_c", "eta"], rows, args)
 
 
 def _cmd_circuit_verify(args) -> None:
     h = TwoLevelHamiltonian(args.delta)
-    if args.steps < 1:
-        raise ValueError(f"steps must be >= 1, got {args.steps}")
-    if not 0.0 < args.t_min <= args.t_max:
-        raise ValueError(f"need 0 < t-min <= t-max, got [{args.t_min}, {args.t_max}]")
+    # Only the range is checked: one step samples t_min, and repeated
+    # temperatures are allowed.
+    _check_range(args.t_min, args.t_max, args.steps, min_steps=1)
     temps = np.linspace(args.t_min, args.t_max, args.steps)
     phis = ([args.phi] if args.phi is not None
             else list(np.linspace(0.0, math.pi, args.steps)))

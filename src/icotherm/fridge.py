@@ -22,27 +22,26 @@ Units: temperatures in :class:`CycleParams` are dimensionless multiples of
 delta/k_B (so populations depend only on them); energies (w, q_c) carry the
 factor delta.  Reported effective temperatures use the same dimensionless
 units.
+
+Every number here comes from :mod:`icotherm.kernel`, the closed form
+evaluated over a whole temperature grid at once; the functions below only
+wrap its arrays in records, building a :class:`DensityMatrix` only for the
+states those records hold.  ``switch_closed_form`` with ``post_select``, the
+16-Kraus switch and the gate circuit are the independent verification path
+and are not called here.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernel
+from .kernel import DegenerateCycleError
 from .linalg import DensityMatrix
-from .channels import AncillaState, switch_closed_form
-from .thermo import (
-    PROB_FLOOR,
-    PostSelection,
-    TwoLevelHamiltonian,
-    effective_temperature,
-    internal_energy,
-    post_select,
-    shannon_entropy,
-    thermal_state,
-)
+from .thermo import PROB_FLOOR, PostSelection, TwoLevelHamiltonian, shannon_entropy
 
 __all__ = [
     "CycleParams",
@@ -62,10 +61,6 @@ __all__ = [
 # Generator used by monte_carlo; recorded in the stats so runs are
 # reproducible across implementations of the same algorithm.
 RNG_ALGORITHM = "numpy-pcg64"
-
-
-class DegenerateCycleError(ValueError):
-    """The demon's success probability vanished; the cycle is undefined."""
 
 
 @dataclass(frozen=True)
@@ -168,31 +163,36 @@ def work_of_erasure(p_minus: float, t_reset: float,
     return t_reset * shannon_entropy((p, 1.0 - p), base=base)
 
 
+def _state(p_g: float, p_e: float) -> DensityMatrix:
+    return DensityMatrix(np.diag([p_g, p_e]), dims=(2,))
+
+
+def _selections(br: kernel.Branch) -> list[PostSelection]:
+    return [PostSelection(br.outcome, prob, None if degenerate else _state(g, e))
+            for prob, g, e, degenerate in zip(br.prob.tolist(), br.p_g.tolist(),
+                                              br.p_e.tolist(),
+                                              br.degenerate.tolist())]
+
+
+def _ico_points(h: TwoLevelHamiltonian, phi: float, temps,
+                basis: str) -> list[IcoPoint]:
+    temps = np.asarray(temps, dtype=float)
+    plus, minus = kernel.switched(h.delta, phi, temps, basis)
+    return [IcoPoint(t=temp / h.delta, phi=phi, basis=basis, plus=ps, minus=ms,
+                     dq_plus=dq_p, dq_minus=dq_m)
+            for temp, ps, ms, dq_p, dq_m in zip(
+                temps.tolist(), _selections(plus), _selections(minus),
+                plus.dq.tolist(), minus.dq.tolist())]
+
+
 def ico_point(h: TwoLevelHamiltonian, temperature: float, phi: float,
               basis: str = "pm") -> IcoPoint:
     """Switched-process outcome data at one (absolute) temperature.
 
     The substance starts in the thermal state of the same temperature as the
-    two reservoirs, the switch output is taken in closed form, and the
-    ancilla is projected in the requested basis.
+    two reservoirs, and the ancilla is projected in the requested basis.
     """
-    if basis not in ("pm", "computational"):
-        raise ValueError(f"basis must be 'pm' or 'computational', got {basis!r}")
-    rho_t = thermal_state(h, temperature)
-    joint = switch_closed_form(AncillaState(phi), rho_t, rho_t)
-    first, second = ("plus", "minus") if basis == "pm" else ("zero", "one")
-    ps_plus = post_select(joint, first)
-    ps_minus = post_select(joint, second)
-    e_t = internal_energy(rho_t, h)
-
-    def heat(ps: PostSelection) -> float:
-        if ps.state is None:
-            return 0.0
-        return ps.probability * (internal_energy(ps.state, h) - e_t)
-
-    return IcoPoint(t=temperature / h.delta, phi=phi, basis=basis,
-                    plus=ps_plus, minus=ps_minus,
-                    dq_plus=heat(ps_plus), dq_minus=heat(ps_minus))
+    return _ico_points(h, phi, [temperature], basis)[0]
 
 
 def ico_sweep(h: TwoLevelHamiltonian, phi: float, t_min: float, t_max: float,
@@ -203,41 +203,46 @@ def ico_sweep(h: TwoLevelHamiltonian, phi: float, t_min: float, t_max: float,
     requires t_min == t_max.
     """
     _check_grid(t_min, t_max, steps, min_steps=1)
-    return [ico_point(h, float(t) * h.delta, phi, basis)
-            for t in np.linspace(t_min, t_max, steps)]
+    t = np.linspace(t_min, t_max, steps)
+    return _ico_points(h, phi, kernel.absolute(t, h.delta), basis)
+
+
+def _check_range(t_min: float, t_max: float, steps: int, min_steps: int):
+    """At least ``min_steps`` points between finite bounds 0 < t_min <= t_max."""
+    if steps < min_steps:
+        raise ValueError(f"steps must be >= {min_steps}, got {steps}")
+    for name, t in (("t_min", t_min), ("t_max", t_max)):
+        if not math.isfinite(t):
+            raise ValueError(f"{name} must be finite, got {t}")
+    if not 0.0 < t_min <= t_max:
+        raise ValueError(f"need 0 < t_min <= t_max, got [{t_min}, {t_max}]")
 
 
 def _check_grid(t_min: float, t_max: float, steps: int, min_steps: int):
-    if steps < min_steps:
-        raise ValueError(f"steps must be >= {min_steps}, got {steps}")
-    if not (0.0 < t_min <= t_max) or math.isnan(t_max):
-        raise ValueError(f"need 0 < t_min <= t_max, got [{t_min}, {t_max}]")
+    """:func:`_check_range` for a uniform grid whose points are all distinct."""
+    _check_range(t_min, t_max, steps, min_steps)
     if steps == 1 and t_min != t_max:
         raise ValueError("a single-point grid requires t_min == t_max")
     if steps > 1 and t_min == t_max:
         raise ValueError("t_min must be strictly below t_max for steps > 1")
 
 
+def _reports(c: kernel.Cycles, t_cold: list[float]) -> list[CycleReport]:
+    cols = [a.tolist() for a in (c.minus.prob, c.minus.p_g, c.minus.p_e, c.w,
+                                 c.q_c, c.minus.dq, c.eta, c.t_eff,
+                                 c.e_minus, c.e_hot)]
+    return [CycleReport(t_cold=t, p_minus=p, rho_minus=_state(g, e), w=w,
+                        q_c=q_c, q_ico_minus=dq, eta=eta, t_eff_minus=t_eff,
+                        e_minus=e_minus, e_hot=e_hot)
+            for t, p, g, e, w, q_c, dq, eta, t_eff, e_minus, e_hot
+            in zip(t_cold, *cols)]
+
+
 def run_cycle(p: CycleParams) -> CycleReport:
     """Evaluate one refrigerator cycle in closed form."""
-    h = p.hamiltonian()
-    point = ico_point(h, p.t_cold * p.delta, p.phi)
-    p_minus = point.minus.probability
-    if p_minus <= PROB_FLOOR or point.minus.state is None:
-        raise DegenerateCycleError(
-            f"success probability {p_minus!r} at t_cold={p.t_cold}"
-        )
-    rho_minus = point.minus.state
-    rho_hot = thermal_state(h, p.t_hot * p.delta)
-    e_minus = internal_energy(rho_minus, h)
-    e_hot = internal_energy(rho_hot, h)
-    q_c = e_minus - e_hot
-    w = work_of_erasure(p_minus, p.t_reset * p.delta, base=p.entropy_base)
-    eta = q_c * p_minus / w
-    t_eff = effective_temperature(rho_minus, h) / p.delta
-    return CycleReport(t_cold=p.t_cold, p_minus=p_minus, rho_minus=rho_minus,
-                       w=w, q_c=q_c, q_ico_minus=point.dq_minus, eta=eta,
-                       t_eff_minus=t_eff, e_minus=e_minus, e_hot=e_hot)
+    c = kernel.cycles(p.delta, p.phi, [p.t_cold], p.t_hot, p.t_reset,
+                      p.entropy_base)
+    return _reports(c, [p.t_cold])[0]
 
 
 def sweep(p_template: CycleParams, t_min: float, t_max: float,
@@ -248,8 +253,10 @@ def sweep(p_template: CycleParams, t_min: float, t_max: float,
     (delta, t_reset, phi, entropy base) are kept.
     """
     _check_grid(t_min, t_max, steps, min_steps=2)
-    return [run_cycle(replace(p_template, t_hot=float(t), t_cold=float(t)))
-            for t in np.linspace(t_min, t_max, steps)]
+    t = np.linspace(t_min, t_max, steps)
+    c = kernel.cycles(p_template.delta, p_template.phi, t, t,
+                      p_template.t_reset, p_template.entropy_base)
+    return _reports(c, t.tolist())
 
 
 def monte_carlo(p: CycleParams, trials: int, seed: int) -> MonteCarloStats:

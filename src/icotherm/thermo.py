@@ -5,8 +5,7 @@ index 0 = ground |g>, index 1 = excited |e>; the thermal state at temperature
 T is the normalized Boltzmann state diag(p_g, p_e) with
 p_e = exp(-delta/T) / (1 + exp(-delta/T)).
 
-Also provides ancilla post-selection on a joint (ancilla ⊗ system) state and
-the post-selection-weighted heat exchange of the switched thermal process.
+Also provides ancilla post-selection on a joint (ancilla ⊗ system) state.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ __all__ = [
     "internal_energy",
     "effective_temperature",
     "post_select",
-    "ico_heat",
     "shannon_entropy",
 ]
 
@@ -157,22 +155,6 @@ def post_select(joint: DensityMatrix, outcome: str,
     if prob > PROB_FLOOR:
         state = DensityMatrix(m / prob, dims=(2,), tol=tol)
     return PostSelection(outcome=outcome, probability=prob, state=state)
-
-
-def ico_heat(ps: PostSelection, rho_t: DensityMatrix,
-             h: TwoLevelHamiltonian) -> float:
-    """Average conditional heat P * [Tr(rho_cond H) - Tr(rho_t H)].
-
-    Positive values mean the working substance gained energy relative to the
-    reference thermal state ``rho_t``.
-    """
-    if ps.state is None:
-        raise ValueError(
-            f"conditional state undefined for outcome {ps.outcome!r} "
-            f"(probability {ps.probability!r})"
-        )
-    return ps.probability * (internal_energy(ps.state, h)
-                             - internal_energy(rho_t, h))
 
 
 def shannon_entropy(p: Sequence[float], base: float = math.e) -> float:

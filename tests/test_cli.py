@@ -1,10 +1,11 @@
 import json
 import math
+import warnings
 
 import pytest
 
 import icotherm.cli as cli
-from icotherm.linalg import ValidationError
+from icotherm.linalg import DensityMatrix, ValidationError
 
 
 def run_capture(capsys, argv):
@@ -210,3 +211,42 @@ class TestExitCodes:
         code, _, err = run_capture(capsys, [
             "probs", "--t-min", "1", "--t-max", "1", "--steps", "1"])
         assert code == 3 and "validation" in err
+
+
+class TestNonFiniteGrid:
+    @pytest.mark.parametrize("cmd", ["probs", "heat", "fridge", "circuit-verify"])
+    @pytest.mark.parametrize("bound, value", [("t_max", "inf"), ("t_min", "nan")])
+    def test_rejected_before_compute(self, capsys, tmp_path, cmd, bound, value):
+        path = tmp_path / "rows.csv"
+        flag = "--" + bound.replace("_", "-")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_capture(capsys, [
+                cmd, flag, value, "--steps", "4", "--out", str(path)])
+        assert code == 2 and out == ""
+        assert err.startswith("icotherm: error:")
+        assert f"{bound} must be finite" in err
+        assert not path.exists()
+
+
+class TestRuntimePath:
+    def test_tables_build_no_density_matrix(self, capsys, monkeypatch):
+        built = []
+        init = DensityMatrix.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(DensityMatrix, "__init__", counting)
+        for cmd in ("probs", "heat", "fridge"):
+            code, _, _ = run_capture(capsys, [cmd, "--steps", "9"])
+            assert code == 0
+        assert built == []
+
+    def test_degenerate_fridge_grid_writes_no_file(self, capsys, tmp_path):
+        path = tmp_path / "rows.csv"
+        code, _, err = run_capture(capsys, [
+            "fridge", "--t-min", "0.01", "--out", str(path)])
+        assert code == 2 and "success probability" in err
+        assert not path.exists()

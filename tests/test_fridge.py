@@ -154,6 +154,12 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(CycleParams(), 0.5, 1.0, 1)
 
+    def test_non_finite_bounds_named(self):
+        with pytest.raises(ValueError, match="t_max must be finite, got inf"):
+            sweep(CycleParams(), 0.5, math.inf, 5)
+        with pytest.raises(ValueError, match="t_min must be finite, got nan"):
+            ico_sweep(H, 0.5, math.nan, 1.0, 5)
+
 
 class TestIcoSweep:
     def test_heat_peak_location_and_oracle_match(self):

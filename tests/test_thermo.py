@@ -10,11 +10,11 @@ from icotherm.channels import (
     make_thermalizing_channel,
     switch_closed_form,
 )
+from icotherm.fridge import ico_point
 from icotherm.linalg import DensityMatrix, ValidationError, kron, random_density_matrix
 from icotherm.thermo import (
     TwoLevelHamiltonian,
     effective_temperature,
-    ico_heat,
     internal_energy,
     post_select,
     shannon_entropy,
@@ -227,32 +227,34 @@ class TestGeneralPhiProbabilityLaw:
 
 
 class TestIcoHeat:
+    """Conditional heats P * [Tr(rho_cond H) - Tr(rho_t H)] from ico_point."""
+
     def test_classical_case_no_heat(self):
-        rho_t = thermal_state(H, 1.0)
-        joint = _switch_output(1.0, 0.0)
-        for outcome in ("plus", "minus"):
-            dq = ico_heat(post_select(joint, outcome), rho_t, H)
+        pt = ico_point(H, 1.0, 0.0)
+        oracle = oracles.ico_brute_force(1.0, 1.0, 0.0)
+        for dq, key in ((pt.dq_plus, "dq_plus"), (pt.dq_minus, "dq_minus")):
             assert abs(dq) <= 1e-10
+            assert abs(oracle[key]) <= 1e-10
 
     def test_minus_outcome_heats(self):
-        rho_t = thermal_state(H, 1.0)
-        ps = post_select(_switch_output(1.0, math.pi / 2), "minus")
-        assert ico_heat(ps, rho_t, H) == pytest.approx(DQ_MINUS, abs=1e-12)
+        dq = ico_point(H, 1.0, math.pi / 2).dq_minus
+        assert dq == pytest.approx(DQ_MINUS, abs=1e-12)
+        assert dq == pytest.approx(
+            oracles.ico_brute_force(1.0, 1.0, math.pi / 2)["dq_minus"], abs=1e-12)
 
     def test_heats_balance_across_grid(self):
         for t in np.linspace(0.2, 3.0, 57):
-            rho_t = thermal_state(H, float(t))
-            joint = _switch_output(float(t), math.pi / 2)
-            total = sum(ico_heat(post_select(joint, o), rho_t, H)
-                        for o in ("plus", "minus"))
-            assert abs(total) <= 1e-10
+            pt = ico_point(H, float(t), math.pi / 2)
+            oracle = oracles.ico_brute_force(1.0, float(t), math.pi / 2)
+            assert abs(pt.dq_plus + pt.dq_minus) <= 1e-10
+            assert pt.dq_plus == pytest.approx(oracle["dq_plus"], abs=1e-12)
+            assert pt.dq_minus == pytest.approx(oracle["dq_minus"], abs=1e-12)
 
-    def test_undefined_state_rejected(self):
-        joint = DensityMatrix(kron(np.diag([1.0, 0.0]), np.eye(2) / 2),
-                              dims=(2, 2))
-        ps = post_select(joint, "one")
-        with pytest.raises(ValueError):
-            ico_heat(ps, thermal_state(H, 1.0), H)
+    def test_undefined_state_has_no_heat(self):
+        # P- ~ 1.5 exp(-50) is below the 1e-12 floor: no conditional state.
+        pt = ico_point(H, 0.02, math.pi / 2)
+        assert pt.minus.state is None and pt.dq_minus == 0.0
+        assert pt.plus.state is not None
 
 
 class TestHeatingCoolingDirection:
