@@ -13,10 +13,15 @@ conjugation of the control for control value 0); the expansion is exact.
 Thermal preparation uses a y-rotation by theta = arccos(p_g - p_e) followed by
 a coherence crusher (ideal dephasing of the target qubit, modeling a gradient
 field pulse).
+
+Gates act as basis permutations (X, SWAP, CSWAP, Toffoli) and axis updates
+(RY mixes the two index halves of its target, the crusher zeroes their
+coherences); all states of one run are validated in one batched pass.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -30,26 +35,15 @@ from .linalg import (
     dagger,
     partial_trace,
     symmetrize,
+    validate_states,
 )
 from .channels import AncillaState, switch_closed_form
 from .thermo import TwoLevelHamiltonian, thermal_state
 
 __all__ = [
-    "Gate",
-    "QubitRegister",
-    "ry",
-    "x_gate",
-    "swap",
-    "cswap",
-    "toffoli",
-    "crush",
-    "gate_unitary",
-    "embed_unitary",
-    "fresh_register",
-    "apply_gate",
-    "cswap_to_toffoli",
-    "thermal_prep_angle",
-    "build_switch_circuit",
+    "Gate", "QubitRegister", "ry", "x_gate", "swap", "cswap", "toffoli",
+    "crush", "gate_unitary", "embed_unitary", "fresh_register", "apply_gate",
+    "cswap_to_toffoli", "thermal_prep_angle", "build_switch_circuit",
     "verify_against_kraus",
 ]
 
@@ -105,13 +99,6 @@ def crush(target: int) -> Gate:
     return Gate(kind="crush", targets=(target,))
 
 
-def _check_unitary(u: np.ndarray, tol: float) -> np.ndarray:
-    defect = float(np.max(np.abs(dagger(u) @ u - np.eye(u.shape[0]))))
-    if defect > tol:
-        raise ValidationError(f"gate matrix not unitary: defect {defect:.3e}")
-    return u
-
-
 def gate_unitary(g: Gate, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Local unitary of a gate on its own targets (crush has none)."""
     if g.kind == "ry":
@@ -133,7 +120,10 @@ def gate_unitary(g: Gate, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         raise ValueError("crush is not unitary")
     else:
         raise ValueError(f"unknown gate kind {g.kind!r}")
-    return _check_unitary(u, tol.validation)
+    defect = float(np.max(np.abs(dagger(u) @ u - np.eye(u.shape[0]))))
+    if defect > tol.validation:
+        raise ValidationError(f"gate matrix not unitary: defect {defect:.3e}")
+    return u
 
 
 def embed_unitary(u: np.ndarray, targets: tuple[int, ...], n: int) -> np.ndarray:
@@ -146,23 +136,11 @@ def embed_unitary(u: np.ndarray, targets: tuple[int, ...], n: int) -> np.ndarray
         raise ValueError(f"operator shape {u.shape} does not match {k} targets")
     if any(t < 0 or t >= n for t in targets):
         raise ValueError(f"targets {targets} out of range for {n} qubits")
-    dim = 1 << n
-    full = np.zeros((dim, dim), dtype=complex)
-    shifts = [n - 1 - t for t in targets]
-    for col in range(dim):
-        v = 0
-        for sh in shifts:
-            v = (v << 1) | ((col >> sh) & 1)
-        for row_local in range(1 << k):
-            amp = u[row_local, v]
-            if amp == 0:
-                continue
-            row = col
-            for m, sh in enumerate(shifts):
-                bit = (row_local >> (k - 1 - m)) & 1
-                row = (row & ~(1 << sh)) | (bit << sh)
-            full[row, col] += amp
-    return full
+    # kron puts the targets on the high bits; move each axis to its qubit.
+    order = [*targets, *(q for q in range(n) if q not in targets)]
+    axes = np.argsort(order)
+    full = np.kron(u, np.eye(1 << (n - k))).reshape((2,) * (2 * n))
+    return full.transpose([*axes, *(axes + n)]).reshape(1 << n, 1 << n)
 
 
 @dataclass(frozen=True)
@@ -195,22 +173,43 @@ def fresh_register(n: int = 4,
     return QubitRegister(state=DensityMatrix(m, dims=(2,) * n), labels=labels)
 
 
+@functools.cache
+def _permutation(g: Gate, n: int, tol: Tolerances) -> np.ndarray:
+    """Index array p with U rho U† = rho[p][:, p] for a basis-permuting gate."""
+    u = embed_unitary(gate_unitary(g, tol), g.targets, n)
+    p = np.abs(u).argmax(axis=1)
+    if not np.array_equal(u, np.eye(len(u))[p]):
+        raise ValueError(f"{g.kind} gate does not permute basis states")
+    return p
+
+
+def _step(rho: np.ndarray, g: Gate, n: int, tol: Tolerances) -> np.ndarray:
+    """One gate on a raw 2^n x 2^n density matrix; returns a new array."""
+    if g.kind == "crush":
+        out = rho.copy()
+        v = out.reshape(1 << g.targets[0], 2, 1 << (n - 1), 2, -1)
+        v[:, 0, :, 1] = v[:, 1, :, 0] = 0.0
+        return out
+    if g.kind == "ry":
+        # U rho U†: U mixes the row halves of the target bit, then conj(U)
+        # the column halves; axis 1 of each (lead, 2, rest) view is that bit.
+        t = g.targets[0]
+        u = gate_unitary(g, tol)
+        rows = (u @ rho.reshape(1 << t, 2, -1)).reshape(rho.shape)
+        return symmetrize((u.conj() @ rows.reshape(len(rho) << t, 2, -1))
+                          .reshape(rho.shape))
+    p = _permutation(g, n, tol)
+    return rho.take(p, 0).take(p, 1)
+
+
 def apply_gate(reg: QubitRegister, g: Gate,
                tol: Tolerances = DEFAULT_TOL) -> QubitRegister:
     """Apply one gate and return a new validated register."""
     n = reg.n
     if any(t < 0 or t >= n for t in g.targets):
         raise ValueError(f"gate targets {g.targets} out of range for {n} qubits")
-    rho = reg.state.mat
-    if g.kind == "crush":
-        t = g.targets[0]
-        p0 = embed_unitary(np.diag([1.0, 0.0]).astype(complex), (t,), n)
-        p1 = embed_unitary(np.diag([0.0, 1.0]).astype(complex), (t,), n)
-        out = p0 @ rho @ p0 + p1 @ rho @ p1
-    else:
-        u = embed_unitary(gate_unitary(g, tol), g.targets, n)
-        out = u @ rho @ dagger(u)
-    state = DensityMatrix(symmetrize(out), dims=reg.state.dims, tol=tol)
+    state = DensityMatrix(_step(reg.state.mat, g, n, tol), dims=reg.state.dims,
+                          tol=tol)
     return QubitRegister(state=state, labels=reg.labels)
 
 
@@ -244,21 +243,15 @@ def thermal_prep_angle(rho_t: DensityMatrix,
     return math.acos(min(max(gap, -1.0), 1.0))
 
 
-def _routing_gates(decompose_cswap: bool) -> list[Gate]:
+@functools.cache
+def _routing_gates(decompose_cswap: bool) -> tuple[Gate, ...]:
     # substance = 1, reservoir1 = 2, reservoir2 = 3, control = ancilla 0.
     # Ancilla |0>: swap with r1 then r2; ancilla |1>: swap with r2 then r1.
-    seq = [
-        cswap(0, 1, 2, control_value=0),
-        cswap(0, 1, 3, control_value=1),
-        cswap(0, 1, 3, control_value=0),
-        cswap(0, 1, 2, control_value=1),
-    ]
+    seq = (cswap(0, 1, 2, control_value=0), cswap(0, 1, 3, control_value=1),
+           cswap(0, 1, 3, control_value=0), cswap(0, 1, 2, control_value=1))
     if not decompose_cswap:
         return seq
-    out: list[Gate] = []
-    for g in seq:
-        out.extend(cswap_to_toffoli(g))
-    return out
+    return tuple(part for g in seq for part in cswap_to_toffoli(g))
 
 
 def build_switch_circuit(h: TwoLevelHamiltonian, temperature: float,
@@ -268,7 +261,9 @@ def build_switch_circuit(h: TwoLevelHamiltonian, temperature: float,
 
     Pipeline: thermal preparation of substance and both reservoirs (ry(theta)
     + crusher each), ancilla rotation ry(phi), then the controlled-SWAP
-    routing sequence (optionally expanded into Toffoli gates).
+    routing sequence (optionally expanded into Toffoli gates).  Every
+    intermediate state is checked like a :class:`DensityMatrix`, in one
+    batched pass after the last gate.
     """
     if not (0.0 <= phi <= math.pi):
         raise ValueError(f"phi must lie in [0, pi], got {phi}")
@@ -276,13 +271,15 @@ def build_switch_circuit(h: TwoLevelHamiltonian, temperature: float,
     theta = thermal_prep_angle(rho_t, tol)
 
     reg = fresh_register(4)
-    for q in (1, 2, 3):
-        reg = apply_gate(reg, ry(q, theta), tol)
-        reg = apply_gate(reg, crush(q), tol)
-    reg = apply_gate(reg, ry(0, phi), tol)
-    for g in _routing_gates(decompose_cswap):
-        reg = apply_gate(reg, g, tol)
-    return reg
+    rho = reg.state.mat
+    gates = [g for q in (1, 2, 3) for g in (ry(q, theta), crush(q))]
+    gates += [ry(0, phi), *_routing_gates(decompose_cswap)]
+    states = np.empty((len(gates) - 1, *rho.shape), dtype=complex)
+    for i, g in enumerate(gates[:-1]):
+        states[i] = rho = _step(rho, g, reg.n, tol)
+    validate_states(states, tol)
+    rho = _step(rho, gates[-1], reg.n, tol)
+    return QubitRegister(DensityMatrix(rho, reg.state.dims, tol), reg.labels)
 
 
 def verify_against_kraus(h: TwoLevelHamiltonian, temperature: float,

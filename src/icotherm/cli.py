@@ -19,9 +19,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import errno
+import functools
 import io
 import json
 import math
+import os
 import sys
 from typing import Iterable, Sequence
 
@@ -150,6 +153,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """One parser per process; parsing leaves no state in it."""
+    return build_parser()
+
+
+def _check_out_dir(path: str) -> None:
+    """Fail before any compute when ``--out`` names a missing directory.
+
+    Raises the error ``open`` would raise after the compute, so the message
+    is the same; the file itself is still opened only once the table exists.
+    """
+    try:
+        os.stat(os.path.dirname(path) or ".")
+    except FileNotFoundError:
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT),
+                                path) from None
+
+
 def _grid(args, min_steps: int) -> np.ndarray:
     _check_grid(args.t_min, args.t_max, args.steps, min_steps)
     return np.linspace(args.t_min, args.t_max, args.steps)
@@ -226,12 +248,13 @@ _COMMANDS = {
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
     try:
+        if args.out != "-":
+            _check_out_dir(args.out)
         _COMMANDS[args.command](args)
     except ValidationError as e:
         print(f"icotherm: numerical validation failure: {e}", file=sys.stderr)

@@ -61,6 +61,9 @@ __all__ = [
 # Generator used by monte_carlo; recorded in the stats so runs are
 # reproducible across implementations of the same algorithm.
 RNG_ALGORITHM = "numpy-pcg64"
+# Uniform draws per block in monte_carlo: memory stays bounded for any trial
+# count, and PCG64 yields the same stream in blocks as in one call.
+MC_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -266,13 +269,17 @@ def monte_carlo(p: CycleParams, trials: int, seed: int) -> MonteCarloStats:
     successful (|-> measured) trials.  Draws come from one numpy PCG64
     generator seeded with ``seed``; batched parallel runs must derive
     per-batch seeds via ``np.random.SeedSequence(seed).spawn`` to stay
-    reproducible regardless of batch count.
+    reproducible regardless of batch count.  Draws are made in blocks of
+    ``MC_CHUNK``, so memory does not grow with ``trials``.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     report = run_cycle(p)
     rng = np.random.Generator(np.random.PCG64(seed))
-    successes = int(np.count_nonzero(rng.random(trials) < report.p_minus))
+    successes = 0
+    for done in range(0, trials, MC_CHUNK):
+        draws = rng.random(min(MC_CHUNK, trials - done))
+        successes += int(np.count_nonzero(draws < report.p_minus))
     w_total = trials * report.w
     q_c_total = successes * report.q_c
     return MonteCarloStats(

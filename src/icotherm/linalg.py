@@ -30,6 +30,7 @@ __all__ = [
     "hermitian_eig",
     "psd_sqrt",
     "DensityMatrix",
+    "validate_states",
     "partial_trace",
     "fidelity",
     "random_density_matrix",
@@ -61,9 +62,12 @@ def dagger(m: np.ndarray) -> np.ndarray:
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
-    """(M + M†)/2 — suppresses Hermiticity drift after long operator products."""
+    """(M + M†)/2 — suppresses Hermiticity drift after long operator products.
+
+    A stack of matrices is symmetrized matrix by matrix.
+    """
     m = np.asarray(m)
-    return (m + m.conj().T) / 2.0
+    return (m + m.conj().swapaxes(-1, -2)) / 2.0
 
 
 def _as_square_complex(m, name: str = "matrix") -> np.ndarray:
@@ -127,6 +131,45 @@ def psd_sqrt(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return symmetrize(root)
 
 
+def validate_states(stack: np.ndarray,
+                    tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """Check an ``(m, d, d)`` stack of density matrices; return it symmetrized.
+
+    Every state must be finite, Hermitian, of unit trace and positive
+    semidefinite, checked in that order within ``tol.validation``; this is
+    the check :class:`DensityMatrix` runs on its one state.  The error raised
+    is the one a state-by-state loop would raise first: each check runs only
+    on the states before the earliest failure found so far.
+    """
+    a = np.asarray(stack, dtype=complex)
+    first, error = len(a), None
+    bad = ~np.isfinite(a.view(float)).all(axis=(1, 2))
+    if bad.any():
+        first = int(bad.argmax())
+        error = ValueError("density matrix contains non-finite entries")
+    a = a[:first]
+    herm = np.abs(a - a.conj().swapaxes(1, 2)).max(axis=(1, 2), initial=0.0)
+    bad = herm > tol.validation
+    if bad.any():
+        first = int(bad.argmax())
+        error = ValidationError(
+            f"state not Hermitian: max|M - M†| = {herm[first]:.3e}")
+    sym = symmetrize(a[:first])
+    trace = np.abs(np.trace(sym, axis1=1, axis2=2).real - 1.0)
+    bad = trace > tol.validation
+    if bad.any():
+        first = int(bad.argmax())
+        error = ValidationError(f"state trace off by {trace[first]:.3e}")
+    min_eig = np.linalg.eigvalsh(sym[:first])[:, 0]
+    bad = min_eig < -tol.validation
+    if bad.any():
+        first = int(bad.argmax())
+        error = ValidationError(f"state has negative eigenvalue {min_eig[first]:.3e}")
+    if error is not None:
+        raise error
+    return sym
+
+
 class DensityMatrix:
     """Validated quantum state: Hermitian, unit trace, positive semidefinite.
 
@@ -146,7 +189,9 @@ class DensityMatrix:
 
     def __init__(self, mat, dims: Sequence[int] | None = None,
                  tol: Tolerances = DEFAULT_TOL):
-        a = _as_square_complex(mat, "density matrix")
+        a = np.asarray(mat, dtype=complex)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError(f"density matrix must be square, got shape {a.shape}")
         dim = a.shape[0]
         if dims is None:
             n = dim.bit_length() - 1
@@ -154,22 +199,7 @@ class DensityMatrix:
         dims = tuple(int(d) for d in dims)
         if any(d < 1 for d in dims) or math.prod(dims) != dim:
             raise ValueError(f"dims {dims} do not factor dimension {dim}")
-
-        herm_defect = float(np.max(np.abs(a - a.conj().T)))
-        if herm_defect > tol.validation:
-            raise ValidationError(
-                f"state not Hermitian: max|M - M†| = {herm_defect:.3e}"
-            )
-        a = symmetrize(a)
-        trace_defect = abs(np.trace(a).real - 1.0)
-        if trace_defect > tol.validation:
-            raise ValidationError(f"state trace off by {trace_defect:.3e}")
-        min_eig = float(np.linalg.eigvalsh(a)[0])
-        if min_eig < -tol.validation:
-            raise ValidationError(
-                f"state has negative eigenvalue {min_eig:.3e}"
-            )
-
+        a = validate_states(a[None], tol)[0]
         a.flags.writeable = False
         object.__setattr__(self, "mat", a)
         object.__setattr__(self, "dims", dims)

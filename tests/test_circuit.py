@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from icotherm import circuit
 from icotherm.circuit import (
     apply_gate,
     build_switch_circuit,
@@ -239,3 +242,77 @@ class TestSwitchCircuit:
     def test_invalid_phi(self):
         with pytest.raises(ValueError):
             build_switch_circuit(H, 1.0, -0.2)
+
+
+def _dense_reference(rho, g, n):
+    """U rho U† with the embedded unitary, or P0 rho P0 + P1 rho P1 for crush."""
+    if g.kind == "crush":
+        projectors = [embed_unitary(np.diag(d).astype(complex), g.targets, n)
+                      for d in ([1.0, 0.0], [0.0, 1.0])]
+        return sum(p @ rho @ p for p in projectors)
+    u = embed_unitary(gate_unitary(g), g.targets, n)
+    return u @ rho @ dagger(u)
+
+
+_ARITY = {"ry": 1, "x": 1, "crush": 1, "swap": 2, "cswap": 3, "toffoli": 3}
+
+
+@st.composite
+def _gate_on_register(draw):
+    kind = draw(st.sampled_from(sorted(_ARITY)))
+    n = draw(st.integers(_ARITY[kind], 4))
+    targets = tuple(draw(st.permutations(range(n)))[:_ARITY[kind]])
+    g = Gate(kind=kind, targets=targets,
+             angle=draw(st.floats(0.0, 2 * math.pi)) if kind == "ry" else None,
+             control_value=draw(st.integers(0, 1)) if kind == "cswap" else 1)
+    return g, n, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_gate_on_register())
+def test_apply_gate_matches_dense_reference(case):
+    g, n, seed = case
+    state = random_density_matrix(1 << n, np.random.default_rng(seed))
+    reg = QubitRegister(state=state, labels=tuple(f"q{i}" for i in range(n)))
+    out = apply_gate(reg, g)
+    assert np.max(np.abs(out.state.mat - _dense_reference(state.mat, g, n))) <= 1e-14
+
+
+def _corrupt(kind, rho):
+    bad = rho.copy()
+    if kind == "hermiticity":
+        bad[0, 1] += 1e-6
+    elif kind == "trace":
+        bad *= 1.001
+    else:  # move weight off the smallest population: a negative eigenvalue
+        lo, hi = np.argmin(bad.diagonal().real), np.argmax(bad.diagonal().real)
+        bad[lo, lo] -= 1e-3
+        bad[hi, hi] += 1e-3
+    return bad
+
+
+@pytest.mark.parametrize("decompose", [False, True])
+@pytest.mark.parametrize("kind", ["hermiticity", "trace", "eigenvalue"])
+@pytest.mark.parametrize("where", ["first", "middle", "second_to_last", "last"])
+def test_every_intermediate_state_is_validated(monkeypatch, decompose, kind, where):
+    gates = 7 + (16 if decompose else 4)
+    at = {"first": 0, "middle": gates // 2, "second_to_last": gates - 2,
+          "last": gates - 1}[where]
+    step, calls, seen = circuit._step, [], []
+
+    def corrupting(rho, g, n, tol):
+        out = step(rho, g, n, tol)
+        if len(calls) == at:
+            out = _corrupt(kind, out)
+            seen.append(out)
+        calls.append(g)
+        return out
+
+    monkeypatch.setattr(circuit, "_step", corrupting)
+    with pytest.raises(ValidationError) as got:
+        build_switch_circuit(H, 0.9, 1.2, decompose_cswap=decompose)
+    # all intermediate states are built before the one batched check
+    assert len(calls) == (gates if where == "last" else gates - 1)
+    with pytest.raises(ValidationError) as want:
+        DensityMatrix(seen[0])
+    assert str(got.value) == str(want.value)

@@ -250,3 +250,93 @@ class TestRuntimePath:
             "fridge", "--t-min", "0.01", "--out", str(path)])
         assert code == 2 and "success probability" in err
         assert not path.exists()
+
+
+class TestParserCache:
+    ARGVS = [
+        ["circuit-verify", "--phi", "1", "--steps", "2"],
+        ["circuit-verify", "--steps", "2"],
+        ["probs", "--steps", "3", "--phi", "0.3", "--basis", "computational"],
+        ["probs", "--steps", "3"],
+        ["fridge", "--steps", "3", "--entropy-base", "2", "--format", "json"],
+        ["fridge", "--steps", "3"],
+        ["mc", "--trials", "50", "--t-max", "1.4", "--seed", "2"],
+        ["mc", "--trials", "50"],
+    ]
+
+    def test_one_parser_per_process(self):
+        assert cli._parser() is cli._parser()
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_interleaved_runs_match_fresh_parser(self, capsys, monkeypatch):
+        cached = [run_capture(capsys, argv) for argv in self.ARGVS * 2]
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        fresh = [run_capture(capsys, argv) for argv in self.ARGVS * 2]
+        assert cached == fresh
+        # no --phi right after a --phi run: phi is swept again
+        phis = [[r["phi"] for r in parse_csv(cached[i][1])[1]] for i in (0, 1)]
+        assert phis == [["1", "1"], ["0", "3.14159265359"] * 2]
+
+
+class TestEarlyOutRejection:
+    @pytest.mark.parametrize("argv, owner, stage", [
+        (["probs", "--steps", "100000000"], cli.kernel, "switched"),
+        (["circuit-verify", "--steps", "12"], cli, "verify_against_kraus"),
+    ])
+    def test_missing_directory_rejected_before_compute(self, capsys, monkeypatch,
+                                                       tmp_path, argv, owner, stage):
+        def never(*args, **kwargs):
+            raise AssertionError(f"{stage} ran before --out was checked")
+
+        monkeypatch.setattr(owner, stage, never)
+        path = tmp_path / "missing" / "x"
+        code, out, err = run_capture(capsys, [*argv, "--out", str(path)])
+        assert code == 2 and out == ""
+        assert err == f"icotherm: error: [Errno 2] No such file or directory: '{path}'\n"
+        assert not path.parent.exists()
+
+
+# Captured before the circuit gates became permutations and axis updates.
+CIRCUIT_VERIFY_STEPS_3 = """t,phi,distance
+0.2,0,4.4408920985e-16
+0.2,1.57079632679,2.77555756156e-16
+0.2,3.14159265359,4.4408920985e-16
+1.6,0,1.11022302463e-16
+1.6,1.57079632679,5.55111512313e-17
+1.6,3.14159265359,1.11022302463e-16
+3,0,1.11022302463e-16
+3,1.57079632679,5.55111512313e-17
+3,3.14159265359,1.11022302463e-16
+"""
+
+# Captured before monte_carlo drew its uniforms in blocks.
+MC_SEEDED = {
+    ("--seed", "11"): """trials,seed,successes,p_minus_emp,p_minus_exact,w_total,q_c_total
+196615,11,57957,0.29477405081,0.294917899862,119246.320002,8927.64136111
+""",
+    ("--seed", "11", "--format", "json", "--t-min", "0.7", "--t-max", "1.3"): """[
+  {
+    "trials": 196615,
+    "seed": 11,
+    "successes": 45850,
+    "p_minus_emp": 0.233196856801,
+    "p_minus_exact": 0.23392232667,
+    "w_total": 106953.147063,
+    "q_c_total": 3719.73072659,
+    "rng": "numpy-pcg64"
+  }
+]
+""",
+}
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("flags", [[], ["--decompose-cswap"]])
+    def test_circuit_verify_steps_3(self, capsys, flags):
+        code, out, _ = run_capture(capsys, ["circuit-verify", "--steps", "3", *flags])
+        assert code == 0 and out == CIRCUIT_VERIFY_STEPS_3
+
+    @pytest.mark.parametrize("flags", list(MC_SEEDED))
+    def test_seeded_mc(self, capsys, flags):
+        code, out, _ = run_capture(capsys, ["mc", "--trials", "196615", *flags])
+        assert code == 0 and out == MC_SEEDED[flags]

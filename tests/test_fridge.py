@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from icotherm.fridge import (
+    MC_CHUNK,
     CycleParams,
     DegenerateCycleError,
     ico_point,
@@ -227,6 +228,13 @@ class TestMonteCarlo:
         emp = [monte_carlo(CycleParams(), 10000, seed=seed).p_minus_emp
                for seed in range(50)]
         assert abs(float(np.mean(emp)) - P_MINUS) <= 1e-3
+
+    @pytest.mark.parametrize("trials", [1, MC_CHUNK, MC_CHUNK + 1, 3 * MC_CHUNK + 7])
+    def test_chunked_draws_match_one_shot_stream(self, trials):
+        p = CycleParams(t_cold=0.8, t_hot=0.8)
+        rng = np.random.Generator(np.random.PCG64(13))
+        one_shot = int(np.count_nonzero(rng.random(trials) < run_cycle(p).p_minus))
+        assert monte_carlo(p, trials, seed=13).successes == one_shot
 
     def test_trials_validated(self):
         with pytest.raises(ValueError):

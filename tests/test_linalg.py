@@ -12,6 +12,7 @@ from icotherm.linalg import (
     partial_trace,
     psd_sqrt,
     random_density_matrix,
+    validate_states,
 )
 
 import oracles
@@ -237,3 +238,38 @@ class TestDensityMatrix:
         with pytest.raises(ValidationError):
             DensityMatrix(slightly_off)
         DensityMatrix(slightly_off, tol=Tolerances(validation=1e-6))
+
+
+class TestValidateStates:
+    GOOD = I2 / 2
+    NON_FINITE = np.diag([1.0, np.nan]).astype(complex)
+    NON_HERMITIAN = np.array([[0.5, 0.5], [0.0, 0.5]], complex)
+    BAD_TRACE = np.diag([0.7, 0.7]).astype(complex)
+    NEGATIVE = np.diag([1.5, -0.5]).astype(complex)
+
+    def _message(self, m):
+        with pytest.raises((ValueError, ValidationError)) as e:
+            DensityMatrix(m)
+        return type(e.value), str(e.value)
+
+    @pytest.mark.parametrize("stack, culprit", [
+        # the earliest bad state wins, whatever check a later state fails
+        (["GOOD", "NEGATIVE", "NON_HERMITIAN"], "NEGATIVE"),
+        (["GOOD", "BAD_TRACE", "NON_FINITE"], "BAD_TRACE"),
+        (["NON_FINITE", "NON_HERMITIAN"], "NON_FINITE"),
+        (["GOOD", "GOOD", "NON_HERMITIAN", "BAD_TRACE"], "NON_HERMITIAN"),
+        (["NEGATIVE", "GOOD"], "NEGATIVE"),
+    ])
+    def test_raises_what_a_state_by_state_loop_raises_first(self, stack, culprit):
+        with pytest.raises((ValueError, ValidationError)) as e:
+            validate_states(np.array([getattr(self, k) for k in stack]))
+        assert (type(e.value), str(e.value)) == self._message(getattr(self, culprit))
+
+    def test_returns_symmetrized_stack(self):
+        rng = np.random.default_rng(4)
+        states = np.array([random_density_matrix(4, rng).mat for _ in range(3)])
+        drift = states + 1e-13j * rng.normal(size=states.shape)
+        out = validate_states(drift)
+        np.testing.assert_array_equal(out, (drift + drift.conj().swapaxes(1, 2)) / 2)
+        for m in out:
+            np.testing.assert_array_equal(m, DensityMatrix(m).mat)
