@@ -41,9 +41,21 @@ from .channels import AncillaState, switch_closed_form
 from .thermo import TwoLevelHamiltonian, thermal_state
 
 __all__ = [
-    "Gate", "QubitRegister", "ry", "x_gate", "swap", "cswap", "toffoli",
-    "crush", "gate_unitary", "embed_unitary", "fresh_register", "apply_gate",
-    "cswap_to_toffoli", "thermal_prep_angle", "build_switch_circuit",
+    "Gate",
+    "QubitRegister",
+    "ry",
+    "x_gate",
+    "swap",
+    "cswap",
+    "toffoli",
+    "crush",
+    "gate_unitary",
+    "embed_unitary",
+    "fresh_register",
+    "apply_gate",
+    "cswap_to_toffoli",
+    "thermal_prep_angle",
+    "build_switch_circuit",
     "verify_against_kraus",
 ]
 
@@ -247,8 +259,12 @@ def thermal_prep_angle(rho_t: DensityMatrix,
 def _routing_gates(decompose_cswap: bool) -> tuple[Gate, ...]:
     # substance = 1, reservoir1 = 2, reservoir2 = 3, control = ancilla 0.
     # Ancilla |0>: swap with r1 then r2; ancilla |1>: swap with r2 then r1.
-    seq = (cswap(0, 1, 2, control_value=0), cswap(0, 1, 3, control_value=1),
-           cswap(0, 1, 3, control_value=0), cswap(0, 1, 2, control_value=1))
+    seq = (
+        cswap(0, 1, 2, control_value=0),
+        cswap(0, 1, 3, control_value=1),
+        cswap(0, 1, 3, control_value=0),
+        cswap(0, 1, 2, control_value=1),
+    )
     if not decompose_cswap:
         return seq
     return tuple(part for g in seq for part in cswap_to_toffoli(g))

@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import errno
 import functools
 import io
 import json
@@ -160,16 +159,16 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _check_out_dir(path: str) -> None:
-    """Fail before any compute when ``--out`` names a missing directory.
+    """Fail before any compute when ``--out``'s directory cannot be reached.
 
-    Raises the error ``open`` would raise after the compute, so the message
-    is the same; the file itself is still opened only once the table exists.
+    Raises the error ``open`` would raise after the compute, naming the file,
+    so the message is the same; the file itself is still opened only once
+    the table exists.
     """
     try:
         os.stat(os.path.dirname(path) or ".")
-    except FileNotFoundError:
-        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT),
-                                path) from None
+    except OSError as e:
+        raise type(e)(e.errno, e.strerror, path) from None
 
 
 def _grid(args, min_steps: int) -> np.ndarray:

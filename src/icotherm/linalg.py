@@ -74,8 +74,6 @@ def _as_square_complex(m, name: str = "matrix") -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
-    if not np.all(np.isfinite(a.view(float))):
-        raise ValueError(f"{name} contains non-finite entries")
     return a
 
 
@@ -107,6 +105,8 @@ def hermitian_eig(
         If ``m`` deviates from Hermiticity by more than ``tol.validation``.
     """
     a = _as_square_complex(m)
+    if not np.all(np.isfinite(a.view(float))):
+        raise ValueError("matrix contains non-finite entries")
     if not is_hermitian(a, tol.validation):
         raise ValidationError(
             f"matrix is not Hermitian within {tol.validation:g}"
@@ -131,43 +131,45 @@ def psd_sqrt(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return symmetrize(root)
 
 
-def validate_states(stack: np.ndarray,
+def validate_states(states: np.ndarray,
                     tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Check an ``(m, d, d)`` stack of density matrices; return it symmetrized.
+    """Check one density matrix or an ``(m, d, d)`` stack; return it symmetrized.
 
     Every state must be finite, Hermitian, of unit trace and positive
     semidefinite, checked in that order within ``tol.validation``; this is
-    the check :class:`DensityMatrix` runs on its one state.  The error raised
-    is the one a state-by-state loop would raise first: each check runs only
-    on the states before the earliest failure found so far.
+    the check :class:`DensityMatrix` runs on its state.  A stack that fails
+    is checked again state by state, so the error raised is the one a loop
+    over the states raises first.
     """
-    a = np.asarray(stack, dtype=complex)
-    first, error = len(a), None
-    bad = ~np.isfinite(a.view(float)).all(axis=(1, 2))
-    if bad.any():
-        first = int(bad.argmax())
-        error = ValueError("density matrix contains non-finite entries")
-    a = a[:first]
-    herm = np.abs(a - a.conj().swapaxes(1, 2)).max(axis=(1, 2), initial=0.0)
-    bad = herm > tol.validation
-    if bad.any():
-        first = int(bad.argmax())
-        error = ValidationError(
-            f"state not Hermitian: max|M - M†| = {herm[first]:.3e}")
-    sym = symmetrize(a[:first])
-    trace = np.abs(np.trace(sym, axis1=1, axis2=2).real - 1.0)
-    bad = trace > tol.validation
-    if bad.any():
-        first = int(bad.argmax())
-        error = ValidationError(f"state trace off by {trace[first]:.3e}")
-    min_eig = np.linalg.eigvalsh(sym[:first])[:, 0]
-    bad = min_eig < -tol.validation
-    if bad.any():
-        first = int(bad.argmax())
-        error = ValidationError(f"state has negative eigenvalue {min_eig[first]:.3e}")
-    if error is not None:
-        raise error
-    return sym
+    a = np.asarray(states, dtype=complex)
+    try:
+        return _check_states(a, tol)
+    except (ValueError, ValidationError):
+        if a.ndim == 3:
+            for state in a:
+                _check_states(state, tol)
+        raise
+
+
+def _check_states(a: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """The checks of :func:`validate_states`, reporting the worst state's defect."""
+    if not np.isfinite(a).all():
+        raise ValueError("density matrix contains non-finite entries")
+    herm_defect = float(np.abs(a - a.conj().swapaxes(-1, -2)).max())
+    if herm_defect > tol.validation:
+        raise ValidationError(
+            f"state not Hermitian: max|M - M†| = {herm_defect:.3e}"
+        )
+    a = symmetrize(a)
+    trace_defect = float(np.abs(a.trace(axis1=-2, axis2=-1).real - 1.0).max())
+    if trace_defect > tol.validation:
+        raise ValidationError(f"state trace off by {trace_defect:.3e}")
+    min_eig = float(np.linalg.eigvalsh(a).min())
+    if min_eig < -tol.validation:
+        raise ValidationError(
+            f"state has negative eigenvalue {min_eig:.3e}"
+        )
+    return a
 
 
 class DensityMatrix:
@@ -189,9 +191,7 @@ class DensityMatrix:
 
     def __init__(self, mat, dims: Sequence[int] | None = None,
                  tol: Tolerances = DEFAULT_TOL):
-        a = np.asarray(mat, dtype=complex)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"density matrix must be square, got shape {a.shape}")
+        a = _as_square_complex(mat, "density matrix")
         dim = a.shape[0]
         if dims is None:
             n = dim.bit_length() - 1
@@ -199,7 +199,7 @@ class DensityMatrix:
         dims = tuple(int(d) for d in dims)
         if any(d < 1 for d in dims) or math.prod(dims) != dim:
             raise ValueError(f"dims {dims} do not factor dimension {dim}")
-        a = validate_states(a[None], tol)[0]
+        a = validate_states(a, tol)
         a.flags.writeable = False
         object.__setattr__(self, "mat", a)
         object.__setattr__(self, "dims", dims)

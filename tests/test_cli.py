@@ -295,6 +295,19 @@ class TestEarlyOutRejection:
         assert err == f"icotherm: error: [Errno 2] No such file or directory: '{path}'\n"
         assert not path.parent.exists()
 
+    def test_file_in_directory_path_names_the_file(self, capsys, monkeypatch,
+                                                    tmp_path):
+        monkeypatch.setattr(cli.kernel, "switched", None)
+        (tmp_path / "afile").write_text("")
+        path = tmp_path / "afile" / "sub" / "x"
+        with pytest.raises(NotADirectoryError) as opened:
+            open(path, "w")
+        code, out, err = run_capture(
+            capsys, ["probs", "--steps", "100000000", "--out", str(path)])
+        assert (code, out) == (2, "")
+        assert err == f"icotherm: error: {opened.value}\n"
+        assert str(path) in err
+
 
 # Captured before the circuit gates became permutations and axis updates.
 CIRCUIT_VERIFY_STEPS_3 = """t,phi,distance
