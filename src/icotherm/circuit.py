@@ -270,22 +270,15 @@ def _routing_gates(decompose_cswap: bool) -> tuple[Gate, ...]:
     return tuple(part for g in seq for part in cswap_to_toffoli(g))
 
 
-def build_switch_circuit(h: TwoLevelHamiltonian, temperature: float,
-                         phi: float, decompose_cswap: bool = False,
-                         tol: Tolerances = DEFAULT_TOL) -> QubitRegister:
-    """Run the full 4-qubit realization and return the final register.
-
-    Pipeline: thermal preparation of substance and both reservoirs (ry(theta)
-    + crusher each), ancilla rotation ry(phi), then the controlled-SWAP
-    routing sequence (optionally expanded into Toffoli gates).  Every
-    intermediate state is checked like a :class:`DensityMatrix`, in one
-    batched pass after the last gate.
-    """
+def _check_phi(phi: float) -> None:
     if not (0.0 <= phi <= math.pi):
         raise ValueError(f"phi must lie in [0, pi], got {phi}")
-    rho_t = thermal_state(h, temperature, tol)
-    theta = thermal_prep_angle(rho_t, tol)
 
+
+def _run_circuit(rho_t: DensityMatrix, phi: float, decompose_cswap: bool,
+                 tol: Tolerances) -> QubitRegister:
+    """The 4-qubit realization with every qubit prepared from ``rho_t``."""
+    theta = thermal_prep_angle(rho_t, tol)
     reg = fresh_register(4)
     rho = reg.state.mat
     gates = [g for q in (1, 2, 3) for g in (ry(q, theta), crush(q))]
@@ -298,6 +291,22 @@ def build_switch_circuit(h: TwoLevelHamiltonian, temperature: float,
     return QubitRegister(DensityMatrix(rho, reg.state.dims, tol), reg.labels)
 
 
+def build_switch_circuit(h: TwoLevelHamiltonian, temperature: float,
+                         phi: float, decompose_cswap: bool = False,
+                         tol: Tolerances = DEFAULT_TOL) -> QubitRegister:
+    """Run the full 4-qubit realization and return the final register.
+
+    Pipeline: thermal preparation of substance and both reservoirs (ry(theta)
+    + crusher each), ancilla rotation ry(phi), then the controlled-SWAP
+    routing sequence (optionally expanded into Toffoli gates).  Every
+    intermediate state is checked like a :class:`DensityMatrix`, in one
+    batched pass after the last gate.
+    """
+    _check_phi(phi)
+    return _run_circuit(thermal_state(h, temperature, tol), phi,
+                        decompose_cswap, tol)
+
+
 def verify_against_kraus(h: TwoLevelHamiltonian, temperature: float,
                          phi: float, decompose_cswap: bool = False,
                          tol: Tolerances = DEFAULT_TOL) -> float:
@@ -305,10 +314,12 @@ def verify_against_kraus(h: TwoLevelHamiltonian, temperature: float,
 
     Traces the reservoir qubits out of the circuit output and compares the
     ancilla + substance state against :func:`switch_closed_form` computed for
-    the same temperature and control angle.  The two paths share no code.
+    the same temperature and control angle.  Only the input thermal state is
+    shared: the two paths share no switch logic.
     """
-    reg = build_switch_circuit(h, temperature, phi, decompose_cswap, tol)
-    marginal = partial_trace(reg.state, keep={0, 1})
+    _check_phi(phi)
     rho_t = thermal_state(h, temperature, tol)
+    reg = _run_circuit(rho_t, phi, decompose_cswap, tol)
+    marginal = partial_trace(reg.state, keep={0, 1})
     expected = switch_closed_form(AncillaState(phi), rho_t, rho_t, tol)
     return float(np.max(np.abs(marginal.mat - expected.mat)))

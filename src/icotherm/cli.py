@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
+import errno
 import functools
-import io
+import itertools
 import json
 import math
 import os
@@ -40,16 +40,41 @@ __all__ = ["build_parser", "run", "main"]
 _ENTROPY_BASES = {"e": math.e, "2": 2.0}
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return format(float(x), ".12g")
+# How json.dumps spells the floats that have no JSON number.
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _json_value(x):
-    if isinstance(x, (int, np.integer)):
-        return int(x)
-    return float(format(float(x), ".12g"))
+def _table_text(header: list[str], rows: Iterable[Sequence], fmt: str,
+                extra_json_fields: dict | None = None) -> str:
+    """The whole table as CSV or ``indent=2`` JSON text, formatted in one pass.
+
+    Each column holds one type, read off its first row: ints are written
+    whole (``%d``), floats with 12 significant digits (``%.12g``).  In JSON a
+    float is the shortest repr of its 12-digit value, non-finite ones as
+    ``NaN``/``Infinity``, and every object ends with ``extra_json_fields``.
+    ``%d`` and ``%.12g`` text holds no comma, quote or newline, so no cell
+    needs CSV quoting.
+    """
+    k = len(header)
+    cells = tuple(itertools.chain.from_iterable(rows))
+    n = len(cells) // k
+    fmts = ["%d" if isinstance(c, (int, np.integer)) else "%.12g"
+            for c in cells[:k]]
+    if fmt == "csv":
+        return ",".join(header) + "\n" + ((",".join(fmts) + "\n") * n) % cells
+    if not n:
+        return "[]\n"
+    strs = (",".join(fmts * n) % cells).split(",")
+    del cells
+    for j, f in enumerate(fmts):
+        if f == "%.12g":
+            vals = list(map(repr, map(float, strs[j::k])))
+            strs[j::k] = map(_JSON_NONFINITE.get, vals, vals)
+    fields = [f"    {json.dumps(key).replace('%', '%%')}: %s" for key in header]
+    fields += [f"    {json.dumps(key)}: {json.dumps(v)}".replace("%", "%%")
+               for key, v in (extra_json_fields or {}).items()]
+    obj = "  {\n" + ",\n".join(fields) + "\n  }"
+    return "[\n" + ",\n".join([obj] * n) % tuple(strs) + "\n]\n"
 
 
 def _emit(header: list[str], rows: Iterable[Sequence], args,
@@ -58,20 +83,7 @@ def _emit(header: list[str], rows: Iterable[Sequence], args,
 
     The text is built before the file is opened, so a failure leaves no file.
     """
-    if args.format == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(header)
-        w.writerows([_fmt(c) for c in row] for row in rows)
-        text = buf.getvalue()
-    else:
-        objs = []
-        for row in rows:
-            obj = {k: _json_value(c) for k, c in zip(header, row)}
-            if extra_json_fields:
-                obj.update(extra_json_fields)
-            objs.append(obj)
-        text = json.dumps(objs, indent=2) + "\n"
+    text = _table_text(header, rows, args.format, extra_json_fields)
     newline = "" if args.format == "csv" else None
     with (contextlib.nullcontext(sys.stdout) if args.out == "-"
           else open(args.out, "w", newline=newline)) as f:
@@ -158,17 +170,25 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _check_out_dir(path: str) -> None:
-    """Fail before any compute when ``--out``'s directory cannot be reached.
+def _check_out(path: str) -> None:
+    """Fail before any compute when ``--out`` cannot be opened as a file.
 
-    Raises the error ``open`` would raise after the compute, naming the file,
-    so the message is the same; the file itself is still opened only once
-    the table exists.
+    Raises the error ``open(path, "w")`` would raise after the compute: its
+    directory cannot be reached (``[Errno 2]``, or ``[Errno 20]`` for a file
+    in the path), or the path is a directory or ends in a separator
+    (``[Errno 21]``).  The file itself is still opened only once the table
+    exists.
     """
+    name = path.rstrip(os.sep + (os.altsep or ""))
+    # Stat the directory with a trailing separator, so a file there fails;
+    # an empty path stats "" and fails as open("") does.
+    parent = os.path.dirname(name) or ("." if path else "")
     try:
-        os.stat(os.path.dirname(path) or ".")
+        os.stat(os.path.join(parent, ""))
     except OSError as e:
         raise type(e)(e.errno, e.strerror, path) from None
+    if name != path or os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
 
 
 def _grid(args, min_steps: int) -> np.ndarray:
@@ -253,7 +273,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         return int(e.code or 0)
     try:
         if args.out != "-":
-            _check_out_dir(args.out)
+            _check_out(args.out)
         _COMMANDS[args.command](args)
     except ValidationError as e:
         print(f"icotherm: numerical validation failure: {e}", file=sys.stderr)

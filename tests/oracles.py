@@ -2,8 +2,13 @@
 
 Everything here is built from first principles with explicit index loops and
 only numpy, on purpose: these functions must not share code with the package
-they check.
+they check.  The table writer's reference uses the standard ``csv`` and
+``json`` modules.
 """
+
+import csv
+import io
+import json
 
 import numpy as np
 
@@ -153,3 +158,30 @@ def random_rho(dim, rng):
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     m = g @ g.conj().T
     return m / np.trace(m).real
+
+
+def emit_text(header, rows, fmt, extra=None):
+    """A CLI table as ``csv.writer`` and ``json.dumps(indent=2)`` write it.
+
+    Cell by cell: ints whole, floats with 12 significant digits (JSON holds
+    the float those digits parse to); ``extra`` is added to every JSON object.
+    """
+    def is_int(x):
+        return isinstance(x, (int, np.integer))
+
+    if fmt == "csv":
+        buf = io.StringIO()
+        w = csv.writer(buf, lineterminator="\n")
+        w.writerow(header)
+        for row in rows:
+            w.writerow([str(int(x)) if is_int(x) else format(float(x), ".12g")
+                        for x in row])
+        return buf.getvalue()
+    objs = []
+    for row in rows:
+        obj = {}
+        for key, x in zip(header, row):
+            obj[key] = int(x) if is_int(x) else float(format(float(x), ".12g"))
+        obj.update(extra or {})
+        objs.append(obj)
+    return json.dumps(objs, indent=2) + "\n"

@@ -243,6 +243,21 @@ class TestSwitchCircuit:
         with pytest.raises(ValueError):
             build_switch_circuit(H, 1.0, -0.2)
 
+    @pytest.mark.parametrize("decompose", [False, True])
+    def test_verify_builds_one_thermal_state(self, monkeypatch, decompose):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return thermal_state(*args)
+
+        monkeypatch.setattr(circuit, "thermal_state", counting)
+        d = verify_against_kraus(H, 0.9, 1.1, decompose_cswap=decompose)
+        assert len(calls) == 1 and d < 1e-10
+        with pytest.raises(ValueError, match="phi must lie"):
+            verify_against_kraus(H, 1.0, 4.0)
+        assert len(calls) == 1
+
 
 def _dense_reference(rho, g, n):
     """U rho U† with the embedded unitary, or P0 rho P0 + P1 rho P1 for crush."""

@@ -1,11 +1,22 @@
+import argparse
+import contextlib
+import io
 import json
 import math
+import os
+import tempfile
 import warnings
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import icotherm.cli as cli
 from icotherm.linalg import DensityMatrix, ValidationError
+
+import oracles
 
 
 def run_capture(capsys, argv):
@@ -308,6 +319,32 @@ class TestEarlyOutRejection:
         assert err == f"icotherm: error: {opened.value}\n"
         assert str(path) in err
 
+    @pytest.mark.parametrize("argv, owner, stage", [
+        (["probs", "--steps", "100000000"], cli.kernel, "switched"),
+        (["circuit-verify", "--steps", "12"], cli, "verify_against_kraus"),
+    ])
+    @pytest.mark.parametrize("name", [
+        "adir", "adir/", "adir/missing/", "missing/", "missing/sub/", "afile/",
+        "afile/x", "afile/.", "",
+    ])
+    def test_unopenable_out_rejected_before_compute(self, capsys, monkeypatch,
+                                                    tmp_path, argv, owner,
+                                                    stage, name):
+        def never(*args, **kwargs):
+            raise AssertionError(f"{stage} ran before --out was checked")
+
+        monkeypatch.setattr(owner, stage, never)
+        (tmp_path / "adir").mkdir()
+        (tmp_path / "afile").write_text("")
+        path = f"{tmp_path}{os.sep}{name}" if name else ""
+        with pytest.raises(OSError) as opened:
+            open(path, "w")
+        code, out, err = run_capture(capsys, [*argv, "--out", path])
+        assert (code, out) == (2, "")
+        assert err == f"icotherm: error: {opened.value}\n"
+        assert sorted(os.listdir(tmp_path)) == ["adir", "afile"]
+        assert os.listdir(tmp_path / "adir") == []
+
 
 # Captured before the circuit gates became permutations and axis updates.
 CIRCUIT_VERIFY_STEPS_3 = """t,phi,distance
@@ -321,6 +358,10 @@ CIRCUIT_VERIFY_STEPS_3 = """t,phi,distance
 3,1.57079632679,5.55111512313e-17
 3,3.14159265359,1.11022302463e-16
 """
+
+# Default probs/heat/fridge tables, captured before the CLI formatted its
+# tables in one printf-style pass.
+GOLDEN = Path(__file__).parent / "golden"
 
 # Captured before monte_carlo drew its uniforms in blocks.
 MC_SEEDED = {
@@ -353,3 +394,67 @@ class TestGoldenBytes:
     def test_seeded_mc(self, capsys, flags):
         code, out, _ = run_capture(capsys, ["mc", "--trials", "196615", *flags])
         assert code == 0 and out == MC_SEEDED[flags]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("cmd", ["probs", "heat", "fridge"])
+    def test_default_sweep_tables(self, capsys, cmd, fmt):
+        code, out, _ = run_capture(capsys, [cmd, "--format", fmt])
+        assert code == 0 and out == (GOLDEN / f"{cmd}.{fmt}").read_text()
+
+
+_EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
+                2.2250738585072014e-308, 1.7976931348623157e308, 1e11, 1e12,
+                1e15, 1e16, 123456789012345.0, 3.0, 0.1]
+_FLOATS = st.one_of(
+    st.floats(),  # every double, with nan, +-inf, -0.0 and subnormals
+    st.sampled_from(_EDGE_FLOATS),
+    st.integers(-10 ** 17, 10 ** 17).map(float),
+    st.floats(1e11, 1e16),
+)
+_COLUMNS = {
+    "float": _FLOATS,
+    "np_float": _FLOATS.map(np.float64),
+    "int": st.integers(-10 ** 20, 10 ** 20),
+    "np_int": st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+}
+
+
+@st.composite
+def tables(draw):
+    """(header, rows, extra): typed columns, 0 to 12 rows."""
+    header = draw(st.lists(st.from_regex(r"[a-z_%][a-z0-9_%]{0,7}", fullmatch=True)
+                           .filter(lambda key: key != "rng"),
+                           min_size=1, max_size=6, unique=True))
+    kinds = draw(st.lists(st.sampled_from(sorted(_COLUMNS)),
+                          min_size=len(header), max_size=len(header)))
+    n = draw(st.integers(0, 12))
+    cols = [draw(st.lists(_COLUMNS[kind], min_size=n, max_size=n))
+            for kind in kinds]
+    extra = draw(st.one_of(st.none(),
+                           st.fixed_dictionaries({"rng": st.text(max_size=12)})))
+    return header, [list(row) for row in zip(*cols)], extra
+
+
+class TestTableWriter:
+    """``_emit`` writes exactly what csv.writer / json.dumps(indent=2) wrote."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(table=tables(), fmt=st.sampled_from(["csv", "json"]))
+    @example(table=(["trials", "seed", "p"], [[10 ** 13, 10 ** 15, 0.25]],
+                    {"rng": "numpy-pcg64"}), fmt="json")
+    @example(table=(["a%d"], [[1.5]], {"rng": "50% pcg64"}), fmt="json")
+    @example(table=(["t", "phi"], [], None), fmt="json")
+    @example(table=(["t", "phi"], [], None), fmt="csv")
+    def test_matches_old_writer(self, table, fmt):
+        header, rows, extra = table
+        expected = oracles.emit_text(header, rows, fmt, extra)
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            cli._emit(header, rows, argparse.Namespace(format=fmt, out="-"),
+                      extra)
+        assert stdout.getvalue() == expected
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / f"rows.{fmt}"
+            cli._emit(header, iter(rows),
+                      argparse.Namespace(format=fmt, out=str(path)), extra)
+            assert path.read_bytes() == expected.encode()
