@@ -54,6 +54,23 @@ def _table_text(header: list[str], rows: Iterable[Sequence], fmt: str,
     ``NaN``/``Infinity``, and every object ends with ``extra_json_fields``.
     ``%d`` and ``%.12g`` text holds no comma, quote or newline, so no cell
     needs CSV quoting.
+
+    A JSON float keeps its ``%.12g`` text, which already is that repr,
+    except where one numpy pass over the float columns finds a cell x that
+    is not finite, has ``|x| < 1e-300`` (0, -0.0 and the subnormals, whose
+    12 digits do not round-trip) or has ``|x - rint(x)| <= 2e-11*|x|``.
+    Only those cells are parsed and respelled.  For every other cell:
+
+    * the text is a decimal of at most 12 significant digits, and one of at
+      most 15 round-trips through a normal double, so the shortest repr of
+      the parsed value has exactly those digits;
+    * the value is not whole, so repr adds no ``.0``: rounding to 12 digits
+      moves x by at most ``0.5e-11*|x|``, so a whole 12-digit value is
+      selected with 4x slack;
+    * both formats switch to e-notation below 1e-4 and spell the exponent
+      alike.  Above 1e12 ``%g`` uses e-notation and repr does not (until
+      1e16), but every ``|x| >= 5e10`` is within 0.5 of a whole number and
+      is selected.
     """
     k = len(header)
     cells = tuple(itertools.chain.from_iterable(rows))
@@ -65,11 +82,18 @@ def _table_text(header: list[str], rows: Iterable[Sequence], fmt: str,
     if not n:
         return "[]\n"
     strs = (",".join(fmts * n) % cells).split(",")
+    cols = [j for j, f in enumerate(fmts) if f == "%.12g"]
+    if cols:
+        x = np.array([cells[j::k] for j in cols], dtype=float)
+        with np.errstate(invalid="ignore"):
+            a = np.abs(x)
+            respell = (~np.isfinite(x) | (a < 1e-300)
+                       | (np.abs(x - np.rint(x)) <= 2e-11 * a))
+        col, row = np.nonzero(respell)
+        for i in (row * k + np.array(cols)[col]).tolist():
+            v = repr(float(strs[i]))
+            strs[i] = _JSON_NONFINITE.get(v, v)
     del cells
-    for j, f in enumerate(fmts):
-        if f == "%.12g":
-            vals = list(map(repr, map(float, strs[j::k])))
-            strs[j::k] = map(_JSON_NONFINITE.get, vals, vals)
     fields = [f"    {json.dumps(key).replace('%', '%%')}: %s" for key in header]
     fields += [f"    {json.dumps(key)}: {json.dumps(v)}".replace("%", "%%")
                for key, v in (extra_json_fields or {}).items()]

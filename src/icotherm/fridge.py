@@ -85,7 +85,7 @@ class CycleParams:
 
     def __post_init__(self):
         if not (self.delta > 0.0 and math.isfinite(self.delta)):
-            raise ValueError(f"delta must be positive, got {self.delta}")
+            raise ValueError(f"delta must be positive and finite, got {self.delta}")
         for name in ("t_hot", "t_cold", "t_reset"):
             t = getattr(self, name)
             if not t > 0.0 or math.isnan(t):

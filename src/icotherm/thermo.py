@@ -52,7 +52,7 @@ class TwoLevelHamiltonian:
 
     def __post_init__(self):
         if not (self.delta > 0.0 and math.isfinite(self.delta)):
-            raise ValueError(f"energy gap must be positive, got {self.delta}")
+            raise ValueError(f"delta must be positive and finite, got {self.delta}")
 
     def matrix(self) -> np.ndarray:
         return np.diag([0.0, self.delta]).astype(complex)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from icotherm.channels import (
     AncillaState,
@@ -14,7 +16,8 @@ from icotherm.channels import (
     switch_closed_form,
     validate_cptp,
 )
-from icotherm.linalg import DensityMatrix, ValidationError, kron, random_density_matrix
+from icotherm.linalg import (DEFAULT_TOL, DensityMatrix, ValidationError, kron,
+                             random_density_matrix)
 from icotherm.thermo import TwoLevelHamiltonian, thermal_state
 
 import oracles
@@ -221,6 +224,25 @@ class TestSwitchClosedForm:
             brute = apply_channel(sw, joint)
             closed = switch_closed_form(anc, rho, thermal_state(H, t))
             np.testing.assert_allclose(closed.mat, brute.mat, atol=1e-10)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2 ** 32 - 1),
+        phi=st.floats(min_value=0.0, max_value=math.pi),
+        t=st.floats(min_value=0.0, max_value=math.inf, exclude_min=True),
+    )
+    @example(seed=0, phi=0.0, t=1e-3)
+    @example(seed=1, phi=math.pi, t=math.inf)
+    @example(seed=2, phi=math.pi / 2, t=1e-3)
+    @example(seed=3, phi=math.pi / 2, t=math.inf)
+    def test_matches_kraus_switch_on_random_states(self, seed, phi, t):
+        rho = random_density_matrix(2, np.random.default_rng(seed))
+        ch = make_thermalizing_channel(H, t)
+        anc = AncillaState(phi)
+        joint = DensityMatrix(kron(anc.density().mat, rho.mat), dims=(2, 2))
+        brute = apply_channel(make_quantum_switch(ch, ch), joint)
+        closed = switch_closed_form(anc, rho, thermal_state(H, t))
+        assert np.abs(closed.mat - brute.mat).max() <= DEFAULT_TOL.validation
 
     def test_rejects_wrong_dimension(self):
         rng = np.random.default_rng(9)

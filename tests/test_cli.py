@@ -240,6 +240,20 @@ class TestNonFiniteGrid:
         assert not path.exists()
 
 
+class TestBadDelta:
+    @pytest.mark.parametrize("cmd", ["probs", "heat", "fridge", "circuit-verify",
+                                     "mc"])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "0"])
+    def test_rejected_with_accurate_message(self, capsys, tmp_path, cmd, value):
+        path = tmp_path / "rows.csv"
+        code, out, err = run_capture(capsys, [
+            cmd, f"--delta={value}", "--out", str(path)])
+        assert (code, out) == (2, "")
+        assert err == (f"icotherm: error: delta must be positive and finite, "
+                       f"got {float(value)}\n")
+        assert not path.exists()
+
+
 class TestRuntimePath:
     def test_tables_build_no_density_matrix(self, capsys, monkeypatch):
         built = []
@@ -404,7 +418,11 @@ class TestGoldenBytes:
 
 _EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
                 2.2250738585072014e-308, 1.7976931348623157e308, 1e11, 1e12,
-                1e15, 1e16, 123456789012345.0, 3.0, 0.1]
+                1e15, 1e16, 123456789012345.0, 3.0, 0.1,
+                # either side of the cut-offs that send a JSON cell to repr
+                99999999999.99999, 99999999999.4, 2.0000000000001,
+                1.00000000002, 1.0000000000049, 1e-300, 9.99e-301, 0.0001,
+                9.9999999999995e-05, 123456789.0000004]
 _FLOATS = st.one_of(
     st.floats(),  # every double, with nan, +-inf, -0.0 and subnormals
     st.sampled_from(_EDGE_FLOATS),
@@ -458,3 +476,25 @@ class TestTableWriter:
             cli._emit(header, iter(rows),
                       argparse.Namespace(format=fmt, out=str(path)), extra)
             assert path.read_bytes() == expected.encode()
+
+    def test_json_near_whole_numbers_and_powers_of_ten(self):
+        # Values within 1e-9 (relative) of the integers -50..50 and of
+        # 10**0..10**16, both signs: where the 12-digit text is a whole
+        # number, or changes between fixed and e-notation.  Then the
+        # subnormals and the smallest normals, whose 12 digits need not
+        # round-trip.
+        centres = np.concatenate([np.arange(-50.0, 51.0),
+                                  10.0 ** np.arange(17), -10.0 ** np.arange(17)])
+        rel = np.linspace(-1e-9, 1e-9, 151)
+        cells = (centres[:, None] * (1.0 + rel)).ravel().tolist()
+        tiny = np.geomspace(5e-324, 1e-299, 151)
+        cells += tiny.tolist() + (-tiny).tolist()
+        header = ["a", "b", "c", "d", "e"]
+        cells += [0.5] * (-len(cells) % len(header))
+        rows = [cells[i:i + 5] for i in range(0, len(cells), 5)]
+        for part in (rows[:2000], rows[2000:]):
+            expected = oracles.emit_text(header, part, "json")
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                cli._emit(header, part, argparse.Namespace(format="json", out="-"))
+            assert stdout.getvalue() == expected
