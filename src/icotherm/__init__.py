@@ -14,12 +14,8 @@ from .linalg import (
     Tolerances,
     ValidationError,
     dagger,
-    fidelity,
-    hermitian_eig,
-    is_hermitian,
     kron,
     partial_trace,
-    psd_sqrt,
     random_density_matrix,
     symmetrize,
 )

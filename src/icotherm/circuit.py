@@ -59,9 +59,6 @@ __all__ = [
     "verify_against_kraus",
 ]
 
-DEFAULT_LABELS = ("ancilla", "substance", "reservoir1", "reservoir2")
-
-
 @dataclass(frozen=True)
 class Gate:
     """One circuit element.  ``kind`` is one of ry/x/swap/cswap/toffoli/crush.
@@ -157,32 +154,24 @@ def embed_unitary(u: np.ndarray, targets: tuple[int, ...], n: int) -> np.ndarray
 
 @dataclass(frozen=True)
 class QubitRegister:
-    """Immutable snapshot of an n-qubit register state with role labels."""
+    """Immutable snapshot of an n-qubit register state."""
 
     state: DensityMatrix
-    labels: tuple[str, ...] = DEFAULT_LABELS
 
     def __post_init__(self):
-        if self.state.dims != (2,) * len(self.labels):
-            raise ValueError(
-                f"state dims {self.state.dims} do not match {len(self.labels)} qubits"
-            )
+        if self.state.dims != (2,) * self.n:
+            raise ValueError(f"state dims {self.state.dims} are not all qubits")
 
     @property
     def n(self) -> int:
-        return len(self.labels)
+        return len(self.state.dims)
 
 
-def fresh_register(n: int = 4,
-                   labels: tuple[str, ...] | None = None) -> QubitRegister:
+def fresh_register(n: int = 4) -> QubitRegister:
     """All-|0> register."""
-    if labels is None:
-        labels = DEFAULT_LABELS[:n] if n <= 4 else tuple(f"q{i}" for i in range(n))
-    if len(labels) != n:
-        raise ValueError(f"{len(labels)} labels for {n} qubits")
     m = np.zeros((1 << n, 1 << n), dtype=complex)
     m[0, 0] = 1.0
-    return QubitRegister(state=DensityMatrix(m, dims=(2,) * n), labels=labels)
+    return QubitRegister(state=DensityMatrix(m, dims=(2,) * n))
 
 
 @functools.cache
@@ -222,7 +211,7 @@ def apply_gate(reg: QubitRegister, g: Gate,
         raise ValueError(f"gate targets {g.targets} out of range for {n} qubits")
     state = DensityMatrix(_step(reg.state.mat, g, n, tol), dims=reg.state.dims,
                           tol=tol)
-    return QubitRegister(state=state, labels=reg.labels)
+    return QubitRegister(state=state)
 
 
 def cswap_to_toffoli(g: Gate) -> list[Gate]:
@@ -270,25 +259,20 @@ def _routing_gates(decompose_cswap: bool) -> tuple[Gate, ...]:
     return tuple(part for g in seq for part in cswap_to_toffoli(g))
 
 
-def _check_phi(phi: float) -> None:
-    if not (0.0 <= phi <= math.pi):
-        raise ValueError(f"phi must lie in [0, pi], got {phi}")
-
-
-def _run_circuit(rho_t: DensityMatrix, phi: float, decompose_cswap: bool,
+def _run_circuit(rho_t: DensityMatrix, a: AncillaState, decompose_cswap: bool,
                  tol: Tolerances) -> QubitRegister:
     """The 4-qubit realization with every qubit prepared from ``rho_t``."""
     theta = thermal_prep_angle(rho_t, tol)
     reg = fresh_register(4)
     rho = reg.state.mat
     gates = [g for q in (1, 2, 3) for g in (ry(q, theta), crush(q))]
-    gates += [ry(0, phi), *_routing_gates(decompose_cswap)]
+    gates += [ry(0, a.phi), *_routing_gates(decompose_cswap)]
     states = np.empty((len(gates) - 1, *rho.shape), dtype=complex)
     for i, g in enumerate(gates[:-1]):
         states[i] = rho = _step(rho, g, reg.n, tol)
     validate_states(states, tol)
     rho = _step(rho, gates[-1], reg.n, tol)
-    return QubitRegister(DensityMatrix(rho, reg.state.dims, tol), reg.labels)
+    return QubitRegister(DensityMatrix(rho, reg.state.dims, tol))
 
 
 def build_switch_circuit(h: TwoLevelHamiltonian, temperature: float,
@@ -302,8 +286,8 @@ def build_switch_circuit(h: TwoLevelHamiltonian, temperature: float,
     intermediate state is checked like a :class:`DensityMatrix`, in one
     batched pass after the last gate.
     """
-    _check_phi(phi)
-    return _run_circuit(thermal_state(h, temperature, tol), phi,
+    a = AncillaState(phi)
+    return _run_circuit(thermal_state(h, temperature, tol), a,
                         decompose_cswap, tol)
 
 
@@ -317,9 +301,9 @@ def verify_against_kraus(h: TwoLevelHamiltonian, temperature: float,
     the same temperature and control angle.  Only the input thermal state is
     shared: the two paths share no switch logic.
     """
-    _check_phi(phi)
+    a = AncillaState(phi)
     rho_t = thermal_state(h, temperature, tol)
-    reg = _run_circuit(rho_t, phi, decompose_cswap, tol)
+    reg = _run_circuit(rho_t, a, decompose_cswap, tol)
     marginal = partial_trace(reg.state, keep={0, 1})
-    expected = switch_closed_form(AncillaState(phi), rho_t, rho_t, tol)
+    expected = switch_closed_form(a, rho_t, rho_t, tol)
     return float(np.max(np.abs(marginal.mat - expected.mat)))

@@ -215,15 +215,11 @@ def _check_out(path: str) -> None:
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
 
 
-def _grid(args, min_steps: int) -> np.ndarray:
-    _check_grid(args.t_min, args.t_max, args.steps, min_steps)
-    return np.linspace(args.t_min, args.t_max, args.steps)
-
-
 def _switched(args) -> tuple[list[float], kernel.Switched]:
     """Reported temperatures and both outcomes over the requested grid."""
     h = TwoLevelHamiltonian(args.delta)
-    temps = kernel.absolute(_grid(args, min_steps=1), h.delta)
+    t = _check_grid(args.t_min, args.t_max, args.steps, min_steps=1)
+    temps = kernel.absolute(t, h.delta)
     sw = kernel.switched(h.delta, args.phi, temps, args.basis)
     return (temps / h.delta).tolist(), sw
 
@@ -243,7 +239,7 @@ def _cmd_heat(args) -> None:
 def _cmd_fridge(args) -> None:
     p = CycleParams(delta=args.delta, t_reset=args.t_reset, phi=args.phi,
                     entropy_base=_ENTROPY_BASES[args.entropy_base])
-    t = _grid(args, min_steps=2)
+    t = _check_grid(args.t_min, args.t_max, args.steps, min_steps=2)
     c = kernel.cycles(p.delta, p.phi, t, t, p.t_reset, p.entropy_base)
     rows = zip(t.tolist(), c.minus.prob.tolist(), c.w.tolist(), c.q_c.tolist(),
                c.eta.tolist())
@@ -254,16 +250,16 @@ def _cmd_circuit_verify(args) -> None:
     h = TwoLevelHamiltonian(args.delta)
     # Only the range is checked: one step samples t_min, and repeated
     # temperatures are allowed.
-    _check_range(args.t_min, args.t_max, args.steps, min_steps=1)
-    temps = np.linspace(args.t_min, args.t_max, args.steps)
+    t = _check_range(args.t_min, args.t_max, args.steps, min_steps=1)
+    temps = kernel.absolute(t, h.delta)
     phis = ([args.phi] if args.phi is not None
-            else list(np.linspace(0.0, math.pi, args.steps)))
+            else np.linspace(0.0, math.pi, args.steps).tolist())
     rows = []
-    for t in temps:
+    for t_i, temp in zip(t.tolist(), temps.tolist()):
         for ph in phis:
-            d = verify_against_kraus(h, float(t) * args.delta, float(ph),
+            d = verify_against_kraus(h, temp, ph,
                                      decompose_cswap=args.decompose_cswap)
-            rows.append([float(t), float(ph), d])
+            rows.append([t_i, ph, d])
     _emit(["t", "phi", "distance"], rows, args)
 
 

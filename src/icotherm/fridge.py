@@ -73,7 +73,8 @@ class CycleParams:
     Temperatures (t_hot, t_cold, t_reset) are in units of delta/k_B; phi is
     the ancilla angle in radians; entropy_base selects the logarithm base of
     the erasure entropy (natural log by default, base 2 rescales w and eta by
-    1/ln 2).
+    1/ln 2).  t_hot and t_cold may be inf (the maximally mixed state);
+    t_reset must be finite, since an infinite erasure cost is no cycle.
     """
 
     delta: float = 1.0
@@ -86,10 +87,11 @@ class CycleParams:
     def __post_init__(self):
         if not (self.delta > 0.0 and math.isfinite(self.delta)):
             raise ValueError(f"delta must be positive and finite, got {self.delta}")
-        for name in ("t_hot", "t_cold", "t_reset"):
+        for name in ("t_hot", "t_cold"):
             t = getattr(self, name)
-            if not t > 0.0 or math.isnan(t):
+            if not t > 0.0:
                 raise ValueError(f"{name} must be positive, got {t}")
+        _check_t_reset(self.t_reset)
         if not (0.0 <= self.phi <= math.pi):
             raise ValueError(f"phi must lie in [0, pi], got {self.phi}")
         if not self.entropy_base > 1.0:
@@ -160,10 +162,14 @@ def work_of_erasure(p_minus: float, t_reset: float,
     """
     if not (-PROB_FLOOR <= p_minus <= 1.0 + PROB_FLOOR):
         raise ValueError(f"p_minus must lie in [0, 1], got {p_minus}")
-    if not t_reset > 0.0 or math.isnan(t_reset):
-        raise ValueError(f"t_reset must be positive, got {t_reset}")
+    _check_t_reset(t_reset)
     p = min(max(p_minus, 0.0), 1.0)
     return t_reset * shannon_entropy((p, 1.0 - p), base=base)
+
+
+def _check_t_reset(t_reset: float) -> None:
+    if not (t_reset > 0.0 and math.isfinite(t_reset)):
+        raise ValueError(f"t_reset must be positive and finite, got {t_reset}")
 
 
 def _state(p_g: float, p_e: float) -> DensityMatrix:
@@ -205,13 +211,14 @@ def ico_sweep(h: TwoLevelHamiltonian, phi: float, t_min: float, t_max: float,
     Temperatures are in delta/k_B units.  A single-point grid (steps == 1)
     requires t_min == t_max.
     """
-    _check_grid(t_min, t_max, steps, min_steps=1)
-    t = np.linspace(t_min, t_max, steps)
+    t = _check_grid(t_min, t_max, steps, min_steps=1)
     return _ico_points(h, phi, kernel.absolute(t, h.delta), basis)
 
 
-def _check_range(t_min: float, t_max: float, steps: int, min_steps: int):
-    """At least ``min_steps`` points between finite bounds 0 < t_min <= t_max."""
+def _check_range(t_min: float, t_max: float, steps: int,
+                 min_steps: int) -> np.ndarray:
+    """The uniform grid of ``steps`` >= ``min_steps`` points from t_min to
+    t_max, between finite bounds 0 < t_min <= t_max."""
     if steps < min_steps:
         raise ValueError(f"steps must be >= {min_steps}, got {steps}")
     for name, t in (("t_min", t_min), ("t_max", t_max)):
@@ -219,15 +226,18 @@ def _check_range(t_min: float, t_max: float, steps: int, min_steps: int):
             raise ValueError(f"{name} must be finite, got {t}")
     if not 0.0 < t_min <= t_max:
         raise ValueError(f"need 0 < t_min <= t_max, got [{t_min}, {t_max}]")
+    return np.linspace(t_min, t_max, steps)
 
 
-def _check_grid(t_min: float, t_max: float, steps: int, min_steps: int):
-    """:func:`_check_range` for a uniform grid whose points are all distinct."""
-    _check_range(t_min, t_max, steps, min_steps)
+def _check_grid(t_min: float, t_max: float, steps: int,
+                min_steps: int) -> np.ndarray:
+    """:func:`_check_range`'s grid, with all points distinct."""
+    t = _check_range(t_min, t_max, steps, min_steps)
     if steps == 1 and t_min != t_max:
         raise ValueError("a single-point grid requires t_min == t_max")
     if steps > 1 and t_min == t_max:
         raise ValueError("t_min must be strictly below t_max for steps > 1")
+    return t
 
 
 def _reports(c: kernel.Cycles, t_cold: list[float]) -> list[CycleReport]:
@@ -255,8 +265,7 @@ def sweep(p_template: CycleParams, t_min: float, t_max: float,
     This is the equal-reservoir scenario; the template's other fields
     (delta, t_reset, phi, entropy base) are kept.
     """
-    _check_grid(t_min, t_max, steps, min_steps=2)
-    t = np.linspace(t_min, t_max, steps)
+    t = _check_grid(t_min, t_max, steps, min_steps=2)
     c = kernel.cycles(p_template.delta, p_template.phi, t, t,
                       p_template.t_reset, p_template.entropy_base)
     return _reports(c, t.tolist())

@@ -99,10 +99,18 @@ def _each(f, a: np.ndarray) -> np.ndarray:
 def absolute(t, delta: float) -> np.ndarray:
     """Absolute temperatures T = t * delta of temperatures in delta/k_B units.
 
-    A product past the float range is inf, as it is for Python floats.
+    An infinite t gives T = inf, the maximally mixed state.  A finite t whose
+    product with delta leaves the float range raises ``ValueError``: T = inf
+    would report the infinite-temperature limit in place of t.
     """
+    t = np.asarray(t, dtype=float)
     with np.errstate(over="ignore"):
-        return np.asarray(t, dtype=float) * delta
+        temps = t * delta
+    over = np.isinf(temps) & np.isfinite(t)
+    if over.any():
+        raise ValueError(f"temperature {float(t[over][0])} times delta {delta} "
+                         f"exceeds the float range")
+    return temps
 
 
 def _thermal_excited(delta: float, temps) -> np.ndarray:
@@ -200,6 +208,11 @@ def cycles(delta: float, phi: float, t_cold, t_hot, t_reset: float,
     ``t_hot`` is a scalar or an array shaped like ``t_cold``.  Arguments are
     assumed valid (``CycleParams`` checks them).
 
+    eta = Q_C P- / W is evaluated without a floating-point warning.  When W
+    underflows so far that Q_C P- / W leaves the float range, or W is 0
+    (t_reset * delta underflows), eta is +-inf; where Q_C P- is 0 (no heat
+    moves, as at phi = 0) eta is 0 for every W.
+
     Raises
     ------
     DegenerateCycleError
@@ -224,6 +237,8 @@ def cycles(delta: float, phi: float, t_cold, t_hot, t_reset: float,
     if entropy_base != math.e:
         entropy = entropy / math.log(entropy_base)
     w = (t_reset * delta) * entropy
-    eta = q_c * p / w
+    q = q_c * p
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        eta = np.where(q == 0.0, q, q / w)
     t_eff = _effective_temperature(delta, minus.p_g, minus.p_e) / delta
     return Cycles(minus, w, q_c, eta, e_minus, e_hot, t_eff)

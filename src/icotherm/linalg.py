@@ -3,7 +3,9 @@
 Everything in this package runs on matrices of dimension <= 16, so the
 routines here favor clarity and strict validation over speed.  States are
 carried by :class:`DensityMatrix`, a validated, immutable wrapper around a
-numpy array together with its tensor-factor dimensions.
+numpy array together with its tensor-factor dimensions; besides the state
+checks the module holds only what the verification path needs: tensor
+products, the partial trace and random states.
 
 Conventions
 -----------
@@ -26,27 +28,22 @@ __all__ = [
     "dagger",
     "symmetrize",
     "kron",
-    "is_hermitian",
-    "hermitian_eig",
-    "psd_sqrt",
     "DensityMatrix",
     "validate_states",
     "partial_trace",
-    "fidelity",
     "random_density_matrix",
 ]
 
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numeric tolerance record shared by all validation and reconstruction checks.
+    """Numeric tolerance record shared by all validation checks.
 
-    validation: bound on Hermiticity / trace / positivity / completeness defects.
-    reconstruction: bound on round-trip identities (eigendecomposition, sqrt).
+    validation: bound on Hermiticity / trace / positivity / completeness /
+    unitarity / diagonality defects.
     """
 
     validation: float = 1e-10
-    reconstruction: float = 1e-9
 
 
 DEFAULT_TOL = Tolerances()
@@ -70,65 +67,12 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().swapaxes(-1, -2)) / 2.0
 
 
-def _as_square_complex(m, name: str = "matrix") -> np.ndarray:
-    a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {a.shape}")
-    return a
-
-
 def kron(a: np.ndarray, b: np.ndarray, *rest: np.ndarray) -> np.ndarray:
     """Tensor product with the standard row-major layout (left factor on high bits)."""
     out = np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
     for m in rest:
         out = np.kron(out, np.asarray(m, dtype=complex))
     return out
-
-
-def is_hermitian(m: np.ndarray, tol: float = DEFAULT_TOL.validation) -> bool:
-    m = np.asarray(m)
-    return bool(np.max(np.abs(m - m.conj().T)) <= tol)
-
-
-def hermitian_eig(
-    m: np.ndarray, tol: Tolerances = DEFAULT_TOL
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues sorted descending.
-
-    Returns ``(w, v)`` with real eigenvalues ``w`` in descending order and
-    unitary ``v`` whose columns are the matching eigenvectors, so that
-    ``m @ v == v @ diag(w)`` up to the reconstruction tolerance.
-
-    Raises
-    ------
-    ValidationError
-        If ``m`` deviates from Hermiticity by more than ``tol.validation``.
-    """
-    a = _as_square_complex(m)
-    if not np.all(np.isfinite(a.view(float))):
-        raise ValueError("matrix contains non-finite entries")
-    if not is_hermitian(a, tol.validation):
-        raise ValidationError(
-            f"matrix is not Hermitian within {tol.validation:g}"
-        )
-    w, v = np.linalg.eigh(symmetrize(a))
-    order = np.argsort(w)[::-1]
-    return w[order].real, v[:, order]
-
-
-def psd_sqrt(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Hermitian square root R of a PSD matrix, R @ R == m.
-
-    Eigenvalues in ``[-tol.validation, 0)`` are clamped to zero (floating-point
-    noise, not physics); anything more negative raises :class:`ValidationError`.
-    """
-    w, v = hermitian_eig(m, tol)
-    if w[-1] < -tol.validation:
-        raise ValidationError(
-            f"matrix has negative eigenvalue {w[-1]:.3e}, not PSD"
-        )
-    root = v @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ dagger(v)
-    return symmetrize(root)
 
 
 def validate_states(states: np.ndarray,
@@ -191,7 +135,9 @@ class DensityMatrix:
 
     def __init__(self, mat, dims: Sequence[int] | None = None,
                  tol: Tolerances = DEFAULT_TOL):
-        a = _as_square_complex(mat, "density matrix")
+        a = np.asarray(mat, dtype=complex)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError(f"density matrix must be square, got shape {a.shape}")
         dim = a.shape[0]
         if dims is None:
             n = dim.bit_length() - 1
@@ -235,17 +181,6 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
         dims.pop(idx)
     d = math.prod(dims)
     return DensityMatrix(a.reshape(d, d), dims=dims)
-
-
-def fidelity(a: DensityMatrix, b: DensityMatrix,
-             tol: Tolerances = DEFAULT_TOL) -> float:
-    """Uhlmann fidelity (Tr sqrt(sqrt(a) b sqrt(a)))², clipped to [0, 1]."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    ra = psd_sqrt(a.mat, tol)
-    inner = symmetrize(ra @ b.mat @ ra)
-    f = float(np.trace(psd_sqrt(inner, tol)).real ** 2)
-    return min(max(f, 0.0), 1.0)
 
 
 def random_density_matrix(dim: int, rng: np.random.Generator,

@@ -66,7 +66,7 @@ class TestGateUnitaries:
 
 class TestApplyGate:
     def test_ry_pi_flips_ground(self):
-        reg = fresh_register(1, labels=("q0",))
+        reg = fresh_register(1)
         out = apply_gate(reg, ry(0, math.pi))
         np.testing.assert_allclose(out.state.mat, np.diag([0.0, 1.0]),
                                    atol=1e-10)
@@ -76,14 +76,13 @@ class TestApplyGate:
         rho_a = oracles.random_rho(2, rng)
         rho_b = oracles.random_rho(2, rng)
         reg = QubitRegister(
-            state=DensityMatrix(kron(rho_a, rho_b), dims=(2, 2)),
-            labels=("a", "b"))
+            state=DensityMatrix(kron(rho_a, rho_b), dims=(2, 2)))
         out = apply_gate(reg, swap(0, 1))
         np.testing.assert_allclose(out.state.mat, kron(rho_b, rho_a),
                                    atol=1e-12)
 
     def test_crush_dephases_equal_superposition(self):
-        reg = fresh_register(1, labels=("q0",))
+        reg = fresh_register(1)
         reg = apply_gate(reg, ry(0, math.pi / 2))  # (|0>+|1>)/sqrt(2)
         out = apply_gate(reg, crush(0))
         np.testing.assert_allclose(out.state.mat, np.eye(2) / 2, atol=1e-12)
@@ -91,7 +90,7 @@ class TestApplyGate:
     def test_crush_idempotent(self):
         rng = np.random.default_rng(1)
         state = random_density_matrix(4, rng, dims=(2, 2))
-        reg = QubitRegister(state=state, labels=("a", "b"))
+        reg = QubitRegister(state=state)
         once = apply_gate(reg, crush(1))
         twice = apply_gate(once, crush(1))
         np.testing.assert_allclose(once.state.mat, twice.state.mat, atol=1e-12)
@@ -99,13 +98,13 @@ class TestApplyGate:
     def test_crush_only_touches_target(self):
         rng = np.random.default_rng(2)
         state = random_density_matrix(4, rng, dims=(2, 2))
-        reg = QubitRegister(state=state, labels=("a", "b"))
+        reg = QubitRegister(state=state)
         out = apply_gate(reg, crush(0))
         np.testing.assert_allclose(partial_trace(out.state, {1}).mat,
                                    partial_trace(state, {1}).mat, atol=1e-12)
 
     def test_bad_targets(self):
-        reg = fresh_register(2, labels=("a", "b"))
+        reg = fresh_register(2)
         with pytest.raises(ValueError):
             apply_gate(reg, x_gate(5))
 
@@ -180,7 +179,7 @@ class TestThermalPrep:
         for t in (0.3, 1.0, 2.4):
             rho_t = thermal_state(H, t)
             theta = thermal_prep_angle(rho_t)
-            reg = fresh_register(1, labels=("q0",))
+            reg = fresh_register(1)
             reg = apply_gate(reg, ry(0, theta))
             reg = apply_gate(reg, crush(0))
             np.testing.assert_allclose(reg.state.mat, rho_t.mat, atol=1e-10)
@@ -234,10 +233,15 @@ class TestSwitchCircuit:
                     np.testing.assert_allclose(ps.state.mat, want[s_key],
                                                atol=1e-10)
 
-    def test_register_labels(self):
+    def test_register_size(self):
         reg = build_switch_circuit(H, 1.0, 0.5)
-        assert reg.labels == ("ancilla", "substance", "reservoir1", "reservoir2")
         assert reg.n == 4
+
+    @pytest.mark.parametrize("dims", [(4,), (2, 3)])
+    def test_register_rejects_non_qubit_factors(self, dims):
+        state = DensityMatrix(np.eye(math.prod(dims)) / math.prod(dims), dims=dims)
+        with pytest.raises(ValueError, match="not all qubits"):
+            QubitRegister(state=state)
 
     def test_invalid_phi(self):
         with pytest.raises(ValueError):
@@ -288,7 +292,7 @@ def _gate_on_register(draw):
 def test_apply_gate_matches_dense_reference(case):
     g, n, seed = case
     state = random_density_matrix(1 << n, np.random.default_rng(seed))
-    reg = QubitRegister(state=state, labels=tuple(f"q{i}" for i in range(n)))
+    reg = QubitRegister(state=state)
     out = apply_gate(reg, g)
     assert np.max(np.abs(out.state.mat - _dense_reference(state.mat, g, n))) <= 1e-14
 

@@ -254,6 +254,63 @@ class TestBadDelta:
         assert not path.exists()
 
 
+class TestBadResetTemperature:
+    @pytest.mark.parametrize("cmd", ["fridge", "mc"])
+    @pytest.mark.parametrize("value", ["inf", "nan", "0"])
+    def test_rejected_with_accurate_message(self, capsys, tmp_path, cmd, value):
+        path = tmp_path / "rows.csv"
+        code, out, err = run_capture(capsys, [
+            cmd, f"--t-reset={value}", "--out", str(path)])
+        assert (code, out) == (2, "")
+        assert err == (f"icotherm: error: t_reset must be positive and finite, "
+                       f"got {float(value)}\n")
+        assert not path.exists()
+
+
+class TestUnderflowingWork:
+    """W = t_reset * delta * S below the normal range: eta without a warning."""
+
+    @pytest.mark.parametrize("flags, eta", [
+        (["--t-reset", "1e-320"], "inf"),  # W subnormal, Q_C P-/W overflows
+        (["--t-reset", "1e-320", "--delta", "1e-10"], "inf"),  # W = 0
+        (["--t-reset", "1e-320", "--delta", "1e-10", "--phi", "0"], "0"),
+    ])
+    def test_fridge_eta(self, capsys, flags, eta):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_capture(capsys, ["fridge", "--steps", "3",
+                                                  *flags])
+        assert (code, err) == (0, "")
+        assert [row["eta"] for row in parse_csv(out)[1]] == [eta] * 3
+
+    @pytest.mark.parametrize("delta", ["1", "1e-10"])
+    def test_mc(self, capsys, delta):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_capture(capsys, [
+                "mc", "--t-reset", "1e-320", "--delta", delta, "--trials", "100"])
+        assert (code, err) == (0, "")
+        assert len(parse_csv(out)[1]) == 1
+
+
+class TestTemperatureOverflow:
+    """A finite temperature whose product with delta overflows."""
+
+    @pytest.mark.parametrize("argv", [
+        *([cmd, "--t-min", "2", "--t-max", "3", "--steps", "2"]
+          for cmd in ("probs", "heat", "fridge", "circuit-verify")),
+        ["mc", "--t-min", "2"],
+    ], ids=lambda argv: argv[0])
+    def test_rejected_before_output(self, capsys, tmp_path, argv):
+        path = tmp_path / "rows.csv"
+        code, out, err = run_capture(capsys, [
+            *argv, "--delta", "1e308", "--out", str(path)])
+        assert (code, out) == (2, "")
+        assert err == ("icotherm: error: temperature 2.0 times delta 1e+308 "
+                       "exceeds the float range\n")
+        assert not path.exists()
+
+
 class TestRuntimePath:
     def test_tables_build_no_density_matrix(self, capsys, monkeypatch):
         built = []

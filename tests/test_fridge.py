@@ -161,6 +161,13 @@ class TestSweep:
         with pytest.raises(ValueError, match="t_min must be finite, got nan"):
             ico_sweep(H, 0.5, math.nan, 1.0, 5)
 
+    def test_temperature_overflow_rejected(self):
+        # 2 * 1e308 overflows; inf would be the infinite-T limit.
+        with pytest.raises(ValueError, match="exceeds the float range"):
+            sweep(CycleParams(delta=1e308), 2.0, 3.0, 2)
+        with pytest.raises(ValueError, match="exceeds the float range"):
+            ico_sweep(TwoLevelHamiltonian(1e308), 0.5, 2.0, 3.0, 2)
+
 
 class TestIcoSweep:
     def test_heat_peak_location_and_oracle_match(self):
@@ -249,3 +256,16 @@ class TestCycleParams:
 
     def test_hamiltonian_gap(self):
         assert CycleParams(delta=1.7).hamiltonian().delta == 1.7
+
+    @pytest.mark.parametrize("t_reset", [math.inf, math.nan, 0.0])
+    def test_reset_temperature_positive_and_finite(self, t_reset):
+        msg = "t_reset must be positive and finite"
+        with pytest.raises(ValueError, match=msg):
+            CycleParams(t_reset=t_reset)
+        with pytest.raises(ValueError, match=msg):
+            work_of_erasure(0.4, t_reset)
+
+    def test_infinite_reservoirs_allowed(self):
+        # inf is the maximally mixed state: P- = (1 - 1/4) / 2 at phi = pi/2.
+        r = run_cycle(CycleParams(t_hot=math.inf, t_cold=math.inf))
+        assert r.p_minus == pytest.approx(0.375, abs=1e-15)

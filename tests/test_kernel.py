@@ -135,6 +135,13 @@ def test_invalid_arguments():
         kernel.switched(1.0, 4.0, [1.0])
 
 
+def test_absolute_rejects_finite_overflow():
+    np.testing.assert_array_equal(kernel.absolute([math.inf, 1.0], 1e308),
+                                  [math.inf, 1e308])
+    with pytest.raises(ValueError, match="temperature 2.0 times delta 1e"):
+        kernel.absolute([1.0, 2.0], 1e308)
+
+
 def test_no_warning_at_zero_probability():
     # phi = 0 in the computational basis puts all weight on |0>: P(|1>) = 0.
     sw = kernel.switched(1.0, 0.0, [0.5, 1.0], "computational")

@@ -5,12 +5,8 @@ from icotherm.linalg import (
     DensityMatrix,
     Tolerances,
     ValidationError,
-    dagger,
-    fidelity,
-    hermitian_eig,
     kron,
     partial_trace,
-    psd_sqrt,
     random_density_matrix,
     validate_states,
 )
@@ -108,96 +104,6 @@ class TestPartialTrace:
             partial_trace(joint, {2})
         with pytest.raises(ValueError):
             partial_trace(joint, {-1})
-
-
-class TestHermitianEig:
-    def test_diagonal_sorted_descending(self):
-        w, _ = hermitian_eig(np.diag([3.0, 1.0, 2.0]).astype(complex))
-        np.testing.assert_allclose(w, [3.0, 2.0, 1.0])
-
-    def test_pauli_x_spectrum(self):
-        w, _ = hermitian_eig(SX)
-        np.testing.assert_allclose(w, [1.0, -1.0], atol=1e-12)
-
-    def test_reconstruction_random_4x4(self):
-        rng = np.random.default_rng(23)
-        for _ in range(10):
-            g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            m = (g + g.conj().T) / 2
-            w, v = hermitian_eig(m)
-            np.testing.assert_allclose(v @ np.diag(w) @ dagger(v), m, atol=1e-9)
-            np.testing.assert_allclose(m @ v, v @ np.diag(w), atol=1e-9)
-            np.testing.assert_allclose(dagger(v) @ v, np.eye(4), atol=1e-9)
-
-    def test_eigenvalue_sum_equals_trace(self):
-        rng = np.random.default_rng(29)
-        for _ in range(20):
-            g = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-            m = (g + g.conj().T) / 2
-            w, _ = hermitian_eig(m)
-            assert w.sum() == pytest.approx(np.trace(m).real, abs=1e-9)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValidationError):
-            hermitian_eig(np.array([[0, 1], [0, 0]], complex))
-
-
-class TestPsdSqrt:
-    def test_identity(self):
-        np.testing.assert_allclose(psd_sqrt(np.eye(3, dtype=complex)), np.eye(3),
-                                   atol=1e-12)
-
-    def test_diagonal(self):
-        np.testing.assert_allclose(psd_sqrt(np.diag([4.0, 9.0]).astype(complex)),
-                                   np.diag([2.0, 3.0]), atol=1e-12)
-
-    def test_squaring_oracle_random_psd(self):
-        rng = np.random.default_rng(31)
-        for _ in range(10):
-            g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            m = g @ g.conj().T
-            r = psd_sqrt(m)
-            np.testing.assert_allclose(r @ r, m, atol=1e-9)
-            assert np.max(np.abs(r - dagger(r))) < 1e-10
-
-    def test_projector_fixed_point(self):
-        v = np.array([1.0, 1j, 0.0]) / np.sqrt(2)
-        p = np.outer(v, v.conj())
-        np.testing.assert_allclose(psd_sqrt(p), p, atol=1e-9)
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(ValidationError):
-            psd_sqrt(np.diag([1.0, -0.5]).astype(complex))
-
-
-class TestFidelity:
-    def test_self_fidelity_is_one(self):
-        rng = np.random.default_rng(37)
-        rho = random_density_matrix(4, rng)
-        assert fidelity(rho, rho) == pytest.approx(1.0, abs=1e-9)
-
-    def test_orthogonal_pure_states(self):
-        g = DensityMatrix(np.diag([1.0, 0.0]))
-        e = DensityMatrix(np.diag([0.0, 1.0]))
-        assert fidelity(g, e) == pytest.approx(0.0, abs=1e-12)
-
-    def test_commuting_closed_form(self):
-        # for commuting states F = (sum_i sqrt(a_i b_i))^2 = 0.5 here
-        mixed = DensityMatrix(I2 / 2)
-        ground = DensityMatrix(np.diag([1.0, 0.0]))
-        assert fidelity(mixed, ground) == pytest.approx(0.5, abs=1e-12)
-
-    def test_symmetric(self):
-        rng = np.random.default_rng(41)
-        for _ in range(5):
-            a = random_density_matrix(4, rng)
-            b = random_density_matrix(4, rng)
-            assert fidelity(a, b) == pytest.approx(fidelity(b, a), abs=1e-9)
-            assert 0.0 <= fidelity(a, b) <= 1.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            fidelity(DensityMatrix(I2 / 2), DensityMatrix(np.eye(4) / 4))
 
 
 class TestDensityMatrix:
