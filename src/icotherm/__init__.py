@@ -57,6 +57,7 @@ from .circuit import (
     thermal_prep_angle,
     toffoli,
     verify_against_kraus,
+    verify_grid,
     x_gate,
 )
 from .fridge import (

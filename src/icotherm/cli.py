@@ -32,7 +32,7 @@ import numpy as np
 from . import kernel
 from .linalg import ValidationError
 from .thermo import TwoLevelHamiltonian
-from .circuit import verify_against_kraus
+from .circuit import verify_grid
 from .fridge import CycleParams, _check_grid, _check_range, monte_carlo
 
 __all__ = ["build_parser", "run", "main"]
@@ -254,12 +254,9 @@ def _cmd_circuit_verify(args) -> None:
     temps = kernel.absolute(t, h.delta)
     phis = ([args.phi] if args.phi is not None
             else np.linspace(0.0, math.pi, args.steps).tolist())
-    rows = []
-    for t_i, temp in zip(t.tolist(), temps.tolist()):
-        for ph in phis:
-            d = verify_against_kraus(h, temp, ph,
-                                     decompose_cswap=args.decompose_cswap)
-            rows.append([t_i, ph, d])
+    d = verify_grid(h, temps.tolist(), phis,
+                    decompose_cswap=args.decompose_cswap)
+    rows = zip(np.repeat(t, len(phis)).tolist(), phis * len(t), d)
     _emit(["t", "phi", "distance"], rows, args)
 
 

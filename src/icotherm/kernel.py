@@ -101,7 +101,9 @@ def absolute(t, delta: float) -> np.ndarray:
 
     An infinite t gives T = inf, the maximally mixed state.  A finite t whose
     product with delta leaves the float range raises ``ValueError``: T = inf
-    would report the infinite-temperature limit in place of t.
+    would report the infinite-temperature limit in place of t.  So does a
+    positive t whose product underflows to 0: T = 0 would be rejected as a
+    temperature that was never given.
     """
     t = np.asarray(t, dtype=float)
     with np.errstate(over="ignore"):
@@ -110,6 +112,10 @@ def absolute(t, delta: float) -> np.ndarray:
     if over.any():
         raise ValueError(f"temperature {float(t[over][0])} times delta {delta} "
                          f"exceeds the float range")
+    under = (temps == 0.0) & (t > 0.0)
+    if under.any():
+        raise ValueError(f"temperature {float(t[under][0])} times delta {delta} "
+                         f"underflows to 0")
     return temps
 
 

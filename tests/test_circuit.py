@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from icotherm import circuit
@@ -20,6 +20,7 @@ from icotherm.circuit import (
     thermal_prep_angle,
     toffoli,
     verify_against_kraus,
+    verify_grid,
     x_gate,
     Gate,
     QubitRegister,
@@ -335,3 +336,65 @@ def test_every_intermediate_state_is_validated(monkeypatch, decompose, kind, whe
     with pytest.raises(ValidationError) as want:
         DensityMatrix(seen[0])
     assert str(got.value) == str(want.value)
+
+
+_TEMPS = st.one_of(st.floats(1e-3, 1e3), st.sampled_from([1e-3, math.inf]))
+_PHIS = st.one_of(st.floats(0.0, math.pi), st.sampled_from([0.0, math.pi]))
+
+
+# One temperature per point of a block, from 1e-3 up to inf.
+_BLOCK_TEMPS = [*np.geomspace(1e-3, 1e3, circuit._BLOCK - 1).tolist(), math.inf]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.lists(_TEMPS, min_size=1, max_size=5),
+       st.lists(_PHIS, min_size=1, max_size=4), st.booleans())
+@example([1.0], [math.pi / 2], False)  # one point
+@example(_BLOCK_TEMPS, [1.2], True)  # exactly one block
+@example(_BLOCK_TEMPS, [0.0, math.pi], False)  # exactly two blocks
+def test_grid_equals_one_point_calls(temps, phis, decompose):
+    grid = verify_grid(H, temps, phis, decompose_cswap=decompose)
+    assert grid == [verify_against_kraus(H, t, phi, decompose_cswap=decompose)
+                    for t in temps for phi in phis]
+
+
+@pytest.mark.parametrize("decompose", [False, True])
+@pytest.mark.parametrize("kind", ["hermiticity", "trace", "eigenvalue"])
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_grid_names_the_corrupted_state(monkeypatch, decompose, kind, where):
+    # Point 10 of a 3 x 4 grid is corrupted in a later block.  Point 11, in
+    # the same block, gets a larger trace defect at the same gate, or at
+    # the block's first gate when point 10's is in the middle: the error must
+    # still name point 10, the first bad point.
+    block, p = divmod(10, circuit._BLOCK)
+    assert block > 0 and p + 1 < circuit._BLOCK
+    gates = 7 + (16 if decompose else 4)
+    first = block * gates
+    at = first + {"first": 0, "middle": gates // 2, "last": gates - 1}[where]
+    other = first if where == "middle" else at
+    step, calls, seen = circuit._step, [], []
+
+    def corrupting(rho, g, n, tol):
+        out = step(rho, g, n, tol)
+        if len(calls) == other:
+            out[p + 1] *= 1.01
+        if len(calls) == at:
+            out[p] = _corrupt(kind, out[p])
+            seen.append(out[p].copy())
+        calls.append(g)
+        return out
+
+    monkeypatch.setattr(circuit, "_step", corrupting)
+    with pytest.raises(ValidationError) as got:
+        verify_grid(H, [0.5, 0.9, 2.0], [0.0, 0.7, 1.2, math.pi],
+                    decompose_cswap=decompose)
+    assert len(calls) == first + gates - (where != "last")
+    with pytest.raises(ValidationError) as want:
+        DensityMatrix(seen[0])
+    assert str(got.value) == str(want.value)
+
+
+def test_grid_checks_every_phi_before_any_thermal_state(monkeypatch):
+    monkeypatch.setattr(circuit, "thermal_state", None)
+    with pytest.raises(ValueError, match="phi must lie"):
+        verify_grid(H, [1.0, 2.0], [0.5, 4.0])

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -128,6 +129,21 @@ class TestCircuitVerify:
         assert header == ["t", "phi", "distance"]
         assert len(rows) == 9  # 3 temperatures x 3 angles
         assert all(float(r["distance"]) < 1e-10 for r in rows)
+
+    def test_memory_does_not_grow_with_steps(self, capsys):
+        def peak(steps):
+            tracemalloc.start()
+            try:
+                code = cli.run(["circuit-verify", "--steps", str(steps),
+                                "--phi", "1", "--decompose-cswap"])
+                return code, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+                capsys.readouterr()
+
+        (code_50, peak_50), (code_500, peak_500) = peak(50), peak(500)
+        assert code_50 == code_500 == 0
+        assert peak_500 - peak_50 <= 0.5e6
 
     def test_single_phi_with_decomposition(self, capsys):
         code, out, _ = run_capture(capsys, [
@@ -311,6 +327,25 @@ class TestTemperatureOverflow:
         assert not path.exists()
 
 
+class TestTemperatureUnderflow:
+    """A finite positive temperature whose product with delta underflows."""
+
+    @pytest.mark.parametrize("argv", [
+        *([cmd, "--t-min", "1e-5", "--t-max", "1", "--steps", "2",
+           "--delta", "1e-320"]
+          for cmd in ("probs", "heat", "fridge", "circuit-verify")),
+        ["mc", "--t-min", "1e-300", "--delta", "1e-300"],
+    ], ids=lambda argv: argv[0])
+    def test_rejected_before_output(self, capsys, tmp_path, argv):
+        path = tmp_path / "rows.csv"
+        code, out, err = run_capture(capsys, [*argv, "--out", str(path)])
+        product = ("1e-300 times delta 1e-300" if argv[0] == "mc"
+                   else "1e-05 times delta 1e-320")
+        assert (code, out) == (2, "")
+        assert err == f"icotherm: error: temperature {product} underflows to 0\n"
+        assert not path.exists()
+
+
 class TestRuntimePath:
     def test_tables_build_no_density_matrix(self, capsys, monkeypatch):
         built = []
@@ -363,7 +398,7 @@ class TestParserCache:
 class TestEarlyOutRejection:
     @pytest.mark.parametrize("argv, owner, stage", [
         (["probs", "--steps", "100000000"], cli.kernel, "switched"),
-        (["circuit-verify", "--steps", "12"], cli, "verify_against_kraus"),
+        (["circuit-verify", "--steps", "12"], cli, "verify_grid"),
     ])
     def test_missing_directory_rejected_before_compute(self, capsys, monkeypatch,
                                                        tmp_path, argv, owner, stage):
@@ -392,7 +427,7 @@ class TestEarlyOutRejection:
 
     @pytest.mark.parametrize("argv, owner, stage", [
         (["probs", "--steps", "100000000"], cli.kernel, "switched"),
-        (["circuit-verify", "--steps", "12"], cli, "verify_against_kraus"),
+        (["circuit-verify", "--steps", "12"], cli, "verify_grid"),
     ])
     @pytest.mark.parametrize("name", [
         "adir", "adir/", "adir/missing/", "missing/", "missing/sub/", "afile/",
@@ -417,21 +452,10 @@ class TestEarlyOutRejection:
         assert os.listdir(tmp_path / "adir") == []
 
 
-# Captured before the circuit gates became permutations and axis updates.
-CIRCUIT_VERIFY_STEPS_3 = """t,phi,distance
-0.2,0,4.4408920985e-16
-0.2,1.57079632679,2.77555756156e-16
-0.2,3.14159265359,4.4408920985e-16
-1.6,0,1.11022302463e-16
-1.6,1.57079632679,5.55111512313e-17
-1.6,3.14159265359,1.11022302463e-16
-3,0,1.11022302463e-16
-3,1.57079632679,5.55111512313e-17
-3,3.14159265359,1.11022302463e-16
-"""
-
 # Default probs/heat/fridge tables, captured before the CLI formatted its
-# tables in one printf-style pass.
+# tables in one printf-style pass.  circuit-verify.csv (--steps 3, 9 points)
+# was captured before the circuit gates became permutations and axis updates,
+# circuit-verify-toffoli.json before a grid ran its gates block by block.
 GOLDEN = Path(__file__).parent / "golden"
 
 # Captured before monte_carlo drew its uniforms in blocks.
@@ -459,7 +483,12 @@ class TestGoldenBytes:
     @pytest.mark.parametrize("flags", [[], ["--decompose-cswap"]])
     def test_circuit_verify_steps_3(self, capsys, flags):
         code, out, _ = run_capture(capsys, ["circuit-verify", "--steps", "3", *flags])
-        assert code == 0 and out == CIRCUIT_VERIFY_STEPS_3
+        assert code == 0 and out == (GOLDEN / "circuit-verify.csv").read_text()
+
+    def test_circuit_verify_toffoli_json(self, capsys):
+        code, out, _ = run_capture(capsys, [
+            "circuit-verify", "--steps", "4", "--decompose-cswap", "--format", "json"])
+        assert code == 0 and out == (GOLDEN / "circuit-verify-toffoli.json").read_text()
 
     @pytest.mark.parametrize("flags", list(MC_SEEDED))
     def test_seeded_mc(self, capsys, flags):

@@ -142,6 +142,14 @@ def test_absolute_rejects_finite_overflow():
         kernel.absolute([1.0, 2.0], 1e308)
 
 
+def test_absolute_rejects_finite_underflow():
+    np.testing.assert_array_equal(kernel.absolute([math.inf, 1e-5], 1e-310),
+                                  [math.inf, 1e-315])
+    with pytest.raises(ValueError, match=r"temperature 1e-05 times delta "
+                                         r"1e-320 underflows to 0"):
+        kernel.absolute([1.0, 1e-5], 1e-320)
+
+
 def test_no_warning_at_zero_probability():
     # phi = 0 in the computational basis puts all weight on |0>: P(|1>) = 0.
     sw = kernel.switched(1.0, 0.0, [0.5, 1.0], "computational")
