@@ -9,9 +9,8 @@ is erasing the demon's memory.
 """
 
 from .linalg import (
-    DEFAULT_TOL,
+    TOL,
     DensityMatrix,
-    Tolerances,
     ValidationError,
     dagger,
     kron,

@@ -29,9 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    DEFAULT_TOL,
+    TOL,
     DensityMatrix,
-    Tolerances,
     ValidationError,
     dagger,
     kron,
@@ -114,22 +113,20 @@ class AncillaState:
         return DensityMatrix(np.outer(k, k.conjugate()), dims=(2,))
 
 
-def validate_cptp(ch: QuantumChannel,
-                  tol: Tolerances = DEFAULT_TOL) -> CptpReport:
+def validate_cptp(ch: QuantumChannel) -> CptpReport:
     """Check the completeness relation sum_k E_k† E_k = I."""
     acc = np.zeros((ch.dim, ch.dim), dtype=complex)
     for e in ch.kraus:
         acc += dagger(e) @ e
     deviation = float(np.max(np.abs(acc - np.eye(ch.dim))))
-    return CptpReport(deviation=deviation, passed=deviation <= tol.validation)
+    return CptpReport(deviation=deviation, passed=deviation <= TOL)
 
 
-def apply_channel(ch: QuantumChannel, rho: DensityMatrix,
-                  tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
+def apply_channel(ch: QuantumChannel, rho: DensityMatrix) -> DensityMatrix:
     """Apply rho -> sum_k E_k rho E_k†; trace-preserving by completeness."""
     if ch.dim != rho.dim:
         raise ValueError(f"dimension mismatch: channel {ch.dim}, state {rho.dim}")
-    report = validate_cptp(ch, tol)
+    report = validate_cptp(ch)
     if not report.passed:
         raise ValidationError(
             f"channel is not trace preserving: deviation {report.deviation:.3e}"
@@ -137,22 +134,22 @@ def apply_channel(ch: QuantumChannel, rho: DensityMatrix,
     out = np.zeros_like(rho.mat)
     for e in ch.kraus:
         out = out + e @ rho.mat @ dagger(e)
-    return DensityMatrix(symmetrize(out), dims=rho.dims, tol=tol)
+    return DensityMatrix(symmetrize(out), dims=rho.dims)
 
 
 def identity_channel(dim: int) -> QuantumChannel:
     return QuantumChannel(kraus=(np.eye(dim, dtype=complex),), dim=dim)
 
 
-def make_thermalizing_channel(h: TwoLevelHamiltonian, temperature: float,
-                              tol: Tolerances = DEFAULT_TOL) -> QuantumChannel:
+def make_thermalizing_channel(h: TwoLevelHamiltonian,
+                              temperature: float) -> QuantumChannel:
     """Full-replacement thermalizing channel at the given temperature.
 
     Kraus family {sqrt(p_i) |i><j| : i, j in {g, e}} with p the Boltzmann
     populations; it maps every input state to diag(p_g, p_e).  ``math.inf``
     is accepted and gives the replacement by the maximally mixed state.
     """
-    rho_t = thermal_state(h, temperature, tol)
+    rho_t = thermal_state(h, temperature)
     p = (float(rho_t.mat[0, 0].real), float(rho_t.mat[1, 1].real))
     ops = []
     for i in range(2):
@@ -176,8 +173,7 @@ def compose(first: QuantumChannel, second: QuantumChannel) -> QuantumChannel:
     return QuantumChannel(kraus=ops, dim=first.dim)
 
 
-def make_quantum_switch(ch1: QuantumChannel, ch2: QuantumChannel,
-                        tol: Tolerances = DEFAULT_TOL) -> QuantumChannel:
+def make_quantum_switch(ch1: QuantumChannel, ch2: QuantumChannel) -> QuantumChannel:
     """Coherent superposition of the two orderings of ch1 and ch2.
 
     Returns a channel on dimension 2*d (ancilla ⊗ system) whose Kraus
@@ -187,7 +183,7 @@ def make_quantum_switch(ch1: QuantumChannel, ch2: QuantumChannel,
     if ch1.dim != ch2.dim:
         raise ValueError(f"dimension mismatch: {ch1.dim} vs {ch2.dim}")
     for name, ch in (("ch1", ch1), ("ch2", ch2)):
-        report = validate_cptp(ch, tol)
+        report = validate_cptp(ch)
         if not report.passed:
             raise ValidationError(
                 f"{name} is not CPTP: deviation {report.deviation:.3e}"
@@ -205,8 +201,7 @@ def make_quantum_switch(ch1: QuantumChannel, ch2: QuantumChannel,
 
 
 def switch_closed_form(a: AncillaState, rho: DensityMatrix,
-                       rho_t: DensityMatrix,
-                       tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
+                       rho_t: DensityMatrix) -> DensityMatrix:
     """Block closed form of the switched thermalizing channels' output.
 
     For the replacement Kraus family, the switch of two equal thermalizing
@@ -226,4 +221,4 @@ def switch_closed_form(a: AncillaState, rho: DensityMatrix,
     out[2:4, 2:4] = s2 * rho_t.mat
     out[0:2, 2:4] = half_sin * cross
     out[2:4, 0:2] = half_sin * cross
-    return DensityMatrix(symmetrize(out), dims=(2, 2), tol=tol)
+    return DensityMatrix(symmetrize(out), dims=(2, 2))

@@ -31,11 +31,9 @@ from typing import Sequence
 import numpy as np
 
 from .linalg import (
-    DEFAULT_TOL,
+    TOL,
     DensityMatrix,
-    Tolerances,
     ValidationError,
-    partial_trace,
     symmetrize,
     validate_states,
 )
@@ -132,7 +130,7 @@ def _ry_matrix(angle: float) -> list[list[float]]:
     return [[c, -s], [s, c]]
 
 
-def gate_unitary(g: Gate, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def gate_unitary(g: Gate) -> np.ndarray:
     """Local unitary of a gate on its own targets (crush has none).
 
     An ry gate with a tuple of angles gives a stack of 2x2 unitaries.
@@ -159,7 +157,7 @@ def gate_unitary(g: Gate, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         raise ValueError(f"unknown gate kind {g.kind!r}")
     defect = float(np.max(np.abs(u.conj().swapaxes(-1, -2) @ u
                                  - np.eye(u.shape[-1]))))
-    if defect > tol.validation:
+    if defect > TOL:
         raise ValidationError(f"gate matrix not unitary: defect {defect:.3e}")
     return u
 
@@ -204,16 +202,16 @@ def fresh_register(n: int = 4) -> QubitRegister:
 
 
 @functools.cache
-def _permutation(g: Gate, n: int, tol: Tolerances) -> np.ndarray:
+def _permutation(g: Gate, n: int) -> np.ndarray:
     """Index array p with U rho U† = rho[p][:, p] for a basis-permuting gate."""
-    u = embed_unitary(gate_unitary(g, tol), g.targets, n)
+    u = embed_unitary(gate_unitary(g), g.targets, n)
     p = np.abs(u).argmax(axis=1)
     if not np.array_equal(u, np.eye(len(u))[p]):
         raise ValueError(f"{g.kind} gate does not permute basis states")
     return p
 
 
-def _step(rho: np.ndarray, g: Gate, n: int, tol: Tolerances) -> np.ndarray:
+def _step(rho: np.ndarray, g: Gate, n: int) -> np.ndarray:
     """One gate on a raw 2^n x 2^n density matrix or on a ``(points, 2^n,
     2^n)`` stack of them (an ry angle tuple holds one angle per point);
     returns a new array."""
@@ -228,22 +226,20 @@ def _step(rho: np.ndarray, g: Gate, n: int, tol: Tolerances) -> np.ndarray:
         # U rho U†: U mixes the row halves of the target bit, then conj(U)
         # the column halves; the length-2 axis of each (..., lead, 2, rest)
         # view is that bit.
-        u = gate_unitary(g, tol)[..., None, :, :]
+        u = gate_unitary(g)[..., None, :, :]
         rows = (u @ rho.reshape(*lead, 1 << t, 2, -1)).reshape(rho.shape)
         return symmetrize((u.conj() @ rows.reshape(*lead, dim << t, 2, -1))
                           .reshape(rho.shape))
-    p = _permutation(g, n, tol)
+    p = _permutation(g, n)
     return rho.take(p, -2).take(p, -1)
 
 
-def apply_gate(reg: QubitRegister, g: Gate,
-               tol: Tolerances = DEFAULT_TOL) -> QubitRegister:
+def apply_gate(reg: QubitRegister, g: Gate) -> QubitRegister:
     """Apply one gate and return a new validated register."""
     n = reg.n
     if any(t < 0 or t >= n for t in g.targets):
         raise ValueError(f"gate targets {g.targets} out of range for {n} qubits")
-    state = DensityMatrix(_step(reg.state.mat, g, n, tol), dims=reg.state.dims,
-                          tol=tol)
+    state = DensityMatrix(_step(reg.state.mat, g, n), dims=reg.state.dims)
     return QubitRegister(state=state)
 
 
@@ -261,8 +257,7 @@ def cswap_to_toffoli(g: Gate) -> list[Gate]:
     return core
 
 
-def thermal_prep_angle(rho_t: DensityMatrix,
-                       tol: Tolerances = DEFAULT_TOL) -> float:
+def thermal_prep_angle(rho_t: DensityMatrix) -> float:
     """Rotation angle theta = arccos(p_g - p_e) preparing given populations.
 
     Applying ry(theta) to |0> and then a coherence crusher leaves the qubit in
@@ -271,7 +266,7 @@ def thermal_prep_angle(rho_t: DensityMatrix,
     if rho_t.dim != 2:
         raise ValueError(f"expected a 2x2 state, got dim {rho_t.dim}")
     off = abs(rho_t.mat[0, 1])
-    if off > tol.validation:
+    if off > TOL:
         raise ValidationError(f"state not diagonal: |off-diagonal| = {off:.3e}")
     gap = float(rho_t.mat[0, 0].real - rho_t.mat[1, 1].real)
     return math.acos(min(max(gap, -1.0), 1.0))
@@ -293,7 +288,7 @@ def _routing_gates(decompose_cswap: bool) -> tuple[Gate, ...]:
 
 
 def _run_gates(theta: float | tuple[float, ...], phi: float | tuple[float, ...],
-               decompose_cswap: bool, tol: Tolerances) -> np.ndarray:
+               decompose_cswap: bool) -> np.ndarray:
     """Raw output of the 4-qubit realization, not yet validated.
 
     Float angles run one point on a 16x16 state; tuples (one thermal
@@ -310,24 +305,15 @@ def _run_gates(theta: float | tuple[float, ...], phi: float | tuple[float, ...],
     gates += [ry(0, phi), *_routing_gates(decompose_cswap)]
     states = np.empty((*lead, len(gates) - 1, 16, 16), dtype=complex)
     for i, g in enumerate(gates[:-1]):
-        states[..., i, :, :] = rho = _step(rho, g, 4, tol)
+        states[..., i, :, :] = rho = _step(rho, g, 4)
     states = states.reshape(-1, 16, 16)
     for i in range(0, len(states), _CHUNK):
-        validate_states(states[i:i + _CHUNK], tol)
-    return _step(rho, gates[-1], 4, tol)
-
-
-def _run_circuit(rho_t: DensityMatrix, a: AncillaState, decompose_cswap: bool,
-                 tol: Tolerances) -> QubitRegister:
-    """The 4-qubit realization with every qubit prepared from ``rho_t``."""
-    rho = _run_gates(thermal_prep_angle(rho_t, tol), a.phi, decompose_cswap,
-                     tol)
-    return QubitRegister(DensityMatrix(rho, (2,) * 4, tol))
+        validate_states(states[i:i + _CHUNK])
+    return _step(rho, gates[-1], 4)
 
 
 def build_switch_circuit(h: TwoLevelHamiltonian, temperature: float,
-                         phi: float, decompose_cswap: bool = False,
-                         tol: Tolerances = DEFAULT_TOL) -> QubitRegister:
+                         phi: float, decompose_cswap: bool = False) -> QubitRegister:
     """Run the full 4-qubit realization and return the final register.
 
     Pipeline: thermal preparation of substance and both reservoirs (ry(theta)
@@ -337,36 +323,30 @@ def build_switch_circuit(h: TwoLevelHamiltonian, temperature: float,
     batched pass after the last gate.
     """
     a = AncillaState(phi)
-    return _run_circuit(thermal_state(h, temperature, tol), a,
-                        decompose_cswap, tol)
+    rho = _run_gates(thermal_prep_angle(thermal_state(h, temperature)), a.phi,
+                     decompose_cswap)
+    return QubitRegister(DensityMatrix(rho, (2,) * 4))
 
 
 def verify_against_kraus(h: TwoLevelHamiltonian, temperature: float,
-                         phi: float, decompose_cswap: bool = False,
-                         tol: Tolerances = DEFAULT_TOL) -> float:
+                         phi: float, decompose_cswap: bool = False) -> float:
     """Max entry distance between the circuit marginal and the block closed form.
 
     Traces the reservoir qubits out of the circuit output and compares the
     ancilla + substance state against :func:`switch_closed_form` computed for
     the same temperature and control angle.  Only the input thermal state is
-    shared: the two paths share no switch logic.
+    shared: the two paths share no switch logic.  One point of :func:`verify_grid`.
     """
-    a = AncillaState(phi)
-    rho_t = thermal_state(h, temperature, tol)
-    reg = _run_circuit(rho_t, a, decompose_cswap, tol)
-    marginal = partial_trace(reg.state, keep={0, 1})
-    expected = switch_closed_form(a, rho_t, rho_t, tol)
-    return float(np.max(np.abs(marginal.mat - expected.mat)))
+    return verify_grid(h, [temperature], [phi], decompose_cswap)[0]
 
 
 def verify_grid(h: TwoLevelHamiltonian, temps: Sequence[float],
-                phis: Sequence[float], decompose_cswap: bool = False,
-                tol: Tolerances = DEFAULT_TOL) -> list[float]:
+                phis: Sequence[float], decompose_cswap: bool = False) -> list[float]:
     """:func:`verify_against_kraus` at every (temperature, phi) pair.
 
-    Returns the distances with temperatures outer and phis inner, equal to
-    the one-point calls.  Every phi is checked before any thermal state is
-    built; each temperature gets one thermal state and one preparation angle.
+    Returns the distances with temperatures outer and phis inner.  Every phi
+    is checked before any thermal state is built; each temperature gets one
+    thermal state and one preparation angle.
     The circuit runs ``_BLOCK`` points at a time on one stack, and each block
     is reduced to its distances before the next one starts, so memory does
     not grow with the grid.  The final states and the ancilla + substance
@@ -374,8 +354,8 @@ def verify_grid(h: TwoLevelHamiltonian, temps: Sequence[float],
     :func:`switch_closed_form`.
     """
     ancillas = [AncillaState(ph) for ph in phis]
-    rho_ts = [thermal_state(h, temp, tol) for temp in temps]
-    thetas = [thermal_prep_angle(rho_t, tol) for rho_t in rho_ts]
+    rho_ts = [thermal_state(h, temp) for temp in temps]
+    thetas = [thermal_prep_angle(rho_t) for rho_t in rho_ts]
     m = len(ancillas)
     points = len(rho_ts) * m
     out: list[float] = []
@@ -383,13 +363,13 @@ def verify_grid(h: TwoLevelHamiltonian, temps: Sequence[float],
         block = [divmod(k, m) for k in range(start, min(start + _BLOCK, points))]
         rho = _run_gates(tuple(thetas[i] for i, _ in block),
                          tuple(ancillas[j].phi for _, j in block),
-                         decompose_cswap, tol)
+                         decompose_cswap)
         # partial_trace's order: reservoir 2 (qubit 3) first, then reservoir 1.
-        a = validate_states(rho, tol).reshape(-1, *(2,) * 8)
+        a = validate_states(rho).reshape(-1, *(2,) * 8)
         a = np.trace(np.trace(a, axis1=4, axis2=8), axis1=3, axis2=6)
-        marginals = validate_states(a.reshape(-1, 4, 4), tol)
+        marginals = validate_states(a.reshape(-1, 4, 4))
         expected = np.array([switch_closed_form(ancillas[j], rho_ts[i],
-                                                rho_ts[i], tol).mat
+                                                rho_ts[i]).mat
                              for i, j in block])
         out += np.abs(marginals - expected).max(axis=(1, 2)).tolist()
     return out

@@ -74,7 +74,7 @@ class CycleParams:
     the ancilla angle in radians; entropy_base selects the logarithm base of
     the erasure entropy (natural log by default, base 2 rescales w and eta by
     1/ln 2).  t_hot and t_cold may be inf (the maximally mixed state);
-    t_reset must be finite, since an infinite erasure cost is no cycle.
+    t_reset and t_reset * delta must be finite: infinite erasure is no cycle.
     """
 
     delta: float = 1.0
@@ -91,7 +91,7 @@ class CycleParams:
             t = getattr(self, name)
             if not t > 0.0:
                 raise ValueError(f"{name} must be positive, got {t}")
-        _check_t_reset(self.t_reset)
+        _check_t_reset(self.t_reset, self.delta)
         if not (0.0 <= self.phi <= math.pi):
             raise ValueError(f"phi must lie in [0, pi], got {self.phi}")
         if not self.entropy_base > 1.0:
@@ -167,9 +167,12 @@ def work_of_erasure(p_minus: float, t_reset: float,
     return t_reset * shannon_entropy((p, 1.0 - p), base=base)
 
 
-def _check_t_reset(t_reset: float) -> None:
+def _check_t_reset(t_reset: float, delta: float = 1.0) -> None:
     if not (t_reset > 0.0 and math.isfinite(t_reset)):
         raise ValueError(f"t_reset must be positive and finite, got {t_reset}")
+    if math.isinf(t_reset * delta):
+        raise ValueError(f"t_reset {t_reset:g} times delta {delta:g} "
+                         f"exceeds the float range")
 
 
 def _state(p_g: float, p_e: float) -> DensityMatrix:

@@ -16,14 +16,12 @@ basis index.  ``kron(a, b)`` therefore puts ``a`` on the high bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 __all__ = [
-    "Tolerances",
-    "DEFAULT_TOL",
+    "TOL",
     "ValidationError",
     "dagger",
     "symmetrize",
@@ -35,18 +33,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Numeric tolerance record shared by all validation checks.
-
-    validation: bound on Hermiticity / trace / positivity / completeness /
-    unitarity / diagonality defects.
-    """
-
-    validation: float = 1e-10
-
-
-DEFAULT_TOL = Tolerances()
+# Bound on every defect the verification path checks: a state's Hermiticity,
+# trace and negative eigenvalue, CPTP completeness, unitarity and diagonality.
+TOL = 1e-10
 
 
 class ValidationError(Exception):
@@ -75,41 +64,40 @@ def kron(a: np.ndarray, b: np.ndarray, *rest: np.ndarray) -> np.ndarray:
     return out
 
 
-def validate_states(states: np.ndarray,
-                    tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def validate_states(states: np.ndarray) -> np.ndarray:
     """Check one density matrix or an ``(m, d, d)`` stack; return it symmetrized.
 
     Every state must be finite, Hermitian, of unit trace and positive
-    semidefinite, checked in that order within ``tol.validation``; this is
+    semidefinite, checked in that order within :data:`TOL`; this is
     the check :class:`DensityMatrix` runs on its state.  A stack that fails
     is checked again state by state, so the error raised is the one a loop
     over the states raises first.
     """
     a = np.asarray(states, dtype=complex)
     try:
-        return _check_states(a, tol)
+        return _check_states(a)
     except (ValueError, ValidationError):
         if a.ndim == 3:
             for state in a:
-                _check_states(state, tol)
+                _check_states(state)
         raise
 
 
-def _check_states(a: np.ndarray, tol: Tolerances) -> np.ndarray:
+def _check_states(a: np.ndarray) -> np.ndarray:
     """The checks of :func:`validate_states`, reporting the worst state's defect."""
     if not np.isfinite(a).all():
         raise ValueError("density matrix contains non-finite entries")
     herm_defect = float(np.abs(a - a.conj().swapaxes(-1, -2)).max())
-    if herm_defect > tol.validation:
+    if herm_defect > TOL:
         raise ValidationError(
             f"state not Hermitian: max|M - M†| = {herm_defect:.3e}"
         )
     a = symmetrize(a)
     trace_defect = float(np.abs(a.trace(axis1=-2, axis2=-1).real - 1.0).max())
-    if trace_defect > tol.validation:
+    if trace_defect > TOL:
         raise ValidationError(f"state trace off by {trace_defect:.3e}")
     min_eig = float(np.linalg.eigvalsh(a).min())
-    if min_eig < -tol.validation:
+    if min_eig < -TOL:
         raise ValidationError(
             f"state has negative eigenvalue {min_eig:.3e}"
         )
@@ -127,14 +115,11 @@ class DensityMatrix:
         Ordered subsystem dimensions whose product equals the matrix dimension.
         Defaults to the all-qubit factorization ``(2, 2, ...)`` when the
         dimension is a power of two, else the single factor ``(dim,)``.
-    tol:
-        Tolerance record used for the validity checks.
     """
 
     __slots__ = ("mat", "dims")
 
-    def __init__(self, mat, dims: Sequence[int] | None = None,
-                 tol: Tolerances = DEFAULT_TOL):
+    def __init__(self, mat, dims: Sequence[int] | None = None):
         a = np.asarray(mat, dtype=complex)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {a.shape}")
@@ -145,7 +130,7 @@ class DensityMatrix:
         dims = tuple(int(d) for d in dims)
         if any(d < 1 for d in dims) or math.prod(dims) != dim:
             raise ValueError(f"dims {dims} do not factor dimension {dim}")
-        a = validate_states(a, tol)
+        a = validate_states(a)
         a.flags.writeable = False
         object.__setattr__(self, "mat", a)
         object.__setattr__(self, "dims", dims)

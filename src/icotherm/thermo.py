@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, DensityMatrix, Tolerances, ValidationError
+from .linalg import DensityMatrix, ValidationError
 
 __all__ = [
     "TwoLevelHamiltonian",
@@ -32,6 +32,7 @@ __all__ = [
 # Probabilities below this floor are treated as zero; the conditional state is
 # then undefined (eigen-noise floor, see PostSelection).
 PROB_FLOOR = 1e-12
+_DIAG_TOL = 1e-8  # largest off-diagonal effective_temperature takes as 0
 
 # Post-selection kets on the ancilla qubit.
 _SQ2 = 1.0 / math.sqrt(2.0)
@@ -72,8 +73,7 @@ class PostSelection:
     state: DensityMatrix | None
 
 
-def thermal_state(h: TwoLevelHamiltonian, temperature: float,
-                  tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
+def thermal_state(h: TwoLevelHamiltonian, temperature: float) -> DensityMatrix:
     """Normalized Boltzmann state diag(p_g, p_e) at the given temperature.
 
     ``temperature`` must be positive; ``math.inf`` is accepted and yields the
@@ -84,7 +84,7 @@ def thermal_state(h: TwoLevelHamiltonian, temperature: float,
     # exp(-delta/T) never overflows for T > 0; it underflows to 0 near T -> 0+.
     x = math.exp(-h.delta / temperature)
     p_e = x / (1.0 + x)
-    return DensityMatrix(np.diag([1.0 - p_e, p_e]), dims=(2,), tol=tol)
+    return DensityMatrix(np.diag([1.0 - p_e, p_e]), dims=(2,))
 
 
 def internal_energy(rho: DensityMatrix, h: TwoLevelHamiltonian) -> float:
@@ -94,8 +94,7 @@ def internal_energy(rho: DensityMatrix, h: TwoLevelHamiltonian) -> float:
     return h.delta * float(rho.mat[1, 1].real)
 
 
-def effective_temperature(rho: DensityMatrix, h: TwoLevelHamiltonian,
-                          diag_tol: float = 1e-8) -> float:
+def effective_temperature(rho: DensityMatrix, h: TwoLevelHamiltonian) -> float:
     """Temperature whose Boltzmann populations match a diagonal qubit state.
 
     T_eff = delta / ln(p_g / p_e).  Sentinels: +inf for p_g == p_e (maximally
@@ -106,14 +105,14 @@ def effective_temperature(rho: DensityMatrix, h: TwoLevelHamiltonian,
     Raises
     ------
     ValidationError
-        If the state has off-diagonal magnitude above ``diag_tol``.
+        If the state has off-diagonal magnitude above 1e-8.
     """
     if rho.dim != 2:
         raise ValueError(f"expected a 2x2 state, got dim {rho.dim}")
     off = abs(rho.mat[0, 1])
-    if off > diag_tol:
+    if off > _DIAG_TOL:
         raise ValidationError(
-            f"state is not diagonal: |off-diagonal| = {off:.3e} > {diag_tol:g}"
+            f"state is not diagonal: |off-diagonal| = {off:.3e} > {_DIAG_TOL:g}"
         )
     # Clamp sub-noise negatives so the log never sees a negative population.
     p_g = max(float(rho.mat[0, 0].real), 0.0)
@@ -127,8 +126,7 @@ def effective_temperature(rho: DensityMatrix, h: TwoLevelHamiltonian,
     return h.delta / math.log(p_g / p_e)
 
 
-def post_select(joint: DensityMatrix, outcome: str,
-                tol: Tolerances = DEFAULT_TOL) -> PostSelection:
+def post_select(joint: DensityMatrix, outcome: str) -> PostSelection:
     """Project the ancilla (first factor) of a 4x4 joint state onto one ket.
 
     The conditional system state is <b| joint |b> / P with
@@ -153,7 +151,7 @@ def post_select(joint: DensityMatrix, outcome: str,
     prob = min(max(prob, 0.0), 1.0)
     state = None
     if prob > PROB_FLOOR:
-        state = DensityMatrix(m / prob, dims=(2,), tol=tol)
+        state = DensityMatrix(m / prob, dims=(2,))
     return PostSelection(outcome=outcome, probability=prob, state=state)
 
 

@@ -16,7 +16,7 @@ from icotherm.channels import (
     switch_closed_form,
     validate_cptp,
 )
-from icotherm.linalg import (DEFAULT_TOL, DensityMatrix, ValidationError, kron,
+from icotherm.linalg import (TOL, DensityMatrix, ValidationError, kron,
                              random_density_matrix)
 from icotherm.thermo import TwoLevelHamiltonian, thermal_state
 
@@ -242,7 +242,7 @@ class TestSwitchClosedForm:
         joint = DensityMatrix(kron(anc.density().mat, rho.mat), dims=(2, 2))
         brute = apply_channel(make_quantum_switch(ch, ch), joint)
         closed = switch_closed_form(anc, rho, thermal_state(H, t))
-        assert np.abs(closed.mat - brute.mat).max() <= DEFAULT_TOL.validation
+        assert np.abs(closed.mat - brute.mat).max() <= TOL
 
     def test_rejects_wrong_dimension(self):
         rng = np.random.default_rng(9)

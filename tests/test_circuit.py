@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from icotherm import circuit
+from icotherm.channels import AncillaState, switch_closed_form
 from icotherm.circuit import (
     apply_gate,
     build_switch_circuit,
@@ -320,8 +321,8 @@ def test_every_intermediate_state_is_validated(monkeypatch, decompose, kind, whe
           "last": gates - 1}[where]
     step, calls, seen = circuit._step, [], []
 
-    def corrupting(rho, g, n, tol):
-        out = step(rho, g, n, tol)
+    def corrupting(rho, g, n):
+        out = step(rho, g, n)
         if len(calls) == at:
             out = _corrupt(kind, out)
             seen.append(out)
@@ -353,9 +354,16 @@ _BLOCK_TEMPS = [*np.geomspace(1e-3, 1e3, circuit._BLOCK - 1).tolist(), math.inf]
 @example(_BLOCK_TEMPS, [1.2], True)  # exactly one block
 @example(_BLOCK_TEMPS, [0.0, math.pi], False)  # exactly two blocks
 def test_grid_equals_one_point_calls(temps, phis, decompose):
-    grid = verify_grid(H, temps, phis, decompose_cswap=decompose)
-    assert grid == [verify_against_kraus(H, t, phi, decompose_cswap=decompose)
-                    for t in temps for phi in phis]
+    # Per point: the one-state circuit, partial_trace and the closed form.
+    want = []
+    for t in temps:
+        rho_t = thermal_state(H, t)
+        for phi in phis:
+            reg = build_switch_circuit(H, t, phi, decompose_cswap=decompose)
+            marginal = partial_trace(reg.state, keep={0, 1})
+            expected = switch_closed_form(AncillaState(phi), rho_t, rho_t)
+            want.append(float(np.max(np.abs(marginal.mat - expected.mat))))
+    assert verify_grid(H, temps, phis, decompose_cswap=decompose) == want
 
 
 @pytest.mark.parametrize("decompose", [False, True])
@@ -374,8 +382,8 @@ def test_grid_names_the_corrupted_state(monkeypatch, decompose, kind, where):
     other = first if where == "middle" else at
     step, calls, seen = circuit._step, [], []
 
-    def corrupting(rho, g, n, tol):
-        out = step(rho, g, n, tol)
+    def corrupting(rho, g, n):
+        out = step(rho, g, n)
         if len(calls) == other:
             out[p + 1] *= 1.01
         if len(calls) == at:

@@ -283,6 +283,23 @@ class TestBadResetTemperature:
         assert not path.exists()
 
 
+class TestResetEnergyOverflow:
+    """A finite --t-reset whose product with delta overflows."""
+
+    @pytest.mark.parametrize("to_file", [False, True])
+    @pytest.mark.parametrize("argv", [["fridge", "--steps", "2"], ["mc"]],
+                             ids=lambda argv: argv[0])
+    def test_rejected_before_output(self, capsys, tmp_path, argv, to_file):
+        path = tmp_path / "rows.csv"
+        code, out, err = run_capture(capsys, [
+            *argv, "--t-reset", "1e300", "--delta", "1e10",
+            *(["--out", str(path)] if to_file else [])])
+        assert (code, out) == (2, "")
+        assert err == ("icotherm: error: t_reset 1e+300 times delta 1e+10 "
+                       "exceeds the float range\n")
+        assert not path.exists()
+
+
 class TestUnderflowingWork:
     """W = t_reset * delta * S below the normal range: eta without a warning."""
 
@@ -458,24 +475,12 @@ class TestEarlyOutRejection:
 # circuit-verify-toffoli.json before a grid ran its gates block by block.
 GOLDEN = Path(__file__).parent / "golden"
 
-# Captured before monte_carlo drew its uniforms in blocks.
+# `mc --trials 196615` with these flags, captured before monte_carlo drew its
+# uniforms in blocks.
 MC_SEEDED = {
-    ("--seed", "11"): """trials,seed,successes,p_minus_emp,p_minus_exact,w_total,q_c_total
-196615,11,57957,0.29477405081,0.294917899862,119246.320002,8927.64136111
-""",
-    ("--seed", "11", "--format", "json", "--t-min", "0.7", "--t-max", "1.3"): """[
-  {
-    "trials": 196615,
-    "seed": 11,
-    "successes": 45850,
-    "p_minus_emp": 0.233196856801,
-    "p_minus_exact": 0.23392232667,
-    "w_total": 106953.147063,
-    "q_c_total": 3719.73072659,
-    "rng": "numpy-pcg64"
-  }
-]
-""",
+    ("--seed", "11"): "mc-seed11.csv",
+    ("--seed", "11", "--format", "json", "--t-min", "0.7", "--t-max", "1.3"):
+        "mc-seed11-hot.json",
 }
 
 
@@ -493,7 +498,7 @@ class TestGoldenBytes:
     @pytest.mark.parametrize("flags", list(MC_SEEDED))
     def test_seeded_mc(self, capsys, flags):
         code, out, _ = run_capture(capsys, ["mc", "--trials", "196615", *flags])
-        assert code == 0 and out == MC_SEEDED[flags]
+        assert code == 0 and out == (GOLDEN / MC_SEEDED[flags]).read_text()
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("cmd", ["probs", "heat", "fridge"])

@@ -121,6 +121,14 @@ class TestRunCycle:
         with pytest.raises(ValueError):
             CycleParams(entropy_base=1.0)
 
+    def test_rejects_reset_energy_overflow(self):
+        # W = t_reset * delta * S: an infinite product is no finite input's cost.
+        msg = r"^t_reset 1e\+300 times delta 1e\+10 exceeds the float range$"
+        with pytest.raises(ValueError, match=msg):
+            CycleParams(delta=1e10, t_reset=1e300)
+        rep = run_cycle(CycleParams(delta=1e8, t_reset=1e300))
+        assert math.isfinite(rep.w) and rep.w > 0.0
+
 
 class TestSweep:
     def test_matches_run_cycle_pointwise(self):

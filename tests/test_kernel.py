@@ -4,7 +4,7 @@ The kernel repeats the matrix path's floating-point operations in the same
 order, so against ``switch_closed_form`` -> ``post_select`` ->
 ``internal_energy`` / ``work_of_erasure`` it must agree exactly (``==``).
 Against the brute-force 16-Kraus switch, which sums the operators in another
-order, it must agree within ``Tolerances.validation``.
+order, it must agree within ``linalg.TOL``.
 """
 
 import math
@@ -23,7 +23,7 @@ from icotherm.channels import (
     switch_closed_form,
 )
 from icotherm.fridge import CycleParams, DegenerateCycleError, sweep, work_of_erasure
-from icotherm.linalg import DEFAULT_TOL, DensityMatrix, kron
+from icotherm.linalg import TOL, DensityMatrix, kron
 from icotherm.thermo import (
     TwoLevelHamiltonian,
     effective_temperature,
@@ -185,7 +185,7 @@ def _kraus_outcomes(delta, temperature, phi, basis):
 @example(temperature=5e-324, phi=math.pi / 2, delta=1.0, basis="pm")
 @example(temperature=1e-3, phi=1.0, delta=2.0, basis="pm")
 def test_kernel_matches_kraus_switch(temperature, phi, delta, basis):
-    tol = DEFAULT_TOL.validation
+    tol = TOL
     sw = kernel.switched(delta, phi, [temperature], basis)
     for branch, (prob, dq) in zip(sw, _kraus_outcomes(delta, temperature, phi, basis)):
         assert abs(branch.prob[0] - prob) <= tol

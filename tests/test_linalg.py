@@ -3,7 +3,6 @@ import pytest
 
 from icotherm.linalg import (
     DensityMatrix,
-    Tolerances,
     ValidationError,
     kron,
     partial_trace,
@@ -139,11 +138,11 @@ class TestDensityMatrix:
         with pytest.raises(ValueError):
             rho.mat[0, 0] = 9.0
 
-    def test_tolerance_record_is_configurable(self):
+    def test_trace_defect_bound(self):
         slightly_off = np.diag([0.5 + 2e-10, 0.5]).astype(complex)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="trace off by 2.000e-10"):
             DensityMatrix(slightly_off)
-        DensityMatrix(slightly_off, tol=Tolerances(validation=1e-6))
+        DensityMatrix(np.diag([0.5 + 0.5e-10, 0.5]).astype(complex))
 
 
 class TestValidateStates:
