@@ -175,6 +175,14 @@ def _check_t_reset(t_reset: float, delta: float = 1.0) -> None:
                          f"exceeds the float range")
 
 
+def _finite_product(name_a: str, a: float, name_b: str, b: float) -> float:
+    product = a * b
+    if math.isinf(product):
+        raise ValueError(f"{name_a} {a:g} times {name_b} {b:g} "
+                         f"exceeds the float range")
+    return product
+
+
 def _state(p_g: float, p_e: float) -> DensityMatrix:
     return DensityMatrix(np.diag([p_g, p_e]), dims=(2,))
 
@@ -282,18 +290,20 @@ def monte_carlo(p: CycleParams, trials: int, seed: int) -> MonteCarloStats:
     generator seeded with ``seed``; batched parallel runs must derive
     per-batch seeds via ``np.random.SeedSequence(seed).spawn`` to stay
     reproducible regardless of batch count.  Draws are made in blocks of
-    ``MC_CHUNK``, so memory does not grow with ``trials``.
+    ``MC_CHUNK``, so memory does not grow with ``trials``.  A total work
+    (checked before any draw) or total heat that overflows the float range
+    raises ``ValueError``.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     report = run_cycle(p)
+    w_total = _finite_product("trials", trials, "w", report.w)
     rng = np.random.Generator(np.random.PCG64(seed))
     successes = 0
     for done in range(0, trials, MC_CHUNK):
         draws = rng.random(min(MC_CHUNK, trials - done))
         successes += int(np.count_nonzero(draws < report.p_minus))
-    w_total = trials * report.w
-    q_c_total = successes * report.q_c
+    q_c_total = _finite_product("successes", successes, "q_c", report.q_c)
     return MonteCarloStats(
         trials=trials,
         seed=seed,

@@ -402,6 +402,18 @@ def test_grid_names_the_corrupted_state(monkeypatch, decompose, kind, where):
     assert str(got.value) == str(want.value)
 
 
+def test_valid_grid_is_certified_without_eigvalsh(monkeypatch):
+    # Every state of a valid grid passes the Cholesky certificate, so the
+    # eigvalsh fallback of linalg._check_states never runs.
+    def refused(a):
+        raise AssertionError("eigvalsh ran on a valid circuit state")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refused)
+    d = verify_grid(H, [0.5, 0.9, 2.0], [0.0, 0.7, 1.2, math.pi],
+                    decompose_cswap=True)
+    assert len(d) == 12 and max(d) < 1e-10
+
+
 def test_grid_checks_every_phi_before_any_thermal_state(monkeypatch):
     monkeypatch.setattr(circuit, "thermal_state", None)
     with pytest.raises(ValueError, match="phi must lie"):

@@ -300,6 +300,27 @@ class TestResetEnergyOverflow:
         assert not path.exists()
 
 
+class TestMonteCarloTotalOverflow:
+    """Finite inputs and a finite W and Q_C per cycle whose mc totals overflow."""
+
+    @pytest.mark.parametrize("to_file", [False, True])
+    @pytest.mark.parametrize("flags, message", [
+        (["--t-reset", "1e306", "--trials", "1000"],
+         "trials 1000 times w 6.06497e+305"),
+        (["--delta", "1e306", "--t-reset", "1e-3", "--trials", "100000"],
+         "successes 29445 times q_c 1.54039e+305"),
+    ], ids=["w_total", "q_c_total"])
+    def test_rejected_before_output(self, capsys, tmp_path, flags, message,
+                                    to_file):
+        path = tmp_path / "mc.json"
+        code, out, err = run_capture(capsys, [
+            "mc", *flags, *(["--format", "json", "--out", str(path)]
+                            if to_file else [])])
+        assert (code, out) == (2, "")
+        assert err == f"icotherm: error: {message} exceeds the float range\n"
+        assert not path.exists()
+
+
 class TestUnderflowingWork:
     """W = t_reset * delta * S below the normal range: eta without a warning."""
 

@@ -255,6 +255,32 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             monte_carlo(CycleParams(), 0, seed=1)
 
+    def test_rejects_work_total_overflow_before_drawing(self, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("drew before checking trials * w")
+        monkeypatch.setattr(np.random, "Generator", no_draws)
+        msg = (r"^trials 1000 times w 6\.06497e\+305 "
+               r"exceeds the float range$")
+        with pytest.raises(ValueError, match=msg):
+            monte_carlo(CycleParams(t_reset=1e306), 1000, seed=0)
+
+    def test_rejects_heat_total_overflow(self):
+        p = CycleParams(delta=1e306, t_reset=1e-3)
+        msg = (r"^successes 29445 times q_c 1\.54039e\+305 "
+               r"exceeds the float range$")
+        with pytest.raises(ValueError, match=msg):
+            monte_carlo(p, 100000, seed=0)
+
+    def test_finite_totals_near_the_float_range(self):
+        # Each product stays below the float maximum, so nothing is rejected.
+        s = monte_carlo(CycleParams(t_reset=1e305), 1000, seed=0)
+        assert s.w_total == 1000 * run_cycle(CycleParams(t_reset=1e305)).w
+        assert math.isfinite(s.w_total) and s.w_total > 1e307
+        p = CycleParams(delta=1e303, t_reset=1e-3)
+        s = monte_carlo(p, 100000, seed=0)
+        assert s.q_c_total == s.successes * run_cycle(p).q_c
+        assert math.isfinite(s.q_c_total) and s.q_c_total > 1e306
+
 
 class TestCycleParams:
     def test_replace_keeps_validation(self):

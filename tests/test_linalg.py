@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icotherm.linalg import (
+    TOL,
     DensityMatrix,
     ValidationError,
     kron,
     partial_trace,
     random_density_matrix,
+    symmetrize,
     validate_states,
 )
 
@@ -178,3 +182,88 @@ class TestValidateStates:
         np.testing.assert_array_equal(out, (drift + drift.conj().swapaxes(1, 2)) / 2)
         for m in out:
             np.testing.assert_array_equal(m, DensityMatrix(m).mat)
+
+
+def _state_with_min_eig(dim, min_eig, rng):
+    """U diag(lambda) U† of unit trace whose smallest eigenvalue is min_eig."""
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    u, _ = np.linalg.qr(g)
+    rest = rng.random(dim - 1) + 0.05
+    lam = np.concatenate([[min_eig], rest * (1.0 - min_eig) / rest.sum()])
+    return (u * lam) @ u.conj().T
+
+
+def _loop_verdict(states):
+    """The eigvalsh message of the first state below -TOL, else None."""
+    for m in states:
+        min_eig = float(np.linalg.eigvalsh(symmetrize(m)).min())
+        if min_eig < -TOL:
+            return f"state has negative eigenvalue {min_eig:.3e}"
+    return None
+
+
+# lambda_min in units of TOL: far outside, at +-0.1 % and +-1 % of the bound,
+# at the certificate's shift (-0.99) and inside.
+_MIN_EIG_FACTORS = [-3.0, -2.0, -1.01, -1.001, -1.0, -0.999, -0.99, -0.5, 0.0]
+
+
+class TestPositivityCertificate:
+    """Cholesky of the state shifted by just under TOL, eigvalsh when it fails."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from([2, 4, 16]), st.integers(0, 2**32 - 1),
+           st.one_of(st.sampled_from(_MIN_EIG_FACTORS).map(lambda f: [f]),
+                     st.lists(st.sampled_from(_MIN_EIG_FACTORS), min_size=1,
+                              max_size=6).map(lambda fs: fs + [None])))
+    def test_verdict_is_eigvalsh_verdict(self, dim, seed, factors):
+        # [f] is one (dim, dim) state; a list ending in None is a stack.
+        rng = np.random.default_rng(seed)
+        states = np.array([_state_with_min_eig(dim, f * TOL, rng)
+                           for f in factors if f is not None])
+        a = states[0] if factors[-1] is not None else states
+        want = _loop_verdict(states)
+        if want is None:
+            np.testing.assert_array_equal(validate_states(a), symmetrize(a))
+        else:
+            with pytest.raises(ValidationError) as got:
+                validate_states(a)
+            assert str(got.value) == want
+
+    def test_fallback_accepts_just_inside_the_bound(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a):
+            calls.append(a.shape)
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        rng = np.random.default_rng(8)
+        state = _state_with_min_eig(16, -0.995 * TOL, rng)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(symmetrize(state) + (TOL - 1e-12) * np.eye(16))
+        good = [random_density_matrix(16, rng).mat for _ in range(3)]
+        for a in (state, np.array([good[0], state, *good[1:]])):
+            calls.clear()
+            np.testing.assert_array_equal(validate_states(a), symmetrize(a))
+            assert calls == [a.shape]  # the certificate failed, eigvalsh ran once
+
+    def test_stack_names_the_state_below_the_bound(self):
+        rng = np.random.default_rng(9)
+        stack = np.array([random_density_matrix(16, rng).mat for _ in range(16)])
+        stack[9] = _state_with_min_eig(16, -2.0 * TOL, rng)
+        want = float(np.linalg.eigvalsh(symmetrize(stack[9])).min())
+        with pytest.raises(ValidationError) as got:
+            validate_states(stack)
+        assert str(got.value) == f"state has negative eigenvalue {want:.3e}"
+
+    def test_valid_states_never_need_eigvalsh(self, monkeypatch):
+        rng = np.random.default_rng(10)
+        stack = np.array([random_density_matrix(16, rng).mat for _ in range(16)])
+
+        def refused(a):
+            raise AssertionError("eigvalsh ran on a certified state")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refused)
+        validate_states(stack)
+        DensityMatrix(np.diag([1.0, 0.0]))  # pure: PSD but singular
