@@ -170,12 +170,11 @@ def work_of_erasure(p_minus: float, t_reset: float,
 def _check_t_reset(t_reset: float, delta: float = 1.0) -> None:
     if not (t_reset > 0.0 and math.isfinite(t_reset)):
         raise ValueError(f"t_reset must be positive and finite, got {t_reset}")
-    if math.isinf(t_reset * delta):
-        raise ValueError(f"t_reset {t_reset:g} times delta {delta:g} "
-                         f"exceeds the float range")
+    _finite_product("t_reset", t_reset, "delta", delta)
 
 
 def _finite_product(name_a: str, a: float, name_b: str, b: float) -> float:
+    """``a * b`` of two finite numbers; ``ValueError`` if it overflows."""
     product = a * b
     if math.isinf(product):
         raise ValueError(f"{name_a} {a:g} times {name_b} {b:g} "
