@@ -25,14 +25,17 @@ units.
 
 Every number here comes from :mod:`icotherm.kernel`, the closed form
 evaluated over a whole temperature grid at once; the functions below only
-wrap its arrays in records, building a :class:`DensityMatrix` only for the
-states those records hold.  ``switch_closed_form`` with ``post_select``, the
-16-Kraus switch and the gate circuit are the independent verification path
-and are not called here.
+wrap its arrays in records of plain numbers.  A record builds the validated
+:class:`DensityMatrix` of a conditional state (``PostSelection.state``,
+``CycleReport.rho_minus``) only when that attribute is first read, and
+caches it.  ``switch_closed_form`` with ``post_select``, the 16-Kraus switch
+and the gate circuit are the independent verification path and are not
+called here.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -87,7 +90,7 @@ class CycleParams:
     def __post_init__(self):
         if not (self.delta > 0.0 and math.isfinite(self.delta)):
             raise ValueError(f"delta must be positive and finite, got {self.delta}")
-        for name in ("t_hot", "t_cold"):
+        for name in ("t_cold", "t_hot"):
             t = getattr(self, name)
             if not t > 0.0:
                 raise ValueError(f"{name} must be positive, got {t}")
@@ -97,21 +100,22 @@ class CycleParams:
         if not self.entropy_base > 1.0:
             raise ValueError(f"entropy_base must exceed 1, got {self.entropy_base}")
 
-    def hamiltonian(self) -> TwoLevelHamiltonian:
-        return TwoLevelHamiltonian(self.delta)
-
 
 @dataclass(frozen=True)
 class CycleReport:
     """Per-cycle record.  Energies in units of delta; t_* in delta/k_B units.
 
-    q_ico_minus is the post-selection-weighted heat of stroke (i) relative to
-    the cold thermal state; it equals p_minus * q_c whenever t_hot == t_cold.
+    p_g_minus and p_e_minus are the populations of the conditional state
+    after the |-> outcome; ``rho_minus`` is that state as a validated
+    :class:`DensityMatrix`, built on the first read and cached.  q_ico_minus
+    is the post-selection-weighted heat of stroke (i) relative to the cold
+    thermal state; it equals p_minus * q_c whenever t_hot == t_cold.
     """
 
     t_cold: float
     p_minus: float
-    rho_minus: DensityMatrix
+    p_g_minus: float
+    p_e_minus: float
     w: float
     q_c: float
     q_ico_minus: float
@@ -119,6 +123,10 @@ class CycleReport:
     t_eff_minus: float
     e_minus: float
     e_hot: float
+
+    @functools.cached_property
+    def rho_minus(self) -> DensityMatrix:
+        return DensityMatrix(np.diag([self.p_g_minus, self.p_e_minus]), dims=(2,))
 
 
 @dataclass(frozen=True)
@@ -182,12 +190,9 @@ def _finite_product(name_a: str, a: float, name_b: str, b: float) -> float:
     return product
 
 
-def _state(p_g: float, p_e: float) -> DensityMatrix:
-    return DensityMatrix(np.diag([p_g, p_e]), dims=(2,))
-
-
 def _selections(br: kernel.Branch) -> list[PostSelection]:
-    return [PostSelection(br.outcome, prob, None if degenerate else _state(g, e))
+    return [PostSelection(br.outcome, prob,
+                          None if degenerate else ((g, 0.0), (0.0, e)))
             for prob, g, e, degenerate in zip(br.prob.tolist(), br.p_g.tolist(),
                                               br.p_e.tolist(),
                                               br.degenerate.tolist())]
@@ -254,7 +259,7 @@ def _reports(c: kernel.Cycles, t_cold: list[float]) -> list[CycleReport]:
     cols = [a.tolist() for a in (c.minus.prob, c.minus.p_g, c.minus.p_e, c.w,
                                  c.q_c, c.minus.dq, c.eta, c.t_eff,
                                  c.e_minus, c.e_hot)]
-    return [CycleReport(t_cold=t, p_minus=p, rho_minus=_state(g, e), w=w,
+    return [CycleReport(t_cold=t, p_minus=p, p_g_minus=g, p_e_minus=e, w=w,
                         q_c=q_c, q_ico_minus=dq, eta=eta, t_eff_minus=t_eff,
                         e_minus=e_minus, e_hot=e_hot)
             for t, p, g, e, w, q_c, dq, eta, t_eff, e_minus, e_hot
@@ -295,6 +300,8 @@ def monte_carlo(p: CycleParams, trials: int, seed: int) -> MonteCarloStats:
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     report = run_cycle(p)
     w_total = _finite_product("trials", trials, "w", report.w)
     rng = np.random.Generator(np.random.PCG64(seed))

@@ -10,6 +10,7 @@ Also provides ancilla post-selection on a joint (ancilla ⊗ system) state.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -63,14 +64,20 @@ class TwoLevelHamiltonian:
 class PostSelection:
     """Outcome of projecting the ancilla of a joint state onto one basis ket.
 
-    ``state`` is the renormalized conditional system state; it is ``None``
-    when the outcome probability is at or below the 1e-12 noise floor, in
-    which case the conditional state is undefined.
+    ``matrix`` holds the renormalized conditional system state as numbers,
+    rows of a 2x2 nested tuple; it is ``None`` when the outcome probability
+    is at or below the 1e-12 noise floor, in which case the conditional
+    state is undefined.  ``state`` is that matrix as a validated
+    :class:`DensityMatrix` (or ``None``), built on the first read and cached.
     """
 
     outcome: str
     probability: float
-    state: DensityMatrix | None
+    matrix: tuple[tuple[complex, complex], tuple[complex, complex]] | None
+
+    @functools.cached_property
+    def state(self) -> DensityMatrix | None:
+        return None if self.matrix is None else DensityMatrix(self.matrix, dims=(2,))
 
 
 def thermal_state(h: TwoLevelHamiltonian, temperature: float) -> DensityMatrix:
@@ -132,6 +139,7 @@ def post_select(joint: DensityMatrix, outcome: str) -> PostSelection:
     The conditional system state is <b| joint |b> / P with
     P = Tr <b| joint |b>; over any complete outcome basis the probabilities
     sum to 1.  Probabilities within 1e-12 of the [0, 1] boundary are clamped.
+    The conditional state is validated before the record is returned.
     """
     if outcome not in _OUTCOME_KETS:
         raise ValueError(f"unknown outcome {outcome!r}, expected one of {OUTCOMES}")
@@ -149,10 +157,10 @@ def post_select(joint: DensityMatrix, outcome: str) -> PostSelection:
     if prob < -PROB_FLOOR or prob > 1.0 + PROB_FLOOR:
         raise ValidationError(f"outcome probability {prob!r} outside [0, 1]")
     prob = min(max(prob, 0.0), 1.0)
-    state = None
-    if prob > PROB_FLOOR:
-        state = DensityMatrix(m / prob, dims=(2,))
-    return PostSelection(outcome=outcome, probability=prob, state=state)
+    matrix = tuple(map(tuple, (m / prob).tolist())) if prob > PROB_FLOOR else None
+    ps = PostSelection(outcome=outcome, probability=prob, matrix=matrix)
+    ps.state  # built and validated now, before the record is returned
+    return ps
 
 
 def shannon_entropy(p: Sequence[float], base: float = math.e) -> float:

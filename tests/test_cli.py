@@ -283,6 +283,39 @@ class TestBadResetTemperature:
         assert not path.exists()
 
 
+class TestBadMcTemperature:
+    """``mc`` runs t_hot = t_cold unless --t-max is given; the error names
+    the temperature the user set."""
+
+    @pytest.mark.parametrize("to_file", [False, True])
+    @pytest.mark.parametrize("flags, message", [
+        (["--t-min=0"], "t_cold must be positive, got 0.0"),
+        (["--t-min=-1"], "t_cold must be positive, got -1.0"),
+        (["--t-min=nan"], "t_cold must be positive, got nan"),
+        (["--t-min=2", "--t-max=nan"], "t_hot must be positive, got nan"),
+    ])
+    def test_rejected_with_accurate_message(self, capsys, tmp_path, flags,
+                                            message, to_file):
+        path = tmp_path / "rows.csv"
+        code, out, err = run_capture(capsys, [
+            "mc", *flags, *(["--out", str(path)] if to_file else [])])
+        assert (code, out) == (2, "")
+        assert err == f"icotherm: error: {message}\n"
+        assert not path.exists()
+
+
+class TestNegativeSeed:
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_rejected_with_accurate_message(self, capsys, tmp_path, to_file):
+        path = tmp_path / "rows.csv"
+        code, out, err = run_capture(capsys, [
+            "mc", "--seed=-1", *(["--out", str(path)] if to_file else [])])
+        assert (code, out) == (2, "")
+        assert err == ("icotherm: error: seed must be a non-negative integer, "
+                       "got -1\n")
+        assert not path.exists()
+
+
 class TestResetEnergyOverflow:
     """A finite --t-reset whose product with delta overflows."""
 

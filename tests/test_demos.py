@@ -15,8 +15,7 @@ def test_demos_found():
     assert DEMOS
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
-def test_demo_runs(demo):
+def _run(demo):
     pythonpath = os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
@@ -24,4 +23,19 @@ def test_demo_runs(demo):
         env={**os.environ, "PYTHONPATH": pythonpath}, cwd=ROOT,
         capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip()
+    return done.stdout
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(demo):
+    assert _run(demo).strip()
+
+
+# Demos 02 and 04 print the states their records return (effective
+# temperatures, rho_minus populations); their output was captured before the
+# records built those states on read.  Demos 01 and 03 print distances at
+# the floating-point noise floor, which may differ between BLAS builds.
+@pytest.mark.parametrize("name", ["02_heating_cooling", "04_refrigerator"])
+def test_demo_output_matches_golden(name):
+    golden = ROOT / "tests" / "golden" / f"{name}.txt"
+    assert _run(ROOT / "demos" / f"{name}.py") == golden.read_text()

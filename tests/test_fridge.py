@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from icotherm import fridge
 from icotherm.fridge import (
     MC_CHUNK,
     CycleParams,
@@ -255,6 +256,14 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             monte_carlo(CycleParams(), 0, seed=1)
 
+    def test_negative_seed_rejected_before_any_compute(self, monkeypatch):
+        def no_cycle(p):
+            raise AssertionError("computed before checking the seed")
+        monkeypatch.setattr(fridge, "run_cycle", no_cycle)
+        with pytest.raises(ValueError) as err:
+            monte_carlo(CycleParams(), 10, seed=-1)
+        assert str(err.value) == "seed must be a non-negative integer, got -1"
+
     def test_rejects_work_total_overflow_before_drawing(self, monkeypatch):
         def no_draws(*args):
             raise AssertionError("drew before checking trials * w")
@@ -287,9 +296,6 @@ class TestCycleParams:
         p = CycleParams()
         with pytest.raises(ValueError):
             replace(p, t_hot=-2.0)
-
-    def test_hamiltonian_gap(self):
-        assert CycleParams(delta=1.7).hamiltonian().delta == 1.7
 
     @pytest.mark.parametrize("t_reset", [math.inf, math.nan, 0.0])
     def test_reset_temperature_positive_and_finite(self, t_reset):

@@ -97,6 +97,36 @@ def test_cycles_equal_matrix_path(phi, delta, t_hot, base):
         assert c.t_eff[i] == effective_temperature(ps.state, h) / delta
 
 
+@pytest.mark.parametrize("basis", sorted(kernel.BASES))
+@pytest.mark.parametrize("phi", PHIS)
+def test_record_states_equal_eager_states(basis, phi):
+    """A record's state, built on read, is the one records used to build."""
+    h = TwoLevelHamiltonian(1.7)
+    sw = kernel.switched(h.delta, phi, np.array(T_GRID) * h.delta, basis)
+    for i, t in enumerate(T_GRID):
+        pt = fridge.ico_point(h, t * h.delta, phi, basis)
+        for ps, br in zip((pt.plus, pt.minus), sw):
+            if br.degenerate[i]:
+                assert ps.state is None
+                continue
+            eager = DensityMatrix(np.diag([br.p_g[i], br.p_e[i]]), dims=(2,))
+            assert ps.state.dims == eager.dims
+            assert np.array_equal(ps.state.mat, eager.mat)
+            assert ps.state is ps.state
+
+
+@pytest.mark.parametrize("phi", PHIS)
+def test_rho_minus_equals_eager_state(phi):
+    t_cold = np.array(T_GRID[1:])
+    c = kernel.cycles(1.7, phi, t_cold, t_cold, 1.0)
+    for i, t in enumerate(t_cold.tolist()):
+        r = fridge.run_cycle(CycleParams(delta=1.7, t_hot=t, t_cold=t, phi=phi))
+        eager = DensityMatrix(np.diag([c.minus.p_g[i], c.minus.p_e[i]]), dims=(2,))
+        assert r.rho_minus.dims == eager.dims
+        assert np.array_equal(r.rho_minus.mat, eager.mat)
+        assert r.rho_minus is r.rho_minus
+
+
 def test_effective_temperature_sentinels():
     # At phi = 0 the |-> state is thermal: the ground state at t = 1e-3
     # (T_eff = 0) and the maximally mixed state at t = inf (T_eff = inf).
