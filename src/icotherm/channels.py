@@ -36,7 +36,7 @@ from .linalg import (
     kron,
     symmetrize,
 )
-from .thermo import TwoLevelHamiltonian, thermal_state
+from .thermo import TwoLevelHamiltonian, _check_phi, thermal_state
 
 __all__ = [
     "QuantumChannel",
@@ -101,8 +101,7 @@ class AncillaState:
     phi: float
 
     def __post_init__(self):
-        if not (0.0 <= self.phi <= math.pi):
-            raise ValueError(f"phi must lie in [0, pi], got {self.phi}")
+        _check_phi(self.phi)
 
     def ket(self) -> np.ndarray:
         return np.array([math.cos(self.phi / 2), math.sin(self.phi / 2)],

@@ -32,8 +32,9 @@ import numpy as np
 from . import kernel
 from .linalg import ValidationError
 from .thermo import TwoLevelHamiltonian
+from .channels import AncillaState
 from .circuit import verify_grid
-from .fridge import CycleParams, _check_grid, _check_range, monte_carlo
+from .fridge import CycleParams, grid, monte_carlo
 
 __all__ = ["build_parser", "run", "main"]
 
@@ -218,9 +219,9 @@ def _check_out(path: str) -> None:
 def _switched(args) -> tuple[list[float], kernel.Switched]:
     """Reported temperatures and both outcomes over the requested grid."""
     h = TwoLevelHamiltonian(args.delta)
-    t = _check_grid(args.t_min, args.t_max, args.steps, min_steps=1)
-    temps = kernel.absolute(t, h.delta)
-    sw = kernel.switched(h.delta, args.phi, temps, args.basis)
+    _, temps = grid(args.t_min, args.t_max, args.steps, h.delta)
+    phi = AncillaState(args.phi).phi
+    sw = kernel.switched(h.delta, phi, temps, args.basis)
     return (temps / h.delta).tolist(), sw
 
 
@@ -239,7 +240,7 @@ def _cmd_heat(args) -> None:
 def _cmd_fridge(args) -> None:
     p = CycleParams(delta=args.delta, t_reset=args.t_reset, phi=args.phi,
                     entropy_base=_ENTROPY_BASES[args.entropy_base])
-    t = _check_grid(args.t_min, args.t_max, args.steps, min_steps=2)
+    t, _ = grid(args.t_min, args.t_max, args.steps, p.delta, min_steps=2)
     c = kernel.cycles(p.delta, p.phi, t, t, p.t_reset, p.entropy_base)
     rows = zip(t.tolist(), c.minus.prob.tolist(), c.w.tolist(), c.q_c.tolist(),
                c.eta.tolist())
@@ -248,11 +249,8 @@ def _cmd_fridge(args) -> None:
 
 def _cmd_circuit_verify(args) -> None:
     h = TwoLevelHamiltonian(args.delta)
-    # Only the range is checked: one step samples t_min, and repeated
-    # temperatures are allowed.
-    t = _check_range(args.t_min, args.t_max, args.steps, min_steps=1)
-    temps = kernel.absolute(t, h.delta)
-    phis = ([args.phi] if args.phi is not None
+    t, temps = grid(args.t_min, args.t_max, args.steps, h.delta, distinct=False)
+    phis = ([AncillaState(args.phi).phi] if args.phi is not None
             else np.linspace(0.0, math.pi, args.steps).tolist())
     d = verify_grid(h, temps.tolist(), phis,
                     decompose_cswap=args.decompose_cswap)

@@ -24,8 +24,8 @@ factor delta.  Reported effective temperatures use the same dimensionless
 units.
 
 Every number here comes from :mod:`icotherm.kernel`, the closed form
-evaluated over a whole temperature grid at once; the functions below only
-wrap its arrays in records of plain numbers.  A record builds the validated
+evaluated over a whole temperature grid at once; the functions below check
+the arguments and wrap its arrays in records.  A record builds the validated
 :class:`DensityMatrix` of a conditional state (``PostSelection.state``,
 ``CycleReport.rho_minus``) only when that attribute is first read, and
 caches it.  ``switch_closed_form`` with ``post_select``, the 16-Kraus switch
@@ -44,7 +44,8 @@ import numpy as np
 from . import kernel
 from .kernel import DegenerateCycleError
 from .linalg import DensityMatrix
-from .thermo import PROB_FLOOR, PostSelection, TwoLevelHamiltonian, shannon_entropy
+from .thermo import (PROB_FLOOR, PostSelection, TwoLevelHamiltonian, _check_phi,
+                     _check_entropy_base, _check_positive, shannon_entropy)
 
 __all__ = [
     "CycleParams",
@@ -88,17 +89,12 @@ class CycleParams:
     entropy_base: float = math.e
 
     def __post_init__(self):
-        if not (self.delta > 0.0 and math.isfinite(self.delta)):
-            raise ValueError(f"delta must be positive and finite, got {self.delta}")
+        TwoLevelHamiltonian(self.delta)
         for name in ("t_cold", "t_hot"):
-            t = getattr(self, name)
-            if not t > 0.0:
-                raise ValueError(f"{name} must be positive, got {t}")
+            _check_positive(name, getattr(self, name))
         _check_t_reset(self.t_reset, self.delta)
-        if not (0.0 <= self.phi <= math.pi):
-            raise ValueError(f"phi must lie in [0, pi], got {self.phi}")
-        if not self.entropy_base > 1.0:
-            raise ValueError(f"entropy_base must exceed 1, got {self.entropy_base}")
+        _check_phi(self.phi)
+        _check_entropy_base(self.entropy_base)
 
 
 @dataclass(frozen=True)
@@ -200,6 +196,9 @@ def _selections(br: kernel.Branch) -> list[PostSelection]:
 
 def _ico_points(h: TwoLevelHamiltonian, phi: float, temps,
                 basis: str) -> list[IcoPoint]:
+    if basis not in kernel.BASES:
+        raise ValueError(f"basis must be 'pm' or 'computational', got {basis!r}")
+    _check_phi(phi)
     temps = np.asarray(temps, dtype=float)
     plus, minus = kernel.switched(h.delta, phi, temps, basis)
     return [IcoPoint(t=temp / h.delta, phi=phi, basis=basis, plus=ps, minus=ms,
@@ -216,6 +215,7 @@ def ico_point(h: TwoLevelHamiltonian, temperature: float, phi: float,
     The substance starts in the thermal state of the same temperature as the
     two reservoirs, and the ancilla is projected in the requested basis.
     """
+    _check_positive("temperature", float(temperature))
     return _ico_points(h, phi, [temperature], basis)[0]
 
 
@@ -226,14 +226,14 @@ def ico_sweep(h: TwoLevelHamiltonian, phi: float, t_min: float, t_max: float,
     Temperatures are in delta/k_B units.  A single-point grid (steps == 1)
     requires t_min == t_max.
     """
-    t = _check_grid(t_min, t_max, steps, min_steps=1)
-    return _ico_points(h, phi, kernel.absolute(t, h.delta), basis)
+    _, temps = grid(t_min, t_max, steps, h.delta)
+    return _ico_points(h, phi, temps, basis)
 
 
-def _check_range(t_min: float, t_max: float, steps: int,
-                 min_steps: int) -> np.ndarray:
-    """The uniform grid of ``steps`` >= ``min_steps`` points from t_min to
-    t_max, between finite bounds 0 < t_min <= t_max."""
+def grid(t_min: float, t_max: float, steps: int, delta: float, min_steps: int = 1,
+         distinct: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """Uniform grid t from t_min to t_max and ``kernel.absolute(t, delta)``,
+    checked: the grid rules of :func:`ico_sweep`, :func:`sweep` and the CLI."""
     if steps < min_steps:
         raise ValueError(f"steps must be >= {min_steps}, got {steps}")
     for name, t in (("t_min", t_min), ("t_max", t_max)):
@@ -241,18 +241,12 @@ def _check_range(t_min: float, t_max: float, steps: int,
             raise ValueError(f"{name} must be finite, got {t}")
     if not 0.0 < t_min <= t_max:
         raise ValueError(f"need 0 < t_min <= t_max, got [{t_min}, {t_max}]")
-    return np.linspace(t_min, t_max, steps)
-
-
-def _check_grid(t_min: float, t_max: float, steps: int,
-                min_steps: int) -> np.ndarray:
-    """:func:`_check_range`'s grid, with all points distinct."""
-    t = _check_range(t_min, t_max, steps, min_steps)
-    if steps == 1 and t_min != t_max:
+    if distinct and steps == 1 and t_min != t_max:
         raise ValueError("a single-point grid requires t_min == t_max")
-    if steps > 1 and t_min == t_max:
+    if distinct and steps > 1 and t_min == t_max:
         raise ValueError("t_min must be strictly below t_max for steps > 1")
-    return t
+    t = np.linspace(t_min, t_max, steps)
+    return t, kernel.absolute(t, delta)
 
 
 def _reports(c: kernel.Cycles, t_cold: list[float]) -> list[CycleReport]:
@@ -280,7 +274,7 @@ def sweep(p_template: CycleParams, t_min: float, t_max: float,
     This is the equal-reservoir scenario; the template's other fields
     (delta, t_reset, phi, entropy base) are kept.
     """
-    t = _check_grid(t_min, t_max, steps, min_steps=2)
+    t, _ = grid(t_min, t_max, steps, p_template.delta, min_steps=2)
     c = kernel.cycles(p_template.delta, p_template.phi, t, t,
                       p_template.t_reset, p_template.entropy_base)
     return _reports(c, t.tolist())

@@ -15,7 +15,9 @@ delta p_e).  For |+>/|-> this is P-+ = (1 -+ sin(phi) (p_g³ + p_e³)) / 2.
 ``fridge`` and the CLI take every reported number from here.  The density
 matrix machinery (``switch_closed_form`` and ``post_select``, the 16-Kraus
 switch, the gate circuit) computes the same numbers independently and is the
-verification path; the tests hold the two paths equal.
+verification path; the tests hold the two paths equal.  The kernel does not
+check its arguments; the entries that take them do.  Only :func:`absolute`
+and the degenerate verdict of :func:`cycles` raise ``ValueError``.
 
 The arithmetic repeats the matrix path's floating-point operations in the
 same order, so both paths agree bit for bit and the CLI's 12-digit tables do
@@ -100,22 +102,17 @@ def absolute(t, delta: float) -> np.ndarray:
     """Absolute temperatures T = t * delta of temperatures in delta/k_B units.
 
     An infinite t gives T = inf, the maximally mixed state.  A finite t whose
-    product with delta leaves the float range raises ``ValueError``: T = inf
-    would report the infinite-temperature limit in place of t.  So does a
-    positive t whose product underflows to 0: T = 0 would be rejected as a
-    temperature that was never given.
+    product with delta leaves the float range, or a positive t whose product
+    underflows to 0, raises ``ValueError``: T = inf or 0 is not the t given.
     """
     t = np.asarray(t, dtype=float)
     with np.errstate(over="ignore"):
         temps = t * delta
-    over = np.isinf(temps) & np.isfinite(t)
-    if over.any():
-        raise ValueError(f"temperature {float(t[over][0])} times delta {delta} "
-                         f"exceeds the float range")
-    under = (temps == 0.0) & (t > 0.0)
-    if under.any():
-        raise ValueError(f"temperature {float(t[under][0])} times delta {delta} "
-                         f"underflows to 0")
+    for bad, verdict in ((np.isinf(temps) & np.isfinite(t), "exceeds the float range"),
+                         ((temps == 0.0) & (t > 0.0), "underflows to 0")):
+        if bad.any():
+            raise ValueError(f"temperature {float(t[bad][0])} times delta {delta} "
+                             f"{verdict}")
     return temps
 
 
@@ -140,12 +137,6 @@ _WEIGHTS = {name: tuple(float((b[i].conjugate() * b[j]).real)
 def _blocks(delta: float, phi: float, temps) -> tuple[np.ndarray, list]:
     """Thermal p_e and, per population (g, e), the diagonals of the switch
     output's ancilla blocks 00, 01, 10, 11."""
-    temps = np.asarray(temps, dtype=float)
-    bad = ~(temps > 0.0)
-    if bad.any():
-        raise ValueError(f"temperature must be positive, got {temps[bad][0]}")
-    if not (0.0 <= phi <= math.pi):
-        raise ValueError(f"phi must lie in [0, pi], got {phi}")
     p_e = _thermal_excited(delta, temps)
     c2 = math.cos(phi / 2) ** 2
     s2 = math.sin(phi / 2) ** 2
@@ -179,8 +170,6 @@ def switched(delta: float, phi: float, temps,
 
     The substance starts in the thermal state of the reservoirs' temperature.
     """
-    if basis not in BASES:
-        raise ValueError(f"basis must be 'pm' or 'computational', got {basis!r}")
     p_e, blocks = _blocks(delta, phi, temps)
     return Switched(*(_branch(delta, p_e, blocks, outcome)
                       for outcome in BASES[basis]))
@@ -211,8 +200,9 @@ def cycles(delta: float, phi: float, t_cold, t_hot, t_reset: float,
     """Refrigerator cycle at each cold temperature in ``t_cold``.
 
     Temperatures are in delta/k_B units, as in ``fridge.CycleParams``;
-    ``t_hot`` is a scalar or an array shaped like ``t_cold``.  Arguments are
-    assumed valid (``CycleParams`` checks them).
+    ``t_hot`` is a scalar or an array shaped like ``t_cold``.  Arguments must
+    be valid (``CycleParams`` checks them) except for :func:`absolute`'s rule,
+    applied to t_cold and, after the degenerate check, to t_hot.
 
     eta = Q_C P- / W is evaluated without a floating-point warning.  When W
     underflows so far that Q_C P- / W leaves the float range, or W is 0

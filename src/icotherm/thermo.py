@@ -46,6 +46,23 @@ _OUTCOME_KETS = {
 OUTCOMES = tuple(_OUTCOME_KETS)
 
 
+def _check_positive(name: str, temperature: float) -> None:
+    if not temperature > 0.0:
+        raise ValueError(f"{name} must be positive, got {temperature}")
+
+
+def _check_phi(phi: float) -> None:
+    if not 0.0 <= phi <= math.pi:
+        raise ValueError(f"phi must lie in [0, pi], got {phi}")
+
+
+def _check_entropy_base(base: float) -> None:
+    if not base > 1.0:
+        raise ValueError(f"entropy_base must exceed 1, got {base}")
+    if math.isinf(base):
+        raise ValueError(f"entropy_base must be finite, got {base}")
+
+
 @dataclass(frozen=True)
 class TwoLevelHamiltonian:
     """H = delta |e><e|, i.e. diag(0, delta); delta is the excitation energy."""
@@ -86,8 +103,7 @@ def thermal_state(h: TwoLevelHamiltonian, temperature: float) -> DensityMatrix:
     ``temperature`` must be positive; ``math.inf`` is accepted and yields the
     maximally mixed state diag(1/2, 1/2).
     """
-    if not temperature > 0.0 or math.isnan(temperature):
-        raise ValueError(f"temperature must be positive, got {temperature}")
+    _check_positive("temperature", temperature)
     # exp(-delta/T) never overflows for T > 0; it underflows to 0 near T -> 0+.
     x = math.exp(-h.delta / temperature)
     p_e = x / (1.0 + x)
@@ -167,7 +183,7 @@ def shannon_entropy(p: Sequence[float], base: float = math.e) -> float:
     """Shannon entropy -sum p ln p with 0 ln 0 = 0 (natural log by default).
 
     ``p`` must be a probability distribution: entries >= 0 (a -1e-12 noise
-    window is clamped) summing to 1 within 1e-10.
+    window is clamped) summing to 1 within 1e-10, and ``base`` finite > 1.
     """
     vals = [float(x) for x in p]
     if any(x < -PROB_FLOOR for x in vals):
@@ -175,6 +191,7 @@ def shannon_entropy(p: Sequence[float], base: float = math.e) -> float:
     vals = [max(x, 0.0) for x in vals]
     if abs(sum(vals) - 1.0) > 1e-10:
         raise ValueError(f"probabilities sum to {sum(vals)!r}, expected 1")
+    _check_entropy_base(base)
     s = -sum(x * math.log(x) for x in vals if x > 0.0)
     if base != math.e:
         s /= math.log(base)

@@ -4,6 +4,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -216,20 +218,6 @@ class TestExitCodes:
         code, _, _ = run_capture(capsys, [])
         assert code == 2
 
-    def test_bad_grid(self, capsys):
-        code, _, err = run_capture(capsys, [
-            "probs", "--t-min", "-1", "--t-max", "2", "--steps", "4"])
-        assert code == 2 and "error" in err
-
-    def test_single_step_needs_equal_bounds(self, capsys):
-        code, _, _ = run_capture(capsys, [
-            "probs", "--t-min", "1", "--t-max", "2", "--steps", "1"])
-        assert code == 2
-
-    def test_zero_trials(self, capsys):
-        code, _, _ = run_capture(capsys, ["mc", "--trials", "0"])
-        assert code == 2
-
     def test_validation_failure_maps_to_three(self, capsys, monkeypatch):
         def boom(args):
             raise ValidationError("synthetic positivity breach")
@@ -240,117 +228,97 @@ class TestExitCodes:
         assert code == 3 and "validation" in err
 
 
-class TestNonFiniteGrid:
-    @pytest.mark.parametrize("cmd", ["probs", "heat", "fridge", "circuit-verify"])
-    @pytest.mark.parametrize("bound, value", [("t_max", "inf"), ("t_min", "nan")])
-    def test_rejected_before_compute(self, capsys, tmp_path, cmd, bound, value):
+def _never(*args, **kwargs):
+    raise AssertionError("computed before every argument was checked")
+
+
+_TABLES = ("probs", "heat", "fridge", "circuit-verify")
+_OVERFLOW = "temperature 2.0 times delta 1e+308 exceeds the float range"
+_UNDERFLOW = "temperature 1e-05 times delta 1e-320 underflows to 0"
+_RESET_OVERFLOW = "t_reset 1e+300 times delta 1e+10 exceeds the float range"
+_DEGENERATE = "success probability 1.8600379880104176e-44 at t_cold=0.01"
+
+# (argv, message): argv exits 2 with "icotherm: error: <message>".  The table
+# subcommands decide each argument rule before the kernel or the circuit
+# runs; mc checks its t * delta products in kernel.cycles.
+ARGUMENT_RULES = [
+    *(([cmd, flag, value, "--steps", "4"], f"{name} must be finite, got {value}")
+      for cmd in _TABLES
+      for flag, name, value in (("--t-max", "t_max", "inf"), ("--t-min", "t_min", "nan"))),
+    *(([cmd, f"--delta={value}"], f"delta must be positive and finite, got {float(value)}")
+      for cmd in (*_TABLES, "mc") for value in ("inf", "-inf", "nan", "0")),
+    *(([cmd, f"--t-reset={value}"],
+       f"t_reset must be positive and finite, got {float(value)}")
+      for cmd in ("fridge", "mc") for value in ("inf", "nan", "0")),
+    (["fridge", "--steps", "2", "--t-reset", "1e300", "--delta", "1e10"], _RESET_OVERFLOW),
+    (["mc", "--t-reset", "1e300", "--delta", "1e10"], _RESET_OVERFLOW),
+    *(([cmd, "--t-min", "2", "--t-max", "3", "--steps", "2", "--delta", "1e308"], _OVERFLOW)
+      for cmd in _TABLES),
+    (["mc", "--t-min", "2", "--delta", "1e308"], _OVERFLOW),
+    *(([cmd, "--t-min", "1e-5", "--t-max", "1", "--steps", "2", "--delta", "1e-320"],
+       _UNDERFLOW) for cmd in _TABLES),
+    (["mc", "--t-min", "1e-300", "--delta", "1e-300"],
+     "temperature 1e-300 times delta 1e-300 underflows to 0"),
+    (["probs", "--t-min", "-1", "--t-max", "2", "--steps", "4"],
+     "need 0 < t_min <= t_max, got [-1.0, 2.0]"),
+    (["probs", "--t-min", "1", "--t-max", "2", "--steps", "1"],
+     "a single-point grid requires t_min == t_max"),
+    (["heat", "--t-min", "1", "--t-max", "1", "--steps", "3"],
+     "t_min must be strictly below t_max for steps > 1"),
+    (["fridge", "--steps", "1"], "steps must be >= 2, got 1"),
+    (["circuit-verify", "--steps", "0"], "steps must be >= 1, got 0"),
+    (["probs", "--phi", "5"], "phi must lie in [0, pi], got 5.0"),
+    (["heat", "--phi", "-1"], "phi must lie in [0, pi], got -1.0"),
+    (["circuit-verify", "--phi", "5", "--steps", "2"], "phi must lie in [0, pi], got 5.0"),
+    # mc runs t_hot = t_cold unless --t-max is given; the error names the
+    # temperature the user set.
+    (["mc", "--t-min=0"], "t_cold must be positive, got 0.0"),
+    (["mc", "--t-min=-1"], "t_cold must be positive, got -1.0"),
+    (["mc", "--t-min=nan"], "t_cold must be positive, got nan"),
+    (["mc", "--t-min=2", "--t-max=nan"], "t_hot must be positive, got nan"),
+    (["mc", "--seed=-1"], "seed must be a non-negative integer, got -1"),
+    (["mc", "--trials", "0"], "trials must be >= 1, got 0"),
+    # Two bad flags: the order in which the rules fire.
+    (["probs", "--phi", "5", "--t-max", "inf"], "t_max must be finite, got inf"),
+    (["fridge", "--phi", "5", "--t-max", "inf"], "phi must lie in [0, pi], got 5.0"),
+    (["fridge", "--t-reset", "0", "--phi", "5"],
+     "t_reset must be positive and finite, got 0.0"),
+    (["circuit-verify", "--phi", "5", "--t-min", "0"],
+     "need 0 < t_min <= t_max, got [0.0, 3.0]"),
+    (["mc", "--t-min", "0", "--phi", "5"], "t_cold must be positive, got 0.0"),
+    (["mc", "--trials", "0", "--seed", "-1"], "trials must be >= 1, got 0"),
+    (["mc", "--t-min", "0.01", "--trials", "0"], "trials must be >= 1, got 0"),
+    (["fridge", "--t-min", "0.01", "--delta", "1e308"],  # the first bad point
+     "temperature 1.825357142857143 times delta 1e+308 exceeds the float range"),
+]
+# Verdicts on the result, after compute: a degenerate t_cold (before mc's
+# t_hot product is checked) and the mc totals.
+RESULT_RULES = [
+    (["fridge", "--t-min", "0.01"], _DEGENERATE),
+    (["mc", "--t-min", "0.01", "--t-max", "2", "--delta", "1e308"], _DEGENERATE),
+    (["mc", "--t-reset", "1e306", "--trials", "1000"],
+     "trials 1000 times w 6.06497e+305 exceeds the float range"),
+    (["mc", "--delta", "1e306", "--t-reset", "1e-3", "--trials", "100000"],
+     "successes 29445 times q_c 1.54039e+305 exceeds the float range"),
+]
+
+
+class TestRejected:
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(argv, message, id=" ".join(argv))
+        for argv, message in ARGUMENT_RULES + RESULT_RULES])
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    def test_exit_2(self, capsys, monkeypatch, tmp_path, to_file, argv, message):
+        if argv[0] != "mc" and (argv, message) in ARGUMENT_RULES:
+            for owner, name in ((cli.kernel, "switched"), (cli.kernel, "cycles"),
+                                (cli, "verify_grid")):
+                monkeypatch.setattr(owner, name, _never)
         path = tmp_path / "rows.csv"
-        flag = "--" + bound.replace("_", "-")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run_capture(capsys, [
-                cmd, flag, value, "--steps", "4", "--out", str(path)])
-        assert code == 2 and out == ""
-        assert err.startswith("icotherm: error:")
-        assert f"{bound} must be finite" in err
-        assert not path.exists()
-
-
-class TestBadDelta:
-    @pytest.mark.parametrize("cmd", ["probs", "heat", "fridge", "circuit-verify",
-                                     "mc"])
-    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "0"])
-    def test_rejected_with_accurate_message(self, capsys, tmp_path, cmd, value):
-        path = tmp_path / "rows.csv"
-        code, out, err = run_capture(capsys, [
-            cmd, f"--delta={value}", "--out", str(path)])
-        assert (code, out) == (2, "")
-        assert err == (f"icotherm: error: delta must be positive and finite, "
-                       f"got {float(value)}\n")
-        assert not path.exists()
-
-
-class TestBadResetTemperature:
-    @pytest.mark.parametrize("cmd", ["fridge", "mc"])
-    @pytest.mark.parametrize("value", ["inf", "nan", "0"])
-    def test_rejected_with_accurate_message(self, capsys, tmp_path, cmd, value):
-        path = tmp_path / "rows.csv"
-        code, out, err = run_capture(capsys, [
-            cmd, f"--t-reset={value}", "--out", str(path)])
-        assert (code, out) == (2, "")
-        assert err == (f"icotherm: error: t_reset must be positive and finite, "
-                       f"got {float(value)}\n")
-        assert not path.exists()
-
-
-class TestBadMcTemperature:
-    """``mc`` runs t_hot = t_cold unless --t-max is given; the error names
-    the temperature the user set."""
-
-    @pytest.mark.parametrize("to_file", [False, True])
-    @pytest.mark.parametrize("flags, message", [
-        (["--t-min=0"], "t_cold must be positive, got 0.0"),
-        (["--t-min=-1"], "t_cold must be positive, got -1.0"),
-        (["--t-min=nan"], "t_cold must be positive, got nan"),
-        (["--t-min=2", "--t-max=nan"], "t_hot must be positive, got nan"),
-    ])
-    def test_rejected_with_accurate_message(self, capsys, tmp_path, flags,
-                                            message, to_file):
-        path = tmp_path / "rows.csv"
-        code, out, err = run_capture(capsys, [
-            "mc", *flags, *(["--out", str(path)] if to_file else [])])
-        assert (code, out) == (2, "")
-        assert err == f"icotherm: error: {message}\n"
-        assert not path.exists()
-
-
-class TestNegativeSeed:
-    @pytest.mark.parametrize("to_file", [False, True])
-    def test_rejected_with_accurate_message(self, capsys, tmp_path, to_file):
-        path = tmp_path / "rows.csv"
-        code, out, err = run_capture(capsys, [
-            "mc", "--seed=-1", *(["--out", str(path)] if to_file else [])])
-        assert (code, out) == (2, "")
-        assert err == ("icotherm: error: seed must be a non-negative integer, "
-                       "got -1\n")
-        assert not path.exists()
-
-
-class TestResetEnergyOverflow:
-    """A finite --t-reset whose product with delta overflows."""
-
-    @pytest.mark.parametrize("to_file", [False, True])
-    @pytest.mark.parametrize("argv", [["fridge", "--steps", "2"], ["mc"]],
-                             ids=lambda argv: argv[0])
-    def test_rejected_before_output(self, capsys, tmp_path, argv, to_file):
-        path = tmp_path / "rows.csv"
-        code, out, err = run_capture(capsys, [
-            *argv, "--t-reset", "1e300", "--delta", "1e10",
-            *(["--out", str(path)] if to_file else [])])
-        assert (code, out) == (2, "")
-        assert err == ("icotherm: error: t_reset 1e+300 times delta 1e+10 "
-                       "exceeds the float range\n")
-        assert not path.exists()
-
-
-class TestMonteCarloTotalOverflow:
-    """Finite inputs and a finite W and Q_C per cycle whose mc totals overflow."""
-
-    @pytest.mark.parametrize("to_file", [False, True])
-    @pytest.mark.parametrize("flags, message", [
-        (["--t-reset", "1e306", "--trials", "1000"],
-         "trials 1000 times w 6.06497e+305"),
-        (["--delta", "1e306", "--t-reset", "1e-3", "--trials", "100000"],
-         "successes 29445 times q_c 1.54039e+305"),
-    ], ids=["w_total", "q_c_total"])
-    def test_rejected_before_output(self, capsys, tmp_path, flags, message,
-                                    to_file):
-        path = tmp_path / "mc.json"
-        code, out, err = run_capture(capsys, [
-            "mc", *flags, *(["--format", "json", "--out", str(path)]
-                            if to_file else [])])
-        assert (code, out) == (2, "")
-        assert err == f"icotherm: error: {message} exceeds the float range\n"
+                *argv, *(["--out", str(path)] if to_file else [])])
+        assert (code, out, err) == (2, "", f"icotherm: error: {message}\n")
         assert not path.exists()
 
 
@@ -380,43 +348,6 @@ class TestUnderflowingWork:
         assert len(parse_csv(out)[1]) == 1
 
 
-class TestTemperatureOverflow:
-    """A finite temperature whose product with delta overflows."""
-
-    @pytest.mark.parametrize("argv", [
-        *([cmd, "--t-min", "2", "--t-max", "3", "--steps", "2"]
-          for cmd in ("probs", "heat", "fridge", "circuit-verify")),
-        ["mc", "--t-min", "2"],
-    ], ids=lambda argv: argv[0])
-    def test_rejected_before_output(self, capsys, tmp_path, argv):
-        path = tmp_path / "rows.csv"
-        code, out, err = run_capture(capsys, [
-            *argv, "--delta", "1e308", "--out", str(path)])
-        assert (code, out) == (2, "")
-        assert err == ("icotherm: error: temperature 2.0 times delta 1e+308 "
-                       "exceeds the float range\n")
-        assert not path.exists()
-
-
-class TestTemperatureUnderflow:
-    """A finite positive temperature whose product with delta underflows."""
-
-    @pytest.mark.parametrize("argv", [
-        *([cmd, "--t-min", "1e-5", "--t-max", "1", "--steps", "2",
-           "--delta", "1e-320"]
-          for cmd in ("probs", "heat", "fridge", "circuit-verify")),
-        ["mc", "--t-min", "1e-300", "--delta", "1e-300"],
-    ], ids=lambda argv: argv[0])
-    def test_rejected_before_output(self, capsys, tmp_path, argv):
-        path = tmp_path / "rows.csv"
-        code, out, err = run_capture(capsys, [*argv, "--out", str(path)])
-        product = ("1e-300 times delta 1e-300" if argv[0] == "mc"
-                   else "1e-05 times delta 1e-320")
-        assert (code, out) == (2, "")
-        assert err == f"icotherm: error: temperature {product} underflows to 0\n"
-        assert not path.exists()
-
-
 class TestRuntimePath:
     def test_tables_build_no_density_matrix(self, capsys, monkeypatch):
         built = []
@@ -431,13 +362,6 @@ class TestRuntimePath:
             code, _, _ = run_capture(capsys, [cmd, "--steps", "9"])
             assert code == 0
         assert built == []
-
-    def test_degenerate_fridge_grid_writes_no_file(self, capsys, tmp_path):
-        path = tmp_path / "rows.csv"
-        code, _, err = run_capture(capsys, [
-            "fridge", "--t-min", "0.01", "--out", str(path)])
-        assert code == 2 and "success probability" in err
-        assert not path.exists()
 
 
 class TestParserCache:
@@ -559,6 +483,27 @@ class TestGoldenBytes:
     def test_default_sweep_tables(self, capsys, cmd, fmt):
         code, out, _ = run_capture(capsys, [cmd, "--format", fmt])
         assert code == 0 and out == (GOLDEN / f"{cmd}.{fmt}").read_text()
+
+
+class TestConsoleEntry:
+    """``python -m icotherm.cli`` runs ``main()``, which the tests above skip."""
+
+    def _main(self, *argv):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, "-m", "icotherm.cli", *argv],
+                              capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": path})
+
+    def test_default_probs(self):
+        r = self._main("probs")
+        assert (r.returncode, r.stderr) == (0, "")
+        assert r.stdout == (GOLDEN / "probs.csv").read_text()
+
+    def test_rejection(self):
+        r = self._main("probs", "--t-max", "inf")
+        assert (r.returncode, r.stdout, r.stderr) == (
+            2, "", "icotherm: error: t_max must be finite, got inf\n")
 
 
 _EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,

@@ -16,7 +16,7 @@ from icotherm.fridge import (
     sweep,
     work_of_erasure,
 )
-from icotherm.thermo import TwoLevelHamiltonian
+from icotherm.thermo import TwoLevelHamiltonian, shannon_entropy
 
 import oracles
 
@@ -304,6 +304,18 @@ class TestCycleParams:
             CycleParams(t_reset=t_reset)
         with pytest.raises(ValueError, match=msg):
             work_of_erasure(0.4, t_reset)
+
+    @pytest.mark.parametrize("entry", [
+        lambda base: CycleParams(entropy_base=base),
+        lambda base: shannon_entropy((0.3, 0.7), base=base),
+        lambda base: work_of_erasure(0.3, 1.0, base=base),
+    ], ids=["CycleParams", "shannon_entropy", "work_of_erasure"])
+    @pytest.mark.parametrize("base", [1.0, 0.5, -1.0, math.nan, math.inf])
+    def test_entropy_base_finite_and_above_one(self, entry, base):
+        rule = "be finite" if base == math.inf else "exceed 1"
+        with pytest.raises(ValueError) as err:
+            entry(base)
+        assert str(err.value) == f"entropy_base must {rule}, got {base}"
 
     def test_infinite_reservoirs_allowed(self):
         # inf is the maximally mixed state: P- = (1 - 1/4) / 2 at phi = pi/2.

@@ -157,12 +157,14 @@ def test_degenerate_first_point_raises_matrix_path_message():
 
 
 def test_invalid_arguments():
+    # The kernel does not check its arguments; ico_point, its entry, does.
+    h = TwoLevelHamiltonian(1.0)
     with pytest.raises(ValueError, match="basis"):
-        kernel.switched(1.0, 0.5, [1.0], "bell")
+        fridge.ico_point(h, 1.0, 0.5, "bell")
     with pytest.raises(ValueError, match="temperature must be positive, got nan"):
-        kernel.switched(1.0, 0.5, [1.0, math.nan])
+        fridge.ico_point(h, math.nan, 0.5)
     with pytest.raises(ValueError, match="phi"):
-        kernel.switched(1.0, 4.0, [1.0])
+        fridge.ico_point(h, 1.0, 4.0)
 
 
 def test_absolute_rejects_finite_overflow():
