@@ -218,6 +218,15 @@ class TestExitCodes:
         code, _, _ = run_capture(capsys, [])
         assert code == 2
 
+    def test_bad_grid(self, exits_2, rejected):
+        exits_2(*rejected)
+
+    def test_single_step_needs_equal_bounds(self, exits_2, rejected):
+        exits_2(*rejected)
+
+    def test_zero_trials(self, exits_2, rejected):
+        exits_2(*rejected)
+
     def test_validation_failure_maps_to_three(self, capsys, monkeypatch):
         def boom(args):
             raise ValidationError("synthetic positivity breach")
@@ -238,88 +247,181 @@ _UNDERFLOW = "temperature 1e-05 times delta 1e-320 underflows to 0"
 _RESET_OVERFLOW = "t_reset 1e+300 times delta 1e+10 exceeds the float range"
 _DEGENERATE = "success probability 1.8600379880104176e-44 at t_cold=0.01"
 
-# (argv, message): argv exits 2 with "icotherm: error: <message>".  The table
-# subcommands decide each argument rule before the kernel or the circuit
-# runs; mc checks its t * delta products in kernel.cycles.
-ARGUMENT_RULES = [
-    *(([cmd, flag, value, "--steps", "4"], f"{name} must be finite, got {value}")
-      for cmd in _TABLES
-      for flag, name, value in (("--t-max", "t_max", "inf"), ("--t-min", "t_min", "nan"))),
-    *(([cmd, f"--delta={value}"], f"delta must be positive and finite, got {float(value)}")
-      for cmd in (*_TABLES, "mc") for value in ("inf", "-inf", "nan", "0")),
-    *(([cmd, f"--t-reset={value}"],
-       f"t_reset must be positive and finite, got {float(value)}")
-      for cmd in ("fridge", "mc") for value in ("inf", "nan", "0")),
-    (["fridge", "--steps", "2", "--t-reset", "1e300", "--delta", "1e10"], _RESET_OVERFLOW),
-    (["mc", "--t-reset", "1e300", "--delta", "1e10"], _RESET_OVERFLOW),
-    *(([cmd, "--t-min", "2", "--t-max", "3", "--steps", "2", "--delta", "1e308"], _OVERFLOW)
-      for cmd in _TABLES),
-    (["mc", "--t-min", "2", "--delta", "1e308"], _OVERFLOW),
-    *(([cmd, "--t-min", "1e-5", "--t-max", "1", "--steps", "2", "--delta", "1e-320"],
-       _UNDERFLOW) for cmd in _TABLES),
-    (["mc", "--t-min", "1e-300", "--delta", "1e-300"],
-     "temperature 1e-300 times delta 1e-300 underflows to 0"),
-    (["probs", "--t-min", "-1", "--t-max", "2", "--steps", "4"],
-     "need 0 < t_min <= t_max, got [-1.0, 2.0]"),
-    (["probs", "--t-min", "1", "--t-max", "2", "--steps", "1"],
-     "a single-point grid requires t_min == t_max"),
-    (["heat", "--t-min", "1", "--t-max", "1", "--steps", "3"],
-     "t_min must be strictly below t_max for steps > 1"),
-    (["fridge", "--steps", "1"], "steps must be >= 2, got 1"),
-    (["circuit-verify", "--steps", "0"], "steps must be >= 1, got 0"),
-    (["probs", "--phi", "5"], "phi must lie in [0, pi], got 5.0"),
-    (["heat", "--phi", "-1"], "phi must lie in [0, pi], got -1.0"),
-    (["circuit-verify", "--phi", "5", "--steps", "2"], "phi must lie in [0, pi], got 5.0"),
+# The rejection table, one list of rows per test that runs them:
+# "Class.test" -> [(id, argv, message)].  argv exits 2 with
+# "icotherm: error: <message>".  A row with id None is its test's only row
+# and runs unparametrized.  The table subcommands decide each argument rule
+# before the kernel or the circuit runs; mc checks its t * delta products in
+# kernel.cycles.  The degenerate t_cold (before mc's t_hot product is
+# checked) and the mc totals are verdicts on the result, after compute.
+REJECTED = {
+    "TestExitCodes.test_bad_grid": [
+        (None, ["probs", "--t-min", "-1", "--t-max", "2", "--steps", "4"],
+         "need 0 < t_min <= t_max, got [-1.0, 2.0]")],
+    "TestExitCodes.test_single_step_needs_equal_bounds": [
+        (None, ["probs", "--t-min", "1", "--t-max", "2", "--steps", "1"],
+         "a single-point grid requires t_min == t_max")],
+    "TestExitCodes.test_zero_trials": [
+        (None, ["mc", "--trials", "0"], "trials must be >= 1, got 0")],
+    "TestNonFiniteGrid.test_rejected_before_compute": [
+        (f"{name}-{value}-{cmd}", [cmd, flag, value, "--steps", "4"],
+         f"{name} must be finite, got {value}")
+        for flag, name, value in (("--t-max", "t_max", "inf"), ("--t-min", "t_min", "nan"))
+        for cmd in _TABLES],
+    "TestBadDelta.test_rejected_with_accurate_message": [
+        (f"{value}-{cmd}", [cmd, f"--delta={value}"],
+         f"delta must be positive and finite, got {float(value)}")
+        for value in ("inf", "-inf", "nan", "0") for cmd in (*_TABLES, "mc")],
+    "TestBadResetTemperature.test_rejected_with_accurate_message": [
+        (f"{value}-{cmd}", [cmd, f"--t-reset={value}"],
+         f"t_reset must be positive and finite, got {float(value)}")
+        for value in ("inf", "nan", "0") for cmd in ("fridge", "mc")],
     # mc runs t_hot = t_cold unless --t-max is given; the error names the
     # temperature the user set.
-    (["mc", "--t-min=0"], "t_cold must be positive, got 0.0"),
-    (["mc", "--t-min=-1"], "t_cold must be positive, got -1.0"),
-    (["mc", "--t-min=nan"], "t_cold must be positive, got nan"),
-    (["mc", "--t-min=2", "--t-max=nan"], "t_hot must be positive, got nan"),
-    (["mc", "--seed=-1"], "seed must be a non-negative integer, got -1"),
-    (["mc", "--trials", "0"], "trials must be >= 1, got 0"),
-    # Two bad flags: the order in which the rules fire.
-    (["probs", "--phi", "5", "--t-max", "inf"], "t_max must be finite, got inf"),
-    (["fridge", "--phi", "5", "--t-max", "inf"], "phi must lie in [0, pi], got 5.0"),
-    (["fridge", "--t-reset", "0", "--phi", "5"],
-     "t_reset must be positive and finite, got 0.0"),
-    (["circuit-verify", "--phi", "5", "--t-min", "0"],
-     "need 0 < t_min <= t_max, got [0.0, 3.0]"),
-    (["mc", "--t-min", "0", "--phi", "5"], "t_cold must be positive, got 0.0"),
-    (["mc", "--trials", "0", "--seed", "-1"], "trials must be >= 1, got 0"),
-    (["mc", "--t-min", "0.01", "--trials", "0"], "trials must be >= 1, got 0"),
-    (["fridge", "--t-min", "0.01", "--delta", "1e308"],  # the first bad point
-     "temperature 1.825357142857143 times delta 1e+308 exceeds the float range"),
-]
-# Verdicts on the result, after compute: a degenerate t_cold (before mc's
-# t_hot product is checked) and the mc totals.
-RESULT_RULES = [
-    (["fridge", "--t-min", "0.01"], _DEGENERATE),
-    (["mc", "--t-min", "0.01", "--t-max", "2", "--delta", "1e308"], _DEGENERATE),
-    (["mc", "--t-reset", "1e306", "--trials", "1000"],
-     "trials 1000 times w 6.06497e+305 exceeds the float range"),
-    (["mc", "--delta", "1e306", "--t-reset", "1e-3", "--trials", "100000"],
-     "successes 29445 times q_c 1.54039e+305 exceeds the float range"),
-]
+    "TestBadMcTemperature.test_rejected_with_accurate_message": [
+        (f"flags{i}-{message}", ["mc", *flags], message) for i, (flags, message) in enumerate([
+            (["--t-min=0"], "t_cold must be positive, got 0.0"),
+            (["--t-min=-1"], "t_cold must be positive, got -1.0"),
+            (["--t-min=nan"], "t_cold must be positive, got nan"),
+            (["--t-min=2", "--t-max=nan"], "t_hot must be positive, got nan")])],
+    "TestNegativeSeed.test_rejected_with_accurate_message": [
+        (None, ["mc", "--seed=-1"], "seed must be a non-negative integer, got -1")],
+    "TestResetEnergyOverflow.test_rejected_before_output": [
+        ("fridge", ["fridge", "--steps", "2", "--t-reset", "1e300", "--delta", "1e10"],
+         _RESET_OVERFLOW),
+        ("mc", ["mc", "--t-reset", "1e300", "--delta", "1e10"], _RESET_OVERFLOW)],
+    "TestTemperatureOverflow.test_rejected_before_output": [
+        *((cmd, [cmd, "--t-min", "2", "--t-max", "3", "--steps", "2", "--delta", "1e308"],
+           _OVERFLOW) for cmd in _TABLES),
+        ("mc", ["mc", "--t-min", "2", "--delta", "1e308"], _OVERFLOW)],
+    "TestTemperatureUnderflow.test_rejected_before_output": [
+        *((cmd, [cmd, "--t-min", "1e-5", "--t-max", "1", "--steps", "2", "--delta", "1e-320"],
+           _UNDERFLOW) for cmd in _TABLES),
+        ("mc", ["mc", "--t-min", "1e-300", "--delta", "1e-300"],
+         "temperature 1e-300 times delta 1e-300 underflows to 0")],
+    "TestRejected.test_exit_2": [(" ".join(argv), argv, message) for argv, message in [
+        (["heat", "--t-min", "1", "--t-max", "1", "--steps", "3"],
+         "t_min must be strictly below t_max for steps > 1"),
+        (["fridge", "--steps", "1"], "steps must be >= 2, got 1"),
+        (["circuit-verify", "--steps", "0"], "steps must be >= 1, got 0"),
+        (["probs", "--phi", "5"], "phi must lie in [0, pi], got 5.0"),
+        (["heat", "--phi", "-1"], "phi must lie in [0, pi], got -1.0"),
+        (["circuit-verify", "--phi", "5", "--steps", "2"], "phi must lie in [0, pi], got 5.0"),
+        # Two bad flags: the order in which the rules fire.
+        (["probs", "--phi", "5", "--t-max", "inf"], "t_max must be finite, got inf"),
+        (["fridge", "--phi", "5", "--t-max", "inf"], "phi must lie in [0, pi], got 5.0"),
+        (["fridge", "--t-reset", "0", "--phi", "5"],
+         "t_reset must be positive and finite, got 0.0"),
+        (["circuit-verify", "--phi", "5", "--t-min", "0"],
+         "need 0 < t_min <= t_max, got [0.0, 3.0]"),
+        (["mc", "--t-min", "0", "--phi", "5"], "t_cold must be positive, got 0.0"),
+        (["mc", "--trials", "0", "--seed", "-1"], "trials must be >= 1, got 0"),
+        (["mc", "--t-min", "0.01", "--trials", "0"], "trials must be >= 1, got 0"),
+        (["fridge", "--t-min", "0.01", "--delta", "1e308"],  # the first bad point
+         "temperature 1.825357142857143 times delta 1e+308 exceeds the float range"),
+        (["mc", "--t-min", "0.01", "--t-max", "2", "--delta", "1e308"], _DEGENERATE),
+    ]],
+    "TestRuntimePath.test_degenerate_fridge_grid_writes_no_file": [
+        (None, ["fridge", "--t-min", "0.01"], _DEGENERATE)],
+    "TestMonteCarloTotalOverflow.test_rejected_before_output": [
+        ("w_total", ["mc", "--t-reset", "1e306", "--trials", "1000"],
+         "trials 1000 times w 6.06497e+305 exceeds the float range"),
+        ("q_c_total", ["mc", "--delta", "1e306", "--t-reset", "1e-3", "--trials", "100000"],
+         "successes 29445 times q_c 1.54039e+305 exceeds the float range")],
+}
 
 
-class TestRejected:
-    @pytest.mark.parametrize("argv, message", [
-        pytest.param(argv, message, id=" ".join(argv))
-        for argv, message in ARGUMENT_RULES + RESULT_RULES])
-    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
-    def test_exit_2(self, capsys, monkeypatch, tmp_path, to_file, argv, message):
-        if argv[0] != "mc" and (argv, message) in ARGUMENT_RULES:
+def _rows(request):
+    return REJECTED.get(f"{request.cls.__name__}.{request.function.__name__}",
+                        []) if request.cls else []
+
+
+def pytest_generate_tests(metafunc):
+    """Run each test of REJECTED with more than one row once per row."""
+    rows = _rows(metafunc)
+    if rows and rows[0][0] is not None:
+        metafunc.parametrize("rejected", [pytest.param(row[1:], id=row[0])
+                                          for row in rows])
+
+
+@pytest.fixture
+def rejected(request):
+    (_, argv, message), = _rows(request)
+    return argv, message
+
+
+@pytest.fixture
+def exits_2(capsys, monkeypatch, tmp_path):
+    """Assert that argv exits 2 with the exact message, no stdout and no
+    file, to stdout (False) and to --out (True), warnings as errors."""
+    def check(argv, message, modes=(False, True)):
+        if argv[0] != "mc" and message != _DEGENERATE:  # an argument rule
             for owner, name in ((cli.kernel, "switched"), (cli.kernel, "cycles"),
                                 (cli, "verify_grid")):
                 monkeypatch.setattr(owner, name, _never)
         path = tmp_path / "rows.csv"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code, out, err = run_capture(capsys, [
-                *argv, *(["--out", str(path)] if to_file else [])])
-        assert (code, out, err) == (2, "", f"icotherm: error: {message}\n")
-        assert not path.exists()
+        for to_file in modes:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, err = run_capture(capsys, [
+                    *argv, *(["--out", str(path)] if to_file else [])])
+            assert (code, out, err) == (2, "", f"icotherm: error: {message}\n")
+            assert not path.exists()
+    return check
+
+
+class TestNonFiniteGrid:
+    def test_rejected_before_compute(self, exits_2, rejected):
+        exits_2(*rejected)
+
+
+class TestBadDelta:
+    def test_rejected_with_accurate_message(self, exits_2, rejected):
+        exits_2(*rejected)
+
+
+class TestBadResetTemperature:
+    def test_rejected_with_accurate_message(self, exits_2, rejected):
+        exits_2(*rejected)
+
+
+class TestBadMcTemperature:
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_rejected_with_accurate_message(self, exits_2, rejected, to_file):
+        exits_2(*rejected, modes=[to_file])
+
+
+class TestNegativeSeed:
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_rejected_with_accurate_message(self, exits_2, rejected, to_file):
+        exits_2(*rejected, modes=[to_file])
+
+
+class TestResetEnergyOverflow:
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_rejected_before_output(self, exits_2, rejected, to_file):
+        exits_2(*rejected, modes=[to_file])
+
+
+class TestMonteCarloTotalOverflow:
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_rejected_before_output(self, exits_2, rejected, to_file):
+        exits_2(*rejected, modes=[to_file])
+
+
+class TestTemperatureOverflow:
+    def test_rejected_before_output(self, exits_2, rejected):
+        exits_2(*rejected)
+
+
+class TestTemperatureUnderflow:
+    def test_rejected_before_output(self, exits_2, rejected):
+        exits_2(*rejected)
+
+
+class TestRejected:
+    def test_exit_2(self, exits_2, rejected):
+        exits_2(*rejected)
 
 
 class TestUnderflowingWork:
@@ -362,6 +464,9 @@ class TestRuntimePath:
             code, _, _ = run_capture(capsys, [cmd, "--steps", "9"])
             assert code == 0
         assert built == []
+
+    def test_degenerate_fridge_grid_writes_no_file(self, exits_2, rejected):
+        exits_2(*rejected)
 
 
 class TestParserCache:
