@@ -159,15 +159,17 @@ def make_thermalizing_channel(h: TwoLevelHamiltonian,
     return QuantumChannel(kraus=tuple(ops), dim=2)
 
 
+def _check_same_dim(a: QuantumChannel, b: QuantumChannel) -> None:
+    if a.dim != b.dim:
+        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
+
+
 def compose(first: QuantumChannel, second: QuantumChannel) -> QuantumChannel:
     """Definite-order concatenation: apply ``first``, then ``second``.
 
     Kraus set is all pairwise products second_i @ first_j.
     """
-    if first.dim != second.dim:
-        raise ValueError(
-            f"dimension mismatch: {first.dim} vs {second.dim}"
-        )
+    _check_same_dim(first, second)
     ops = tuple(s @ f for s in second.kraus for f in first.kraus)
     return QuantumChannel(kraus=ops, dim=first.dim)
 
@@ -179,8 +181,7 @@ def make_quantum_switch(ch1: QuantumChannel, ch2: QuantumChannel) -> QuantumChan
     operators pair each ordering with the matching ancilla projector; the
     Kraus products are formed eagerly (|ch1| * |ch2| operators).
     """
-    if ch1.dim != ch2.dim:
-        raise ValueError(f"dimension mismatch: {ch1.dim} vs {ch2.dim}")
+    _check_same_dim(ch1, ch2)
     for name, ch in (("ch1", ch1), ("ch2", ch2)):
         report = validate_cptp(ch)
         if not report.passed:

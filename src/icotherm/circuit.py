@@ -38,7 +38,7 @@ from .linalg import (
     validate_states,
 )
 from .channels import AncillaState, switch_closed_form
-from .thermo import TwoLevelHamiltonian, thermal_state
+from .thermo import TwoLevelHamiltonian, _check_qubit, thermal_state
 
 __all__ = [
     "Gate",
@@ -263,8 +263,7 @@ def thermal_prep_angle(rho_t: DensityMatrix) -> float:
     Applying ry(theta) to |0> and then a coherence crusher leaves the qubit in
     diag(p_g, p_e).  Requires a diagonal 2x2 input state.
     """
-    if rho_t.dim != 2:
-        raise ValueError(f"expected a 2x2 state, got dim {rho_t.dim}")
+    _check_qubit(rho_t)
     off = abs(rho_t.mat[0, 1])
     if off > TOL:
         raise ValidationError(f"state not diagonal: |off-diagonal| = {off:.3e}")

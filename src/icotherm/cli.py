@@ -54,13 +54,16 @@ def _table_text(header: list[str], rows: Iterable[Sequence], fmt: str,
     float is the shortest repr of its 12-digit value, non-finite ones as
     ``NaN``/``Infinity``, and every object ends with ``extra_json_fields``.
     ``%d`` and ``%.12g`` text holds no comma, quote or newline, so no cell
-    needs CSV quoting.
+    needs CSV quoting.  Both formats fill one template, a row's or an
+    object's, repeated once per row, with one ``%`` pass over the cells.
 
     A JSON float keeps its ``%.12g`` text, which already is that repr,
     except where one numpy pass over the float columns finds a cell x that
     is not finite, has ``|x| < 1e-300`` (0, -0.0 and the subnormals, whose
     12 digits do not round-trip) or has ``|x - rint(x)| <= 2e-11*|x|``.
-    Only those cells are parsed and respelled.  For every other cell:
+    A column with such a cell becomes a column of text: it is formatted once
+    with ``%.12g``, only the selected cells are parsed and respelled, and
+    the template writes it with ``%s``.  For every other cell:
 
     * the text is a decimal of at most 12 significant digits, and one of at
       most 15 round-trips through a normal double, so the shortest repr of
@@ -82,7 +85,6 @@ def _table_text(header: list[str], rows: Iterable[Sequence], fmt: str,
         return ",".join(header) + "\n" + ((",".join(fmts) + "\n") * n) % cells
     if not n:
         return "[]\n"
-    strs = (",".join(fmts * n) % cells).split(",")
     cols = [j for j, f in enumerate(fmts) if f == "%.12g"]
     if cols:
         x = np.array([cells[j::k] for j in cols], dtype=float)
@@ -90,16 +92,26 @@ def _table_text(header: list[str], rows: Iterable[Sequence], fmt: str,
             a = np.abs(x)
             respell = (~np.isfinite(x) | (a < 1e-300)
                        | (np.abs(x - np.rint(x)) <= 2e-11 * a))
-        col, row = np.nonzero(respell)
-        for i in (row * k + np.array(cols)[col]).tolist():
-            v = repr(float(strs[i]))
-            strs[i] = _JSON_NONFINITE.get(v, v)
-    del cells
-    fields = [f"    {json.dumps(key).replace('%', '%%')}: %s" for key in header]
+        del x, a
+        marked = respell.any(axis=1)
+        if marked.any():
+            text_cols = np.array(cols)[marked].tolist()
+            text = ("%.12g\n" * (n * len(text_cols)) % tuple(
+                itertools.chain.from_iterable(cells[j::k] for j in text_cols))).split()
+            for i in np.flatnonzero(respell[marked]).tolist():
+                v = repr(float(text[i]))
+                text[i] = _JSON_NONFINITE.get(v, v)
+            cells = list(cells)
+            for c, j in enumerate(text_cols):
+                cells[j::k] = text[c * n:(c + 1) * n]
+                fmts[j] = "%s"
+            cells = tuple(cells)
+    fields = [f"    {json.dumps(key).replace('%', '%%')}: {f}"
+              for key, f in zip(header, fmts)]
     fields += [f"    {json.dumps(key)}: {json.dumps(v)}".replace("%", "%%")
                for key, v in (extra_json_fields or {}).items()]
     obj = "  {\n" + ",\n".join(fields) + "\n  }"
-    return "[\n" + ",\n".join([obj] * n) % tuple(strs) + "\n]\n"
+    return "[\n" + ",\n".join([obj] * n) % cells + "\n]\n"
 
 
 def _emit(header: list[str], rows: Iterable[Sequence], args,

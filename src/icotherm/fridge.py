@@ -25,10 +25,11 @@ units.
 
 Every number here comes from :mod:`icotherm.kernel`, the closed form
 evaluated over a whole temperature grid at once; the functions below check
-the arguments and wrap its arrays in records.  A record builds the validated
-:class:`DensityMatrix` of a conditional state (``PostSelection.state``,
-``CycleReport.rho_minus``) only when that attribute is first read, and
-caches it.  ``switch_closed_form`` with ``post_select``, the 16-Kraus switch
+the arguments and wrap its arrays in records.  The records compute the
+conditional state's effective temperature, which no table reports, from the
+kernel's populations.  A record builds the validated :class:`DensityMatrix`
+of a conditional state (``PostSelection.state``, ``CycleReport.rho_minus``)
+only when that attribute is first read, and caches it.  ``switch_closed_form`` with ``post_select``, the 16-Kraus switch
 and the gate circuit are the independent verification path and are not
 called here.
 """
@@ -249,9 +250,11 @@ def grid(t_min: float, t_max: float, steps: int, delta: float, min_steps: int = 
     return t, kernel.absolute(t, delta)
 
 
-def _reports(c: kernel.Cycles, t_cold: list[float]) -> list[CycleReport]:
+def _reports(c: kernel.Cycles, t_cold: list[float],
+             delta: float) -> list[CycleReport]:
+    t_eff = kernel._effective_temperature(delta, c.minus.p_g, c.minus.p_e) / delta
     cols = [a.tolist() for a in (c.minus.prob, c.minus.p_g, c.minus.p_e, c.w,
-                                 c.q_c, c.minus.dq, c.eta, c.t_eff,
+                                 c.q_c, c.minus.dq, c.eta, t_eff,
                                  c.e_minus, c.e_hot)]
     return [CycleReport(t_cold=t, p_minus=p, p_g_minus=g, p_e_minus=e, w=w,
                         q_c=q_c, q_ico_minus=dq, eta=eta, t_eff_minus=t_eff,
@@ -264,7 +267,7 @@ def run_cycle(p: CycleParams) -> CycleReport:
     """Evaluate one refrigerator cycle in closed form."""
     c = kernel.cycles(p.delta, p.phi, [p.t_cold], p.t_hot, p.t_reset,
                       p.entropy_base)
-    return _reports(c, [p.t_cold])[0]
+    return _reports(c, [p.t_cold], p.delta)[0]
 
 
 def sweep(p_template: CycleParams, t_min: float, t_max: float,
@@ -277,7 +280,7 @@ def sweep(p_template: CycleParams, t_min: float, t_max: float,
     t, _ = grid(t_min, t_max, steps, p_template.delta, min_steps=2)
     c = kernel.cycles(p_template.delta, p_template.phi, t, t,
                       p_template.t_reset, p_template.entropy_base)
-    return _reports(c, t.tolist())
+    return _reports(c, t.tolist(), p_template.delta)
 
 
 def monte_carlo(p: CycleParams, trials: int, seed: int) -> MonteCarloStats:

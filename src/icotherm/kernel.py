@@ -11,7 +11,8 @@ diagonal, so projecting the ancilla on a ket b leaves, per population k,
 the conditional populations m_k / P and the heat dQ = P (delta m_e/P -
 delta p_e).  For |+>/|-> this is P-+ = (1 -+ sin(phi) (p_g³ + p_e³)) / 2.
 :func:`switched` evaluates these for a whole grid in one numpy pass and
-:func:`cycles` builds the refrigerator cycle (P-, W, Q_C, eta, T_eff) on it.
+:func:`cycles` builds the refrigerator cycle (P-, W, Q_C, eta) on it, reusing
+the cold p_e for the hot reservoir when t_hot equals t_cold.
 ``fridge`` and the CLI take every reported number from here.  The density
 matrix machinery (``switch_closed_form`` and ``post_select``, the 16-Kraus
 switch, the gate circuit) computes the same numbers independently and is the
@@ -81,8 +82,7 @@ class Switched(NamedTuple):
 
 
 class Cycles(NamedTuple):
-    """Refrigerator cycles over a grid.  Energies carry delta; ``t_eff`` is
-    the conditional state's effective temperature in delta/k_B units."""
+    """Refrigerator cycles over a grid.  Energies carry delta."""
 
     minus: Branch
     w: np.ndarray
@@ -90,7 +90,6 @@ class Cycles(NamedTuple):
     eta: np.ndarray
     e_minus: np.ndarray
     e_hot: np.ndarray
-    t_eff: np.ndarray
 
 
 def _each(f, a: np.ndarray) -> np.ndarray:
@@ -177,8 +176,10 @@ def switched(delta: float, phi: float, temps,
 
 def _xlogx(a: np.ndarray) -> np.ndarray:
     """a ln a per element, with 0 ln 0 = 0."""
-    return np.fromiter((x * math.log(x) if x > 0.0 else 0.0 for x in a.tolist()),
-                       float, a.size)
+    out = np.zeros_like(a)
+    pos = a > 0.0
+    out[pos] = a[pos] * _each(math.log, a[pos])
+    return out
 
 
 def _effective_temperature(delta: float, p_g: np.ndarray,
@@ -202,7 +203,9 @@ def cycles(delta: float, phi: float, t_cold, t_hot, t_reset: float,
     Temperatures are in delta/k_B units, as in ``fridge.CycleParams``;
     ``t_hot`` is a scalar or an array shaped like ``t_cold``.  Arguments must
     be valid (``CycleParams`` checks them) except for :func:`absolute`'s rule,
-    applied to t_cold and, after the degenerate check, to t_hot.
+    applied to t_cold and, after the degenerate check, to t_hot.  Where t_hot
+    equals t_cold (``fridge`` passes the cold grid itself), the cold p_e is
+    reused for the hot reservoir instead of computed again.
 
     eta = Q_C P- / W is evaluated without a floating-point warning.  When W
     underflows so far that Q_C P- / W leaves the float range, or W is 0
@@ -226,7 +229,10 @@ def cycles(delta: float, phi: float, t_cold, t_hot, t_reset: float,
         )
     e_minus = delta * minus.p_e
     t_hot = np.broadcast_to(t_hot, t_cold.shape)
-    e_hot = delta * _thermal_excited(delta, absolute(t_hot, delta))
+    if np.array_equal(t_hot, t_cold):
+        e_hot = delta * p_e
+    else:
+        e_hot = delta * _thermal_excited(delta, absolute(t_hot, delta))
     q_c = e_minus - e_hot
     p = minus.prob
     entropy = -(_xlogx(p) + _xlogx(1.0 - p))
@@ -236,5 +242,4 @@ def cycles(delta: float, phi: float, t_cold, t_hot, t_reset: float,
     q = q_c * p
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         eta = np.where(q == 0.0, q, q / w)
-    t_eff = _effective_temperature(delta, minus.p_g, minus.p_e) / delta
-    return Cycles(minus, w, q_c, eta, e_minus, e_hot, t_eff)
+    return Cycles(minus, w, q_c, eta, e_minus, e_hot)

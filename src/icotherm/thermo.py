@@ -56,6 +56,11 @@ def _check_phi(phi: float) -> None:
         raise ValueError(f"phi must lie in [0, pi], got {phi}")
 
 
+def _check_qubit(rho: DensityMatrix) -> None:
+    if rho.dim != 2:
+        raise ValueError(f"expected a 2x2 state, got dim {rho.dim}")
+
+
 def _check_entropy_base(base: float) -> None:
     if not base > 1.0:
         raise ValueError(f"entropy_base must exceed 1, got {base}")
@@ -112,8 +117,7 @@ def thermal_state(h: TwoLevelHamiltonian, temperature: float) -> DensityMatrix:
 
 def internal_energy(rho: DensityMatrix, h: TwoLevelHamiltonian) -> float:
     """Tr(rho H) = delta * p_e for a two-level state."""
-    if rho.dim != 2:
-        raise ValueError(f"expected a 2x2 state, got dim {rho.dim}")
+    _check_qubit(rho)
     return h.delta * float(rho.mat[1, 1].real)
 
 
@@ -130,8 +134,7 @@ def effective_temperature(rho: DensityMatrix, h: TwoLevelHamiltonian) -> float:
     ValidationError
         If the state has off-diagonal magnitude above 1e-8.
     """
-    if rho.dim != 2:
-        raise ValueError(f"expected a 2x2 state, got dim {rho.dim}")
+    _check_qubit(rho)
     off = abs(rho.mat[0, 1])
     if off > _DIAG_TOL:
         raise ValidationError(

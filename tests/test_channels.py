@@ -280,3 +280,10 @@ class TestChannelProperties:
             out = apply_channel(ch, rho)
             assert abs(np.trace(out.mat).real - 1.0) <= 1e-10
             assert np.linalg.eigvalsh(out.mat)[0] >= -1e-10
+
+
+@pytest.mark.parametrize("combine", [compose, make_quantum_switch])
+def test_dimension_mismatch_message(combine):
+    with pytest.raises(ValueError) as err:
+        combine(identity_channel(2), identity_channel(4))
+    assert str(err.value) == "dimension mismatch: 2 vs 4"

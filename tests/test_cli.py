@@ -558,6 +558,15 @@ class TestEarlyOutRejection:
 # circuit-verify-toffoli.json before a grid ran its gates block by block.
 GOLDEN = Path(__file__).parent / "golden"
 
+# Tables whose JSON float columns hold only whole numbers (phi, P+-, q_c and
+# eta are 0.0 or 1.0), so every cell of them is respelled; captured before
+# the JSON writer formatted its cells in one pass.
+ALL_RESPELLED = {
+    ("probs", "--phi", "0", "--basis", "computational", "--format", "json"):
+        "probs-phi0-computational.json",
+    ("fridge", "--phi", "0", "--format", "json"): "fridge-phi0.json",
+}
+
 # `mc --trials 196615` with these flags, captured before monte_carlo drew its
 # uniforms in blocks.
 MC_SEEDED = {
@@ -588,6 +597,11 @@ class TestGoldenBytes:
     def test_default_sweep_tables(self, capsys, cmd, fmt):
         code, out, _ = run_capture(capsys, [cmd, "--format", fmt])
         assert code == 0 and out == (GOLDEN / f"{cmd}.{fmt}").read_text()
+
+    @pytest.mark.parametrize("argv", list(ALL_RESPELLED))
+    def test_all_respelled_json_columns(self, capsys, argv):
+        code, out, _ = run_capture(capsys, list(argv))
+        assert code == 0 and out == (GOLDEN / ALL_RESPELLED[argv]).read_text()
 
 
 class TestConsoleEntry:

@@ -94,7 +94,9 @@ def test_cycles_equal_matrix_path(phi, delta, t_hot, base):
         assert c.w[i] == w
         assert c.eta[i] == (e_minus - e_hot) * ps.probability / w
         assert c.minus.dq[i] == ps.probability * (e_minus - internal_energy(rho_t, h))
-        assert c.t_eff[i] == effective_temperature(ps.state, h) / delta
+        r = fridge.run_cycle(CycleParams(delta=delta, t_hot=th, t_cold=t,
+                                         t_reset=t_reset, phi=phi, entropy_base=base))
+        assert r.t_eff_minus == effective_temperature(ps.state, h) / delta
 
 
 @pytest.mark.parametrize("basis", sorted(kernel.BASES))
@@ -132,12 +134,13 @@ def test_effective_temperature_sentinels():
     # (T_eff = 0) and the maximally mixed state at t = inf (T_eff = inf).
     h = TwoLevelHamiltonian(1.0)
     temps = [1e-3, math.inf]
-    c = kernel.cycles(1.0, 0.0, temps, 1.0, 1.0)
-    assert c.t_eff.tolist() == [0.0, math.inf]
+    t_eff = [fridge.run_cycle(CycleParams(t_hot=1.0, t_cold=t, phi=0.0)).t_eff_minus
+             for t in temps]
+    assert t_eff == [0.0, math.inf]
     for i, t in enumerate(temps):
         rho_t = thermal_state(h, t)
         ps = post_select(switch_closed_form(AncillaState(0.0), rho_t, rho_t), "minus")
-        assert c.t_eff[i] == effective_temperature(ps.state, h)
+        assert t_eff[i] == effective_temperature(ps.state, h)
 
 
 def test_degenerate_first_point_raises_matrix_path_message():
@@ -222,3 +225,69 @@ def test_kernel_matches_kraus_switch(temperature, phi, delta, basis):
     for branch, (prob, dq) in zip(sw, _kraus_outcomes(delta, temperature, phi, basis)):
         assert abs(branch.prob[0] - prob) <= tol
         assert abs(branch.dq[0] - dq) <= tol
+
+
+# Probabilities the refrigerator feeds to the erasure entropy, and their
+# complements: P- over the test grid at every phi, then a uniform grid.
+_P_GRIDS = [kernel.cycles(1.0, phi, np.array(T_GRID[1:]), 1.0, 1.0).minus.prob
+            for phi in PHIS] + [np.linspace(0.0, 1.0, 1001)]
+
+
+@pytest.mark.parametrize("p", [
+    np.array([0.0, 5e-324, 2.2250738585072014e-308, 0.5, 1.0 - 2.0 ** -53, 1.0]),
+    *_P_GRIDS, *(1.0 - p for p in _P_GRIDS)])
+def test_xlogx_equals_scalar_loop(p):
+    want = [x * math.log(x) if x > 0.0 else 0.0 for x in p.tolist()]
+    got = kernel._xlogx(p)
+    assert got.shape == p.shape
+    assert got.view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
+
+
+def _count_thermal_excited(monkeypatch):
+    calls = []
+    real = kernel._thermal_excited
+
+    def counting(delta, temps):
+        calls.append(len(np.asarray(temps)))
+        return real(delta, temps)
+
+    monkeypatch.setattr(kernel, "_thermal_excited", counting)
+    return calls
+
+
+@pytest.mark.parametrize("delta, phi", [(1.0, math.pi / 2), (1.7, 1.234567)])
+@pytest.mark.parametrize("hot", ["same", "copy", "scalar"])
+def test_cycles_reuses_cold_populations_for_equal_hot(monkeypatch, delta, phi, hot):
+    t = np.full(7, 0.7) if hot == "scalar" else np.array(T_GRID[1:])
+    t_hot = {"same": t, "copy": t.copy(), "scalar": 0.7}[hot]
+    calls = _count_thermal_excited(monkeypatch)
+    c = kernel.cycles(delta, phi, t, t_hot, 0.8, 2.0)
+    assert calls == [len(t)]
+    # The same temperatures with one more, distinct hot point run the
+    # two-call path; every field agrees on the shared points.
+    calls.clear()
+    two = kernel.cycles(delta, phi, np.append(t, 0.5), np.append(t, 0.9), 0.8, 2.0)
+    assert calls == [len(t) + 1, len(t) + 1]
+    for got, want in zip((*c.minus, *c[1:]), (*two.minus, *two[1:])):
+        if isinstance(got, str):
+            assert got == want
+        else:
+            assert np.array_equal(got, want[:-1], equal_nan=got.dtype == float)
+
+
+def test_cycles_computes_a_different_hot_grid(monkeypatch):
+    t = np.array(T_GRID[1:])
+    calls = _count_thermal_excited(monkeypatch)
+    for t_hot in (0.4, t * 1.5, np.where(t == 1.0, 1.5, t)):
+        calls.clear()
+        kernel.cycles(1.0, math.pi / 2, t, t_hot, 1.0)
+        assert calls == [len(t), len(t)]
+
+
+def test_cycles_checks_t_hot_after_the_degenerate_verdict():
+    # The order mc's messages rely on: a degenerate t_cold is named before
+    # an overflowing t_hot * delta, and a sound t_cold lets t_hot's fire.
+    with pytest.raises(DegenerateCycleError, match="at t_cold=0.01$"):
+        kernel.cycles(1e308, math.pi / 2, [0.01], 2.0, 1.0)
+    with pytest.raises(ValueError, match="temperature 2.0 times delta 1e"):
+        kernel.cycles(1e308, math.pi / 2, [1.0], 2.0, 1e-308)

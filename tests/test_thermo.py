@@ -10,6 +10,7 @@ from icotherm.channels import (
     make_thermalizing_channel,
     switch_closed_form,
 )
+from icotherm.circuit import thermal_prep_angle
 from icotherm.fridge import ico_point
 from icotherm.linalg import DensityMatrix, ValidationError, kron, random_density_matrix
 from icotherm.thermo import (
@@ -309,3 +310,14 @@ class TestTwoLevelHamiltonian:
         for delta in (0.0, -1.0, math.inf):
             with pytest.raises(ValueError):
                 TwoLevelHamiltonian(delta)
+
+
+@pytest.mark.parametrize("check", [lambda rho: internal_energy(rho, H),
+                                   lambda rho: effective_temperature(rho, H),
+                                   thermal_prep_angle],
+                         ids=["internal_energy", "effective_temperature",
+                              "thermal_prep_angle"])
+def test_qubit_only_message(check):
+    with pytest.raises(ValueError) as err:
+        check(DensityMatrix(np.eye(4) / 4, dims=(2, 2)))
+    assert str(err.value) == "expected a 2x2 state, got dim 4"
