@@ -19,6 +19,14 @@ Gates act as basis permutations (X, SWAP, CSWAP, Toffoli) and axis updates
 coherences) on the last two axes of a state or of a stack of states, so
 :func:`verify_grid` runs each gate once for a whole block of grid points.
 The intermediate states of a run are validated in batched passes.
+
+The circuit runs in real arithmetic.  Every unitary kind (RY, X, SWAP,
+CSWAP, Toffoli) is a real orthogonal matrix, the crusher only zeroes
+entries, and the start state |0000><0000| and both angles (theta and phi)
+are real, so every state of a run is a real symmetric matrix: its states,
+gates and checks are float64, and U rho U^T is U rho U†.
+:func:`build_switch_circuit` still returns its final state as a complex
+:class:`DensityMatrix`.
 """
 
 from __future__ import annotations
@@ -62,9 +70,10 @@ __all__ = [
 
 # Grid points whose gates run as one stack, and states per validate_states
 # call.  A block's arrays have a fixed size, so memory does not grow with the
-# grid.  Larger sizes are faster but hold more memory: on the circuit_verify
-# benchmark, 8 points and 32-state chunks raised peak RSS by 6.8 %, these by
-# 3.3 %.
+# grid.  Larger sizes hold more memory: with float64 states, over 600
+# circuit_verify requests in one process, these raised peak RSS by 0.5 MB
+# (1.4 %) over one point at a time, and 8 points with 32-state chunks by
+# 0.6 MB (1.7 %), with no speed gain beyond the host's run-to-run swings.
 _BLOCK = 6
 _CHUNK = 16
 
@@ -133,23 +142,24 @@ def _ry_matrix(angle: float) -> list[list[float]]:
 def gate_unitary(g: Gate) -> np.ndarray:
     """Local unitary of a gate on its own targets (crush has none).
 
-    An ry gate with a tuple of angles gives a stack of 2x2 unitaries.
+    An ry gate with a tuple of angles gives a stack of 2x2 unitaries.  Every
+    kind is real orthogonal, so the matrix is float64; conjugating it
+    changes nothing, and it applies to complex states as well.
     """
     if g.kind == "ry":
         u = np.array([_ry_matrix(a) for a in g.angle]
-                     if isinstance(g.angle, tuple) else _ry_matrix(g.angle),
-                     dtype=complex)
+                     if isinstance(g.angle, tuple) else _ry_matrix(g.angle))
     elif g.kind == "x":
-        u = np.array([[0, 1], [1, 0]], dtype=complex)
+        u = np.array([[0.0, 1.0], [1.0, 0.0]])
     elif g.kind == "swap":
-        u = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
+        u = np.eye(4)[[0, 2, 1, 3]]
     elif g.kind == "cswap":
-        u = np.eye(8, dtype=complex)
+        u = np.eye(8)
         # local order (control, a, b); swap the a/b bits on the active branch
         base = 0 if g.control_value == 0 else 4
         u[[base + 1, base + 2]] = u[[base + 2, base + 1]]
     elif g.kind == "toffoli":
-        u = np.eye(8, dtype=complex)
+        u = np.eye(8)
         u[[6, 7]] = u[[7, 6]]
     elif g.kind == "crush":
         raise ValueError("crush is not unitary")
@@ -223,12 +233,12 @@ def _step(rho: np.ndarray, g: Gate, n: int) -> np.ndarray:
         v[..., 0, :, 1, :] = v[..., 1, :, 0, :] = 0.0
         return out
     if g.kind == "ry":
-        # U rho U†: U mixes the row halves of the target bit, then conj(U)
+        # U rho U†: the real U mixes the row halves of the target bit, then
         # the column halves; the length-2 axis of each (..., lead, 2, rest)
         # view is that bit.
         u = gate_unitary(g)[..., None, :, :]
         rows = (u @ rho.reshape(*lead, 1 << t, 2, -1)).reshape(rho.shape)
-        return symmetrize((u.conj() @ rows.reshape(*lead, dim << t, 2, -1))
+        return symmetrize((u @ rows.reshape(*lead, dim << t, 2, -1))
                           .reshape(rho.shape))
     p = _permutation(g, n)
     return rho.take(p, -2).take(p, -1)
@@ -292,20 +302,23 @@ def _run_gates(theta: float | tuple[float, ...], phi: float | tuple[float, ...],
 
     Float angles run one point on a 16x16 state; tuples (one thermal
     preparation angle and one ancilla angle per point) run a ``(points, 16,
-    16)`` stack.  Every intermediate state is validated before the last gate,
-    in chunks of ``_CHUNK`` states taken point by point, so the state-by-state
-    re-check of a failing chunk names the first bad state of the first bad
-    point.
+    16)`` stack.  The run starts from a float64 state, and the states keep
+    the dtype the steps give them: a step that returns a complex array makes
+    the stack complex, so no imaginary part is dropped.  Every intermediate
+    state is validated before the last gate, in chunks of ``_CHUNK`` states
+    taken point by point, so the state-by-state re-check of a failing chunk
+    names the first bad state of the first bad point.
     """
     lead = (len(phi),) if isinstance(phi, tuple) else ()
-    rho = np.zeros((*lead, 16, 16), dtype=complex)
+    rho = np.zeros((*lead, 16, 16))
     rho[..., 0, 0] = 1.0
     gates = [g for q in (1, 2, 3) for g in (ry(q, theta), crush(q))]
     gates += [ry(0, phi), *_routing_gates(decompose_cswap)]
-    states = np.empty((*lead, len(gates) - 1, 16, 16), dtype=complex)
-    for i, g in enumerate(gates[:-1]):
-        states[..., i, :, :] = rho = _step(rho, g, 4)
-    states = states.reshape(-1, 16, 16)
+    steps = []
+    for g in gates[:-1]:
+        rho = _step(rho, g, 4)
+        steps.append(rho)
+    states = np.stack(steps, axis=-3).reshape(-1, 16, 16)
     for i in range(0, len(states), _CHUNK):
         validate_states(states[i:i + _CHUNK])
     return _step(rho, gates[-1], 4)

@@ -62,8 +62,9 @@ def _table_text(header: list[str], rows: Iterable[Sequence], fmt: str,
     is not finite, has ``|x| < 1e-300`` (0, -0.0 and the subnormals, whose
     12 digits do not round-trip) or has ``|x - rint(x)| <= 2e-11*|x|``.
     A column with such a cell becomes a column of text: it is formatted once
-    with ``%.12g``, only the selected cells are parsed and respelled, and
-    the template writes it with ``%s``.  For every other cell:
+    with ``%.12g``, only the selected cells are respelled (each distinct
+    text is parsed once), and the template writes it with ``%s``.  For
+    every other cell:
 
     * the text is a decimal of at most 12 significant digits, and one of at
       most 15 round-trips through a normal double, so the shortest repr of
@@ -98,9 +99,15 @@ def _table_text(header: list[str], rows: Iterable[Sequence], fmt: str,
             text_cols = np.array(cols)[marked].tolist()
             text = ("%.12g\n" * (n * len(text_cols)) % tuple(
                 itertools.chain.from_iterable(cells[j::k] for j in text_cols))).split()
-            for i in np.flatnonzero(respell[marked]).tolist():
-                v = repr(float(text[i]))
-                text[i] = _JSON_NONFINITE.get(v, v)
+            # Each distinct text is respelled once: a constant column costs
+            # one repr, not one per row.
+            picked = np.flatnonzero(respell[marked]).tolist()
+            spelled = {}
+            for s in {text[i] for i in picked}:
+                v = repr(float(s))
+                spelled[s] = _JSON_NONFINITE.get(v, v)
+            for i in picked:
+                text[i] = spelled[text[i]]
             cells = list(cells)
             for c, j in enumerate(text_cols):
                 cells[j::k] = text[c * n:(c + 1) * n]

@@ -75,8 +75,14 @@ def validate_states(states: np.ndarray) -> np.ndarray:
     the check :class:`DensityMatrix` runs on its state.  A stack that fails
     is checked again state by state, so the error raised is the one a loop
     over the states raises first.
+
+    A real stack stays real (the circuit's states are real symmetric), and
+    any other stack is checked as complex.  Each check then gives the
+    verdict and message it gives on the stack cast to complex: the
+    non-finite, Hermiticity and trace defects of a real matrix equal those
+    of its complex copy, and :func:`_check_states` casts before ``eigvalsh``.
     """
-    a = np.asarray(states, dtype=complex)
+    a = np.asarray(states, dtype=complex if np.iscomplexobj(states) else float)
     try:
         return _check_states(a)
     except (ValueError, ValidationError):
@@ -103,8 +109,11 @@ def _check_states(a: np.ndarray) -> np.ndarray:
     matrix, and lambda_min(a) > -TOL + 1e-12 - O(d^2 eps ||a||).  A state
     that passed the trace check and the certificate has ||a|| <= 1 + d TOL,
     so for d <= 16 that error is about 3e-14, and ``eigvalsh`` (error
-    O(d eps ||a||)) would have accepted it too.  When the factorization
-    fails, ``eigvalsh`` decides exactly as before, with the same message.
+    O(d eps ||a||)) would have accepted it too.  Real Cholesky is backward
+    stable in the same way, so a real stack is certified in real arithmetic.
+    When the factorization fails, ``eigvalsh`` decides on the stack cast to
+    complex, so a real stack gets the verdict and message of its complex
+    copy.
     """
     if not np.isfinite(a).all():
         raise ValueError("density matrix contains non-finite entries")
@@ -120,7 +129,7 @@ def _check_states(a: np.ndarray) -> np.ndarray:
     try:
         np.linalg.cholesky(a + _shift(a.shape[-1]))
     except np.linalg.LinAlgError:
-        min_eig = float(np.linalg.eigvalsh(a).min())
+        min_eig = float(np.linalg.eigvalsh(a.astype(complex)).min())
         if min_eig < -TOL:
             raise ValidationError(
                 f"state has negative eigenvalue {min_eig:.3e}"

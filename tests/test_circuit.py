@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -300,9 +301,11 @@ def test_apply_gate_matches_dense_reference(case):
 
 
 def _corrupt(kind, rho):
-    bad = rho.copy()
+    bad = rho.astype(complex) if kind == "imaginary" else rho.copy()
     if kind == "hermiticity":
         bad[0, 1] += 1e-6
+    elif kind == "imaginary":  # a real run must not drop it
+        bad[0, 1] += 1e-6j
     elif kind == "trace":
         bad *= 1.001
     else:  # move weight off the smallest population: a negative eigenvalue
@@ -312,8 +315,11 @@ def _corrupt(kind, rho):
     return bad
 
 
+_KINDS = ["hermiticity", "imaginary", "trace", "eigenvalue"]
+
+
 @pytest.mark.parametrize("decompose", [False, True])
-@pytest.mark.parametrize("kind", ["hermiticity", "trace", "eigenvalue"])
+@pytest.mark.parametrize("kind", _KINDS)
 @pytest.mark.parametrize("where", ["first", "middle", "second_to_last", "last"])
 def test_every_intermediate_state_is_validated(monkeypatch, decompose, kind, where):
     gates = 7 + (16 if decompose else 4)
@@ -330,7 +336,8 @@ def test_every_intermediate_state_is_validated(monkeypatch, decompose, kind, whe
         return out
 
     monkeypatch.setattr(circuit, "_step", corrupting)
-    with pytest.raises(ValidationError) as got:
+    with warnings.catch_warnings(), pytest.raises(ValidationError) as got:
+        warnings.simplefilter("error")
         build_switch_circuit(H, 0.9, 1.2, decompose_cswap=decompose)
     # all intermediate states are built before the one batched check
     assert len(calls) == (gates if where == "last" else gates - 1)
@@ -367,7 +374,7 @@ def test_grid_equals_one_point_calls(temps, phis, decompose):
 
 
 @pytest.mark.parametrize("decompose", [False, True])
-@pytest.mark.parametrize("kind", ["hermiticity", "trace", "eigenvalue"])
+@pytest.mark.parametrize("kind", _KINDS)
 @pytest.mark.parametrize("where", ["first", "middle", "last"])
 def test_grid_names_the_corrupted_state(monkeypatch, decompose, kind, where):
     # Point 10 of a 3 x 4 grid is corrupted in a later block.  Point 11, in
@@ -387,13 +394,16 @@ def test_grid_names_the_corrupted_state(monkeypatch, decompose, kind, where):
         if len(calls) == other:
             out[p + 1] *= 1.01
         if len(calls) == at:
-            out[p] = _corrupt(kind, out[p])
-            seen.append(out[p].copy())
+            bad = _corrupt(kind, out[p])
+            out = out.astype(bad.dtype)
+            out[p] = bad
+            seen.append(bad)
         calls.append(g)
         return out
 
     monkeypatch.setattr(circuit, "_step", corrupting)
-    with pytest.raises(ValidationError) as got:
+    with warnings.catch_warnings(), pytest.raises(ValidationError) as got:
+        warnings.simplefilter("error")
         verify_grid(H, [0.5, 0.9, 2.0], [0.0, 0.7, 1.2, math.pi],
                     decompose_cswap=decompose)
     assert len(calls) == first + gates - (where != "last")
@@ -418,3 +428,44 @@ def test_grid_checks_every_phi_before_any_thermal_state(monkeypatch):
     monkeypatch.setattr(circuit, "thermal_state", None)
     with pytest.raises(ValueError, match="phi must lie"):
         verify_grid(H, [1.0, 2.0], [0.5, 4.0])
+
+
+# Temperatures from p_e ~ 0 to p_e = 1/2, and phi at both ends and between.
+_REAL_TEMPS = [*(10.0 ** k for k in range(-3, 4)), math.inf]
+_REAL_PHIS = [0.0, 0.7, math.pi / 2, math.pi]
+
+
+@pytest.mark.parametrize("decompose", [False, True])
+def test_real_run_equals_complex_run(monkeypatch, decompose):
+    # Every gate is real, so the float64 run is the complex128 run's real
+    # part, bit for bit, and that run's imaginary parts are all zero.
+    thetas = [thermal_prep_angle(thermal_state(H, t)) for t in _REAL_TEMPS]
+    points = [(th, ph) for th in thetas for ph in _REAL_PHIS]
+    step = circuit._step
+    # One point at a time, and all of them as one stack.
+    runs = [*points, tuple(zip(*points))]
+    for theta, phi in runs:
+        gates = []
+
+        def recording(rho, g, n):
+            gates.append(g)
+            return step(rho, g, n)
+
+        monkeypatch.setattr(circuit, "_step", recording)
+        real = circuit._run_gates(theta, phi, decompose)
+        assert real.dtype == np.float64
+        rho = np.zeros(real.shape, dtype=complex)
+        rho[..., 0, 0] = 1.0
+        for g in gates:
+            rho = step(rho, g, 4)
+        assert rho.dtype == np.complex128
+        assert np.array_equal(real, rho.real) and not rho.imag.any()
+
+
+@pytest.mark.parametrize("decompose", [False, True])
+def test_grid_equals_complex_grid(monkeypatch, decompose):
+    want = verify_grid(H, _REAL_TEMPS, _REAL_PHIS, decompose_cswap=decompose)
+    step = circuit._step
+    monkeypatch.setattr(circuit, "_step",
+                        lambda rho, g, n: step(rho.astype(complex), g, n))
+    assert verify_grid(H, _REAL_TEMPS, _REAL_PHIS, decompose_cswap=decompose) == want

@@ -184,6 +184,78 @@ class TestValidateStates:
             np.testing.assert_array_equal(m, DensityMatrix(m).mat)
 
 
+def _real_state(dim, min_eig, rng):
+    """Real Q diag(lambda) Q^T of unit trace whose smallest eigenvalue is min_eig."""
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+    rest = rng.random(dim - 1) + 0.05
+    lam = np.concatenate([[min_eig], rest * (1.0 - min_eig) / rest.sum()])
+    return (q * lam) @ q.T
+
+
+def _spoil(kind, m, size):
+    """A copy of the real state m failing one check by a defect of ``size``."""
+    bad = m.copy()
+    if kind == "non-finite":
+        bad[0, 0] = [np.nan, np.inf][size > 1e-3]
+    elif kind == "hermiticity":
+        bad[0, 1] += size
+    elif kind == "trace":
+        bad *= 1.0 + size
+    else:  # move weight off the smallest eigenvalue's direction
+        _, v = np.linalg.eigh(m)
+        bad += size * (np.outer(v[:, -1], v[:, -1]) - np.outer(v[:, 0], v[:, 0]))
+    return bad
+
+
+class TestRealStacks:
+    """A real stack stays real and is judged as its complex copy would be."""
+
+    def test_real_stack_stays_real(self):
+        rng = np.random.default_rng(11)
+        a = np.array([_real_state(16, 0.0, rng) for _ in range(4)])
+        a[1, 2, 3] += 1e-13  # Hermiticity drift inside TOL
+        out = validate_states(a)
+        assert out.dtype == np.float64
+        assert np.array_equal(out, symmetrize(a))
+        assert np.array_equal(validate_states(a[1]), symmetrize(a[1]))
+        assert np.array_equal(validate_states(a.astype(complex)), out)
+
+    @pytest.mark.parametrize("kind", ["non-finite", "hermiticity", "trace",
+                                      "eigenvalue"])
+    @pytest.mark.parametrize("dim", [2, 16])
+    def test_rejections_match_complex(self, kind, dim):
+        # State 2 fails; state 4 fails the same check by more, so the
+        # batched pass sees state 4's defect and the re-check names state 2.
+        rng = np.random.default_rng(12)
+        a = np.array([_real_state(dim, 0.0, rng) for _ in range(5)])
+        a[2] = _spoil(kind, a[2], 2.5e-10 if kind == "eigenvalue" else 1e-6)
+        a[4] = _spoil(kind, a[4], 1e-2)
+        verdicts = []
+        for m in (a, a[2]):
+            for stack in (m, m.astype(complex)):
+                with pytest.raises((ValueError, ValidationError)) as e:
+                    validate_states(stack)
+                verdicts.append((type(e.value), str(e.value)))
+        with pytest.raises((ValueError, ValidationError)) as e:
+            DensityMatrix(a[2])
+        assert verdicts == [(type(e.value), str(e.value))] * 4
+
+    def test_verdict_at_the_bound_is_the_complex_verdict(self):
+        # Within rounding of -TOL, real and complex eigvalsh can fall on
+        # opposite sides of the bound: a real state gets the complex verdict.
+        rng = np.random.default_rng(13)
+        for _ in range(300):
+            m = _real_state(16, -TOL * (1 + rng.uniform(-3e-5, 3e-5)), rng)
+            verdicts = []
+            for a in (m, m.astype(complex)):
+                try:
+                    validate_states(a)
+                    verdicts.append(None)
+                except ValidationError as e:
+                    verdicts.append(str(e))
+            assert verdicts[0] == verdicts[1]
+
+
 def _state_with_min_eig(dim, min_eig, rng):
     """U diag(lambda) U† of unit trace whose smallest eigenvalue is min_eig."""
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
