@@ -19,6 +19,9 @@ Gates act as basis permutations (X, SWAP, CSWAP, Toffoli) and axis updates
 coherences) on the last two axes of a state or of a stack of states, so
 :func:`verify_grid` runs each gate once for a whole block of grid points.
 The intermediate states of a run are validated in batched passes.
+:func:`verify_grid` takes the thermal populations and the closed-form
+reference it compares the circuit with from :mod:`icotherm.kernel`, and
+validates them as stacks; the kernel runs none of the gates.
 
 The circuit runs in real arithmetic.  Every unitary kind (RY, X, SWAP,
 CSWAP, Toffoli) is a real orthogonal matrix, the crusher only zeroes
@@ -45,8 +48,10 @@ from .linalg import (
     symmetrize,
     validate_states,
 )
-from .channels import AncillaState, switch_closed_form
-from .thermo import TwoLevelHamiltonian, _check_qubit, thermal_state
+from .channels import AncillaState
+from .kernel import _blocks, _thermal_excited
+from .thermo import (TwoLevelHamiltonian, _check_positive, _check_qubit,
+                     thermal_state)
 
 __all__ = [
     "Gate",
@@ -74,6 +79,9 @@ __all__ = [
 # circuit_verify requests in one process, these raised peak RSS by 0.5 MB
 # (1.4 %) over one point at a time, and 8 points with 32-state chunks by
 # 0.6 MB (1.7 %), with no speed gain beyond the host's run-to-run swings.
+# Validating all of a block's intermediate states in one call was slower
+# (x0.91-0.92 in points per second, in-process): Cholesky costs the same per
+# state, so the cost follows the number of states, not the number of calls.
 _BLOCK = 6
 _CHUNK = 16
 
@@ -345,11 +353,38 @@ def verify_against_kraus(h: TwoLevelHamiltonian, temperature: float,
     """Max entry distance between the circuit marginal and the block closed form.
 
     Traces the reservoir qubits out of the circuit output and compares the
-    ancilla + substance state against :func:`switch_closed_form` computed for
-    the same temperature and control angle.  Only the input thermal state is
-    shared: the two paths share no switch logic.  One point of :func:`verify_grid`.
+    ancilla + substance state against the closed form for the same
+    temperature and control angle.  The reference comes from
+    :mod:`icotherm.kernel`, whose entries equal :func:`switch_closed_form`'s
+    bit for bit; the circuit shares only the thermal populations with it and
+    runs every gate itself.  One point of :func:`verify_grid`.
     """
     return verify_grid(h, [temperature], [phi], decompose_cswap)[0]
+
+
+# (row, column) offsets of the ancilla blocks 00, 01, 10, 11 in a 4x4 state.
+_BLOCK_OFFSETS = ((0, 0), (0, 2), (2, 0), (2, 2))
+
+
+def _reference(delta: float, temps: Sequence[float],
+               phis: Sequence[float]) -> np.ndarray:
+    """Closed-form ancilla + substance state at each (temps[k], phis[k]) point.
+
+    ``temps`` are absolute temperatures.  One :func:`kernel._blocks` call per
+    distinct phi gives the diagonals of the four ancilla blocks; they go on
+    the ``(k, k)`` entries of each block, k = g, e, of a ``(points, 4, 4)``
+    float64 stack, which is validated as one stack.  Its entries equal the
+    real part of ``switch_closed_form(AncillaState(phi), rho_t, rho_t).mat``
+    bit for bit, and that matrix has no imaginary part.
+    """
+    ref = np.zeros((len(phis), 4, 4))
+    for phi in dict.fromkeys(phis):
+        rows = [k for k, ph in enumerate(phis) if ph == phi]
+        _, blocks = _blocks(delta, phi, [temps[k] for k in rows])
+        for k, diagonals in enumerate(blocks):
+            for (r, c), d in zip(_BLOCK_OFFSETS, diagonals):
+                ref[rows, r + k, c + k] = d
+    return validate_states(ref)
 
 
 def verify_grid(h: TwoLevelHamiltonian, temps: Sequence[float],
@@ -357,31 +392,42 @@ def verify_grid(h: TwoLevelHamiltonian, temps: Sequence[float],
     """:func:`verify_against_kraus` at every (temperature, phi) pair.
 
     Returns the distances with temperatures outer and phis inner.  Every phi
-    is checked before any thermal state is built; each temperature gets one
-    thermal state and one preparation angle.
+    is checked first, then every temperature in order, with the rules and
+    messages of :class:`AncillaState` and :func:`thermal_state`.  The thermal
+    states diag(p_g, p_e) come from one :func:`kernel._thermal_excited` call
+    and are validated as one stack; each temperature's preparation angle is
+    taken from that stack as :func:`thermal_prep_angle` takes it.
     The circuit runs ``_BLOCK`` points at a time on one stack, and each block
     is reduced to its distances before the next one starts, so memory does
-    not grow with the grid.  The final states and the ancilla + substance
-    marginals are validated as stacks; the reference is the per-point
-    :func:`switch_closed_form`.
+    not grow with the grid.  The final states, the ancilla + substance
+    marginals and the block's closed-form reference (:func:`_reference`) are
+    validated as stacks.
     """
     ancillas = [AncillaState(ph) for ph in phis]
-    rho_ts = [thermal_state(h, temp) for temp in temps]
-    thetas = [thermal_prep_angle(rho_t) for rho_t in rho_ts]
+    temps = list(temps)
+    for temp in temps:
+        _check_positive("temperature", temp)
+    if not temps:
+        return []
+    p_e = _thermal_excited(h.delta, temps)
+    rho_ts = np.zeros((len(temps), 2, 2))
+    rho_ts[:, 0, 0] = 1.0 - p_e
+    rho_ts[:, 1, 1] = p_e
+    rho_ts = validate_states(rho_ts)
+    thetas = [math.acos(min(max(g - e, -1.0), 1.0))
+              for g, e in zip(rho_ts[:, 0, 0].tolist(), rho_ts[:, 1, 1].tolist())]
     m = len(ancillas)
-    points = len(rho_ts) * m
+    points = len(temps) * m
     out: list[float] = []
     for start in range(0, points, _BLOCK):
         block = [divmod(k, m) for k in range(start, min(start + _BLOCK, points))]
-        rho = _run_gates(tuple(thetas[i] for i, _ in block),
-                         tuple(ancillas[j].phi for _, j in block),
+        phi = tuple(ancillas[j].phi for _, j in block)
+        rho = _run_gates(tuple(thetas[i] for i, _ in block), phi,
                          decompose_cswap)
         # partial_trace's order: reservoir 2 (qubit 3) first, then reservoir 1.
         a = validate_states(rho).reshape(-1, *(2,) * 8)
         a = np.trace(np.trace(a, axis1=4, axis2=8), axis1=3, axis2=6)
         marginals = validate_states(a.reshape(-1, 4, 4))
-        expected = np.array([switch_closed_form(ancillas[j], rho_ts[i],
-                                                rho_ts[i]).mat
-                             for i, j in block])
+        expected = _reference(h.delta, [temps[i] for i, _ in block], phi)
         out += np.abs(marginals - expected).max(axis=(1, 2)).tolist()
     return out

@@ -16,9 +16,13 @@ the cold p_e for the hot reservoir when t_hot equals t_cold.
 ``fridge`` and the CLI take every reported number from here.  The density
 matrix machinery (``switch_closed_form`` and ``post_select``, the 16-Kraus
 switch, the gate circuit) computes the same numbers independently and is the
-verification path; the tests hold the two paths equal.  The kernel does not
-check its arguments; the entries that take them do.  Only :func:`absolute`
-and the degenerate verdict of :func:`cycles` raise ``ValueError``.
+verification path; the tests hold the two paths equal.  The gate circuit's
+check (``circuit.verify_grid``) takes its thermal populations and its
+closed-form reference from :func:`_thermal_excited` and :func:`_blocks`,
+whose entries equal ``switch_closed_form``'s bit for bit, and runs every gate
+itself.  The kernel does not check its arguments; the entries that take them
+do.  Only :func:`absolute` and the degenerate verdict of :func:`cycles` raise
+``ValueError``.
 
 The arithmetic repeats the matrix path's floating-point operations in the
 same order, so both paths agree bit for bit and the CLI's 12-digit tables do

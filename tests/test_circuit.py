@@ -252,18 +252,24 @@ class TestSwitchCircuit:
 
     @pytest.mark.parametrize("decompose", [False, True])
     def test_verify_builds_one_thermal_state(self, monkeypatch, decompose):
+        # Every thermal population of a grid comes from one kernel call.
         calls = []
+        thermal_excited = circuit._thermal_excited
 
         def counting(*args):
             calls.append(args)
-            return thermal_state(*args)
+            return thermal_excited(*args)
 
-        monkeypatch.setattr(circuit, "thermal_state", counting)
+        monkeypatch.setattr(circuit, "_thermal_excited", counting)
         d = verify_against_kraus(H, 0.9, 1.1, decompose_cswap=decompose)
         assert len(calls) == 1 and d < 1e-10
         with pytest.raises(ValueError, match="phi must lie"):
             verify_against_kraus(H, 1.0, 4.0)
         assert len(calls) == 1
+        # Two blocks of points, still one call.
+        d = verify_grid(H, [0.5, 0.9, 2.0], [0.0, 0.7, 1.2, math.pi],
+                        decompose_cswap=decompose)
+        assert len(calls) == 2 and len(d) == 12
 
 
 def _dense_reference(rho, g, n):
@@ -425,9 +431,62 @@ def test_valid_grid_is_certified_without_eigvalsh(monkeypatch):
 
 
 def test_grid_checks_every_phi_before_any_thermal_state(monkeypatch):
-    monkeypatch.setattr(circuit, "thermal_state", None)
+    monkeypatch.setattr(circuit, "_thermal_excited", None)
     with pytest.raises(ValueError, match="phi must lie"):
         verify_grid(H, [1.0, 2.0], [0.5, 4.0])
+    # phi first even when a temperature is bad too
+    with pytest.raises(ValueError, match="phi must lie"):
+        verify_grid(H, [1.0, math.nan], [4.0])
+
+
+def test_grid_checks_temperatures_in_order():
+    with pytest.raises(ValueError) as got:
+        verify_grid(H, [1.0, 0.0, -1.0], [0.5])
+    assert str(got.value) == "temperature must be positive, got 0.0"
+    # the rule holds with no phi to run
+    with pytest.raises(ValueError, match="temperature must be positive, got nan"):
+        verify_grid(H, [math.nan], [])
+
+
+def test_empty_grid():
+    assert verify_grid(H, [], [0.5]) == []
+    assert verify_grid(H, [1.0], []) == []
+    assert verify_grid(H, [], []) == []
+
+
+def test_thermal_check_names_the_bad_state(monkeypatch):
+    # A population above 1 fails the thermal stack's check with the message
+    # DensityMatrix gives that state, before any gate runs.
+    monkeypatch.setattr(circuit, "_thermal_excited",
+                        lambda delta, temps: np.full(len(temps), 1.5))
+    monkeypatch.setattr(circuit, "_step", None)
+    with pytest.raises(ValidationError) as got:
+        verify_grid(H, [0.9, 2.0], [0.7])
+    with pytest.raises(ValidationError) as want:
+        DensityMatrix(np.diag([1.0 - 1.5, 1.5]))
+    assert str(got.value) == str(want.value)
+
+
+def test_reference_check_names_the_bad_state(monkeypatch):
+    # A negative population in the kernel's blocks fails the reference's
+    # check with the message DensityMatrix gives that state.
+    blocks = circuit._blocks
+
+    def negative(delta, phi, temps):
+        p_e, ((g00, g01, g10, g11), (e00, e01, e10, e11)) = blocks(delta, phi, temps)
+        return p_e, [(g00 + 0.05, g01, g10, g11), (e00, e01, e10, e11 - 0.05)]
+
+    monkeypatch.setattr(circuit, "_blocks", negative)
+    with pytest.raises(ValidationError) as got:
+        verify_grid(H, [0.9], [0.7])
+    rho_t = thermal_state(H, 0.9)
+    bad = switch_closed_form(AncillaState(0.7), rho_t, rho_t).mat.real.copy()
+    bad[0, 0] += 0.05
+    bad[3, 3] -= 0.05
+    assert bad[3, 3] < 0.0
+    with pytest.raises(ValidationError) as want:
+        DensityMatrix(bad)
+    assert str(got.value) == str(want.value)
 
 
 # Temperatures from p_e ~ 0 to p_e = 1/2, and phi at both ends and between.
@@ -469,3 +528,18 @@ def test_grid_equals_complex_grid(monkeypatch, decompose):
     monkeypatch.setattr(circuit, "_step",
                         lambda rho, g, n: step(rho.astype(complex), g, n))
     assert verify_grid(H, _REAL_TEMPS, _REAL_PHIS, decompose_cswap=decompose) == want
+
+
+@pytest.mark.parametrize("delta", [1e-3, 1.0, 7.5])
+def test_reference_equals_switch_closed_form(delta):
+    # The kernel's reference is switch_closed_form's matrix bit for bit, from
+    # p_e = 0 (exp(-delta / T) underflows) up to p_e = 1/2 (T = inf).
+    h = TwoLevelHamiltonian(delta)
+    points = [(t, phi) for t in _REAL_TEMPS for phi in _REAL_PHIS]
+    temps, phis = zip(*points)
+    ref = circuit._reference(delta, temps, phis)
+    assert ref.dtype == np.float64 and ref.shape == (len(points), 4, 4)
+    for got, (t, phi) in zip(ref, points):
+        rho_t = thermal_state(h, t)
+        want = switch_closed_form(AncillaState(phi), rho_t, rho_t).mat
+        assert np.array_equal(got, want.real) and not want.imag.any()

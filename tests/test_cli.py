@@ -593,6 +593,12 @@ class TestGoldenBytes:
             "--phi", "0.3", "--decompose-cswap"])
         assert code == 0 and out == (GOLDEN / "circuit-verify-extreme.csv").read_text()
 
+    def test_circuit_verify_phi_sweep_delta(self, capsys):
+        code, out, _ = run_capture(capsys, [
+            "circuit-verify", "--t-min", "0.001", "--t-max", "1000", "--steps", "4",
+            "--delta", "7.5", "--format", "json"])
+        assert code == 0 and out == (GOLDEN / "circuit-verify-delta.json").read_text()
+
     @pytest.mark.parametrize("flags", list(MC_SEEDED))
     def test_seeded_mc(self, capsys, flags):
         code, out, _ = run_capture(capsys, ["mc", "--trials", "196615", *flags])
