@@ -20,12 +20,11 @@ import argparse
 import contextlib
 import errno
 import functools
-import itertools
 import json
 import math
 import os
 import sys
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -44,27 +43,271 @@ _ENTROPY_BASES = {"e": math.e, "2": 2.0}
 # How json.dumps spells the floats that have no JSON number.
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
+# Rows per chunk of the table writer.  A digit pass has a fixed cost of
+# about 120 us (some 60 numpy calls) and then costs about 55 ns per cell up
+# to some 30 000 cells, where its temporaries leave the cache; 4096 rows of
+# 3-5 columns stay below that.  A chunk's arrays take a few MB, so the
+# memory of a large --steps table follows its text.
+_CHUNK_ROWS = 4096
+# Tables with fewer float cells than this skip the digit pass: every cell is
+# then spelled by Python's %, into the same buffer.  Measured in-process
+# (min of repeats) on the default probs, heat, computational-basis heat and
+# fridge columns cut to 20-200 rows: the digit pass wins from 180-320 cells.
+_DIGIT_MIN_CELLS = 256
 
-def _table_text(header: list[str], rows: Iterable[Sequence], fmt: str,
+# Decimal exponents the layout tables cover: 5e-324 has E = -324, and a
+# corrected E moves by one on either side of the double range.
+_E_LOW, _E_HIGH = -330, 311
+_U64 = (1 << 64) - 1
+
+
+def _exponent_row(e: int) -> tuple[tuple[float, ...], tuple[int, ...]]:
+    """Scale factors and layout words of one decimal exponent E (``%.12g``).
+
+    The scale takes a = |x| with floor(log10 a) = E to m = a * 10**(11 - E)
+    as ((a * f1) * f2) / d1 / d2, each factor an exact power 10**0..10**22;
+    at most two of them are not 1, so m is rounded at most twice.  f1 is
+    NaN where |11 - E| > 44, which leaves the cell unproven.  The layout
+    words are the byte shift of the leading zeros, the 128-bit masks of the
+    kept digit bytes [0, q) (and their complement), of the '.' at byte q and
+    of the '0' fill, and the exponent text 'e+dd' from byte 1 of a word.
+    """
+    s = 11 - e
+    f1 = 10.0 ** min(max(s, 0), 22) if abs(s) <= 44 else math.nan
+    f2, d1, d2 = (10.0 ** min(max(v, 0), 22) for v in (s - 22, -s, -s - 22))
+    expo = e < -4 or e >= 12
+    lead = 0 if expo or e >= 0 else -e  # 0.000ddd: zeros before the digits
+    q = 1 if expo or e < 0 else e + 1   # the '.' goes before digit byte q
+    fill = 0 if expo else (e + 1 if e >= 0 else lead)
+    keep = (1 << (8 * q)) - 1
+    masks = (keep, ~keep, 0x2E << (8 * q),
+             ((1 << (8 * fill)) - 1) & int("30" * 16, 16))
+    exp = int.from_bytes(b"\0" + (b"e%+03d" % e), "little") if expo else 0
+    return (f1, f2, d1, d2), (8 * lead, *(w for v in masks
+                                          for w in (v & _U64, (v >> 64) & _U64)),
+                              exp)
+
+
+_rows = [_exponent_row(e) for e in range(_E_LOW, _E_HIGH)]
+_SCALE = np.array([r[0] for r in _rows]).T.copy()
+_LAYOUT = np.array([r[1] for r in _rows], dtype=np.uint64).T.copy()
+
+
+def _group_words() -> tuple[np.ndarray, np.ndarray]:
+    """ASCII of the 4-digit groups 0000..9999, one little-endian word each.
+
+    Entries 10000 + g hold g with its trailing zeros cut (0 for g = 0): the
+    last nonzero group of a mantissa is looked up there.  The offsets pick
+    that half for the group before a zero group.
+    """
+    g = np.arange(10000, dtype=np.uint64)
+    digits = [g // 1000, g // 100 % 10, g // 10 % 10, g % 10]
+    word = sum(((np.uint64(0x30) + d) << np.uint64(8 * i)
+                for i, d in enumerate(digits)), np.uint64(0))
+    sig = np.select([d > 0 for d in digits[::-1]], [4, 3, 2, 1], 0)
+    cut = word & ((np.uint64(1) << (8 * sig).astype(np.uint64)) - np.uint64(1))
+    return np.concatenate([word, cut]), np.where(g == 0, 10000, 0)
+
+
+_GROUPS, _CUT_NEXT = _group_words()
+del _rows
+
+
+def _digit_words(x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``%.12g`` of each float of ``x`` as three little-endian words.
+
+    Returns ``(lo, hi, tail, proven)``.  Where ``proven``, the bytes of lo,
+    hi and tail, NULs dropped, are exactly ``"%.12g" % abs(x)``: lo and hi
+    hold the leading zeros, digits and '.', tail a byte carried out of hi
+    and the exponent text.  Zeros are proven ('0').  Cells that are not
+    finite, or whose 12 digits the pass cannot prove, hold garbage.
+    """
+    a = np.abs(x)
+    zero = a == 0.0
+    proven = (a > 0.0) & (a < np.inf)
+    np.copyto(a, 1.0, where=~proven)
+    ie = np.floor(np.log10(a)).astype(np.intp) - _E_LOW
+
+    def scaled(a, ie):
+        f1, f2, d1, d2 = (t[ie] for t in _SCALE)
+        return ((a * f1) * f2) / d1 / d2
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = scaled(a, ie)
+        # log10 can land one off near a power of ten: move E and scale again.
+        off = np.flatnonzero((m < 1e11) | (m >= 1e12))
+        if off.size:
+            ie[off] += np.where(m[off] < 1e11, -1, 1)
+            m[off] = scaled(a[off], ie[off])
+        n = np.rint(m)
+        proven &= np.abs(m - n) < 0.499
+    carry = n >= 1e12  # 999999999999.5 and up round to 10**12
+    if carry.any():
+        n[carry] = 1e11
+        ie[carry] += 1
+    np.copyto(n, 0.0, where=~proven)
+    proven |= zero
+    n = n.astype(np.int64)
+    g0 = n // 100000000
+    r = n - g0 * 100000000
+    g1 = r // 10000
+    g2 = r - g1 * 10000
+    cut2 = _CUT_NEXT[g2]
+    lo = (_GROUPS[g0 + (cut2 & _CUT_NEXT[g1])]
+          | (_GROUPS[g1 + cut2] << np.uint64(32)))
+    hi = _GROUPS[g2 + 10000]
+    shift, klo, khi, nlo, nhi, dlo, dhi, zlo, zhi, exp = (t[ie] for t in _LAYOUT)
+    if shift.any():  # 128-bit shift of the digits past the leading zeros
+        hi = (hi << shift) | ((lo >> np.uint64(32)) >> (np.uint64(32) - shift))
+        lo <<= shift
+    lo |= zlo
+    hi |= zhi
+    # Insert the '.' at byte q when a digit follows it.
+    rlo = lo & nlo
+    rhi = hi & nhi
+    more = (rlo | rhi) != 0
+    lo = (lo & klo) | (rlo << np.uint64(8)) | (dlo * more)
+    hi = (hi & khi) | (rhi << np.uint64(8)) | (rlo >> np.uint64(56)) | (dhi * more)
+    return lo, hi, (rhi >> np.uint64(56)) | exp, proven
+
+
+def _respelled(x: np.ndarray) -> np.ndarray:
+    """JSON cells whose ``%.12g`` text is not the repr of its value."""
+    with np.errstate(invalid="ignore"):
+        a = np.abs(x)
+        return ~np.isfinite(x) | (a < 1e-300) | (np.abs(x - np.rint(x)) <= 2e-11 * a)
+
+
+def _text_words(texts: list[str], width: int) -> np.ndarray:
+    """ASCII texts as ``(len(texts), width)`` little-endian words, NUL-padded."""
+    return (np.array([t.encode() for t in texts], dtype=f"S{8 * width}")
+            .view("<u8").reshape(len(texts), width))
+
+
+@functools.lru_cache(maxsize=64)
+def _layout(consts: tuple[bytes, ...],
+            width: int) -> tuple[np.ndarray, list[int], list[int]]:
+    """Word template of one row: the constants, and cells of ``width`` words.
+
+    ``consts[j]`` comes before cell j and ``consts[-1]`` after the last.  A
+    cell's last word keeps bytes 6-7 for the next constant; the byte just
+    before a cell's first word (byte 7) is free for its '-'.  Returns the
+    read-only template and, per cell, its first word and the word of its
+    sign byte.  A table's chunks, and tables of one shape, share a layout.
+    """
+    words: list[int] = []
+    starts, signs = [], []
+    for j, c in enumerate(consts[:-1]):
+        if j:
+            words[-1] |= int.from_bytes(c[:2], "little") << 48
+            c = c[2:] if len(c) > 1 else None
+        if c is not None:
+            words += [int.from_bytes(c[i:i + 8], "little")
+                      for i in range(0, len(c) + 1, 8)]
+        signs.append(len(words) - 1)
+        starts.append(len(words))
+        words += [0] * width
+    c = consts[-1]
+    words[-1] |= int.from_bytes(c[:2], "little") << 48
+    words += [int.from_bytes(c[i:i + 8], "little") for i in range(2, len(c), 8)]
+    template = np.array(words, dtype=np.uint64)
+    template.flags.writeable = False
+    return template, starts, signs
+
+
+def _chunk_text(consts: tuple[bytes, ...], cols: list, ints: list[bool],
+                json_cells: bool, digit_pass: bool) -> str:
+    """One chunk of rows, spelled into one word buffer and decoded once."""
+    rows = len(cols[0])
+    floats = [j for j, is_int in enumerate(ints) if not is_int]
+    x = np.array([cols[j] for j in floats], dtype=float).reshape(-1)
+    if digit_pass:
+        lo, hi, tail, spelled = _digit_words(x)
+    else:
+        spelled = np.zeros(x.shape, dtype=bool)
+    if json_cells:
+        spelled &= ~_respelled(x)
+    # Every other float cell: %.12g (in JSON the repr of the respelled ones)
+    # once per distinct bit pattern, since 0.0 and -0.0 differ.
+    fallback = np.flatnonzero(~spelled)
+    bits, inverse = np.unique(x[fallback].view(np.uint64), return_inverse=True)
+    values = bits.view(float)
+    texts = ["%.12g" % v for v in values.tolist()]
+    if json_cells:
+        for i in np.flatnonzero(_respelled(values)).tolist():
+            v = repr(float(texts[i]))
+            texts[i] = _JSON_NONFINITE.get(v, v)
+    int_texts = ["%d" % v for j, is_int in enumerate(ints) if is_int
+                 for v in cols[j]]
+    # One width for every cell of the chunk, with 2 bytes to spare.
+    width = max(3 if digit_pass else 1,
+                (max(map(len, texts + int_texts), default=0) + 9) // 8)
+    cells = np.zeros((x.size, width), dtype="<u8")
+    if digit_pass:
+        cells[:, 0], cells[:, 1], cells[:, -1] = lo, hi, tail
+    cells[fallback] = _text_words(texts, width)[inverse.reshape(-1)]
+    cells = iter(cells.reshape(-1, rows, width))
+    int_cells = iter(_text_words(int_texts, width).reshape(-1, rows, width))
+    template, starts, signs = _layout(consts, width)
+    buf = np.empty((rows, len(template)), dtype="<u8")
+    buf[...] = template
+    for s, is_int in zip(starts, ints):
+        buf[:, s:s + width] |= next(int_cells if is_int else cells)
+    if digit_pass:
+        minus = (np.signbit(x) & spelled) * np.uint64(0x2D << 56)
+        for f, j in enumerate(floats):
+            buf[:, signs[j]] |= minus[f * rows:(f + 1) * rows]
+    return buf.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _table_text(header: list[str], columns: Sequence[Sequence], fmt: str,
                 extra_json_fields: dict | None = None) -> str:
-    """The whole table as CSV or ``indent=2`` JSON text, formatted in one pass.
+    """The whole table as CSV or ``indent=2`` JSON text.
 
-    Each column holds one type, read off its first row: ints are written
-    whole (``%d``), floats with 12 significant digits (``%.12g``).  In JSON a
-    float is the shortest repr of its 12-digit value, non-finite ones as
-    ``NaN``/``Infinity``, and every object ends with ``extra_json_fields``.
-    ``%d`` and ``%.12g`` text holds no comma, quote or newline, so no cell
-    needs CSV quoting.  Both formats fill one template, a row's or an
-    object's, repeated once per row, with one ``%`` pass over the cells.
+    ``columns`` holds one sequence per header key, all of one length: float
+    columns (float64 arrays) are written with 12 significant digits
+    (``%.12g``), int columns (a column whose first cell is an int) whole
+    (``%d``).  In JSON a float is the shortest repr of its 12-digit value,
+    non-finite ones as ``NaN``/``Infinity``, and every object ends with
+    ``extra_json_fields``.  ``%d`` and ``%.12g`` text holds no comma, quote
+    or newline, so no cell needs CSV quoting.
 
-    A JSON float keeps its ``%.12g`` text, which already is that repr,
-    except where one numpy pass over the float columns finds a cell x that
-    is not finite, has ``|x| < 1e-300`` (0, -0.0 and the subnormals, whose
-    12 digits do not round-trip) or has ``|x - rint(x)| <= 2e-11*|x|``.
-    A column with such a cell becomes a column of text: it is formatted once
-    with ``%.12g``, only the selected cells are respelled (each distinct
-    text is parsed once), and the template writes it with ``%s``.  For
-    every other cell:
+    Every table takes one path.  Rows are written ``_CHUNK_ROWS`` at a time
+    into a ``(rows, words)`` buffer of little-endian uint64 words that holds
+    the constant pieces (CSV's ``,`` and newline; JSON's object template
+    with its keys and ``extra_json_fields``) and the cells, all padded with
+    NUL bytes, which ``bytes.translate`` then drops; the chunk is decoded
+    once.  See :func:`_layout`.
+
+    *Digit pass.*  :func:`_digit_words` spells each float cell in numpy.
+    With a = |x| and E = floor(log10 a), it computes m = a * 10**(11 - E)
+    with at most two multiplications or divisions by the exact powers
+    10**0..10**22, so m is rounded at most twice and, while m < 1e12,
+    |m - m_exact| <= 2 * 2**-53 * 1e12 < 2.3e-4.  When m falls outside
+    [1e11, 1e12), E moves by one and m is computed again.  A cell is proven
+    when m lies more than 1e-3 from a half-integer, |m - rint(m)| < 0.499:
+    m_exact is then on the same side of every half-integer, so N = rint(m)
+    is m_exact rounded to 12 digits, the mantissa ``%.12g`` prints (10**12
+    carries to 10**11 and E + 1).  N is split into three 4-digit groups,
+    each looked up as 4 ASCII bytes; trailing zeros are cut, and the digits
+    are laid out as ``%g`` does: e-notation (``e+dd``, three digits from
+    |E| = 100) iff E < -4 or E >= 12, else positional, with a ``0.000``
+    lead when E < 0.  The sign comes from ``signbit`` and zeros are ``0``
+    or ``-0``.  Cells that are not finite or have |11 - E| > 44 are not
+    proven; neither is about 0.2 % of uniform values.
+
+    *Fallback.*  Every other cell is spelled by Python's ``%``, once per
+    distinct bit pattern, and scattered into the buffer with one fancy
+    index: float cells the digit pass did not prove, int cells (``%d``),
+    and in JSON the cells whose ``%.12g`` text is not the repr of its value.
+    A tables with fewer than ``_DIGIT_MIN_CELLS`` float cells skips the
+    digit pass and spells every cell this way.
+
+    *JSON respelling.*  A JSON float keeps its ``%.12g`` text, which already
+    is that repr, except where a cell x is not finite, has ``|x| < 1e-300``
+    (0, -0.0 and the subnormals, whose 12 digits do not round-trip) or has
+    ``|x - rint(x)| <= 2e-11*|x|``; those are respelled as the repr of the
+    float their text parses to.  For every other cell:
 
     * the text is a decimal of at most 12 significant digits, and one of at
       most 15 round-trips through a normal double, so the shortest repr of
@@ -77,57 +320,47 @@ def _table_text(header: list[str], rows: Iterable[Sequence], fmt: str,
       1e16), but every ``|x| >= 5e10`` is within 0.5 of a whole number and
       is selected.
     """
-    k = len(header)
-    cells = tuple(itertools.chain.from_iterable(rows))
-    n = len(cells) // k
-    fmts = ["%d" if isinstance(c, (int, np.integer)) else "%.12g"
-            for c in cells[:k]]
+    ints = [isinstance(c, np.ndarray) and c.dtype.kind in "iub"
+            or (not isinstance(c, np.ndarray) and len(c) > 0
+                and isinstance(c[0], (int, np.integer)))
+            for c in columns]
+    cols = [c if is_int else np.asarray(c, dtype=float)
+            for c, is_int in zip(columns, ints)]
+    n = len(cols[0])
     if fmt == "csv":
-        return ",".join(header) + "\n" + ((",".join(fmts) + "\n") * n) % cells
-    if not n:
-        return "[]\n"
-    cols = [j for j, f in enumerate(fmts) if f == "%.12g"]
-    if cols:
-        x = np.array([cells[j::k] for j in cols], dtype=float)
-        with np.errstate(invalid="ignore"):
-            a = np.abs(x)
-            respell = (~np.isfinite(x) | (a < 1e-300)
-                       | (np.abs(x - np.rint(x)) <= 2e-11 * a))
-        del x, a
-        marked = respell.any(axis=1)
-        if marked.any():
-            text_cols = np.array(cols)[marked].tolist()
-            text = ("%.12g\n" * (n * len(text_cols)) % tuple(
-                itertools.chain.from_iterable(cells[j::k] for j in text_cols))).split()
-            # Each distinct text is respelled once: a constant column costs
-            # one repr, not one per row.
-            picked = np.flatnonzero(respell[marked]).tolist()
-            spelled = {}
-            for s in {text[i] for i in picked}:
-                v = repr(float(s))
-                spelled[s] = _JSON_NONFINITE.get(v, v)
-            for i in picked:
-                text[i] = spelled[text[i]]
-            cells = list(cells)
-            for c, j in enumerate(text_cols):
-                cells[j::k] = text[c * n:(c + 1) * n]
-                fmts[j] = "%s"
-            cells = tuple(cells)
-    fields = [f"    {json.dumps(key).replace('%', '%%')}: {f}"
-              for key, f in zip(header, fmts)]
-    fields += [f"    {json.dumps(key)}: {json.dumps(v)}".replace("%", "%%")
-               for key, v in (extra_json_fields or {}).items()]
-    obj = "  {\n" + ",\n".join(fields) + "\n  }"
-    return "[\n" + ",\n".join([obj] * n) % cells + "\n]\n"
+        pieces = [",".join(header) + "\n"]
+        consts = [""] + [","] * (len(header) - 1) + ["\n"]
+    else:
+        if not n:
+            return "[]\n"
+        # Every object starts with the ",\n" that joins it to the one before;
+        # the first one's is cut below.
+        pieces = ["[\n"]
+        keys = [json.dumps(key) for key in header]
+        consts = ([f",\n  {{\n    {keys[0]}: "]
+                  + [f",\n    {key}: " for key in keys[1:]]
+                  + ["".join(f",\n    {json.dumps(key)}: {json.dumps(v)}"
+                             for key, v in (extra_json_fields or {}).items())
+                     + "\n  }"])
+    consts = tuple(c.encode("ascii") for c in consts)
+    digit_pass = n * ints.count(False) >= _DIGIT_MIN_CELLS
+    for start in range(0, n, _CHUNK_ROWS):
+        pieces.append(_chunk_text(
+            consts, [c[start:start + _CHUNK_ROWS] for c in cols], ints,
+            fmt == "json", digit_pass))
+    if fmt == "json":
+        pieces[1] = pieces[1][2:]
+        pieces.append("\n]\n")
+    return "".join(pieces)
 
 
-def _emit(header: list[str], rows: Iterable[Sequence], args,
+def _emit(header: list[str], columns: Sequence[Sequence], args,
           extra_json_fields: dict | None = None) -> None:
-    """Write the table to ``--out`` or stdout in one write.
+    """Write the table of ``columns`` to ``--out`` or stdout in one write.
 
     The text is built before the file is opened, so a failure leaves no file.
     """
-    text = _table_text(header, rows, args.format, extra_json_fields)
+    text = _table_text(header, columns, args.format, extra_json_fields)
     newline = "" if args.format == "csv" else None
     with (contextlib.nullcontext(sys.stdout) if args.out == "-"
           else open(args.out, "w", newline=newline)) as f:
@@ -235,25 +468,24 @@ def _check_out(path: str) -> None:
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
 
 
-def _switched(args) -> tuple[list[float], kernel.Switched]:
+def _switched(args) -> tuple[np.ndarray, kernel.Switched]:
     """Reported temperatures and both outcomes over the requested grid."""
     h = TwoLevelHamiltonian(args.delta)
     _, temps = grid(args.t_min, args.t_max, args.steps, h.delta)
     phi = AncillaState(args.phi).phi
     sw = kernel.switched(h.delta, phi, temps, args.basis)
-    return (temps / h.delta).tolist(), sw
+    return temps / h.delta, sw
 
 
 def _cmd_probs(args) -> None:
     t, (plus, minus) = _switched(args)
-    rows = zip(t, [args.phi] * len(t), plus.prob.tolist(), minus.prob.tolist())
-    _emit(["t", "phi", "p_plus", "p_minus"], rows, args)
+    _emit(["t", "phi", "p_plus", "p_minus"],
+          [t, np.full(len(t), args.phi), plus.prob, minus.prob], args)
 
 
 def _cmd_heat(args) -> None:
     t, (plus, minus) = _switched(args)
-    rows = zip(t, plus.dq.tolist(), minus.dq.tolist())
-    _emit(["t", "dq_plus", "dq_minus"], rows, args)
+    _emit(["t", "dq_plus", "dq_minus"], [t, plus.dq, minus.dq], args)
 
 
 def _cmd_fridge(args) -> None:
@@ -261,9 +493,8 @@ def _cmd_fridge(args) -> None:
                     entropy_base=_ENTROPY_BASES[args.entropy_base])
     t, _ = grid(args.t_min, args.t_max, args.steps, p.delta, min_steps=2)
     c = kernel.cycles(p.delta, p.phi, t, t, p.t_reset, p.entropy_base)
-    rows = zip(t.tolist(), c.minus.prob.tolist(), c.w.tolist(), c.q_c.tolist(),
-               c.eta.tolist())
-    _emit(["t_cold", "p_minus", "w", "q_c", "eta"], rows, args)
+    _emit(["t_cold", "p_minus", "w", "q_c", "eta"],
+          [t, c.minus.prob, c.w, c.q_c, c.eta], args)
 
 
 def _cmd_circuit_verify(args) -> None:
@@ -273,8 +504,8 @@ def _cmd_circuit_verify(args) -> None:
             else np.linspace(0.0, math.pi, args.steps).tolist())
     d = verify_grid(h, temps.tolist(), phis,
                     decompose_cswap=args.decompose_cswap)
-    rows = zip(np.repeat(t, len(phis)).tolist(), phis * len(t), d)
-    _emit(["t", "phi", "distance"], rows, args)
+    _emit(["t", "phi", "distance"],
+          [np.repeat(t, len(phis)), np.tile(phis, len(t)), np.array(d)], args)
 
 
 def _cmd_mc(args) -> None:
@@ -284,10 +515,10 @@ def _cmd_mc(args) -> None:
                          t_reset=args.t_reset, phi=args.phi,
                          entropy_base=_ENTROPY_BASES[args.entropy_base])
     s = monte_carlo(params, args.trials, args.seed)
-    rows = [[s.trials, s.seed, s.successes, s.p_minus_emp, s.p_minus_exact,
-             s.w_total, s.q_c_total]]
+    row = [s.trials, s.seed, s.successes, s.p_minus_emp, s.p_minus_exact,
+           s.w_total, s.q_c_total]
     _emit(["trials", "seed", "successes", "p_minus_emp", "p_minus_exact",
-           "w_total", "q_c_total"], rows, args,
+           "w_total", "q_c_total"], [[v] for v in row], args,
           extra_json_fields={"rng": s.rng})
 
 

@@ -674,6 +674,11 @@ def tables(draw):
     return header, [list(row) for row in zip(*cols)], extra
 
 
+def _columns(header, rows):
+    """The rows of a table as the per-key columns ``cli._emit`` takes."""
+    return [[row[j] for row in rows] for j in range(len(header))]
+
+
 class TestTableWriter:
     """``_emit`` writes exactly what csv.writer / json.dumps(indent=2) wrote."""
 
@@ -689,12 +694,12 @@ class TestTableWriter:
         expected = oracles.emit_text(header, rows, fmt, extra)
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):
-            cli._emit(header, rows, argparse.Namespace(format=fmt, out="-"),
-                      extra)
+            cli._emit(header, _columns(header, rows),
+                      argparse.Namespace(format=fmt, out="-"), extra)
         assert stdout.getvalue() == expected
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / f"rows.{fmt}"
-            cli._emit(header, iter(rows),
+            cli._emit(header, _columns(header, rows),
                       argparse.Namespace(format=fmt, out=str(path)), extra)
             assert path.read_bytes() == expected.encode()
 
@@ -717,5 +722,6 @@ class TestTableWriter:
             expected = oracles.emit_text(header, part, "json")
             stdout = io.StringIO()
             with contextlib.redirect_stdout(stdout):
-                cli._emit(header, part, argparse.Namespace(format="json", out="-"))
+                cli._emit(header, _columns(header, part),
+                          argparse.Namespace(format="json", out="-"))
             assert stdout.getvalue() == expected
