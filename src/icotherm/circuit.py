@@ -49,7 +49,7 @@ from .linalg import (
     validate_states,
 )
 from .channels import AncillaState
-from .kernel import _blocks, _thermal_excited
+from .kernel import _switch_blocks, _thermal_excited
 from .thermo import (TwoLevelHamiltonian, _check_positive, _check_qubit,
                      thermal_state)
 
@@ -147,17 +147,38 @@ def _ry_matrix(angle: float) -> list[list[float]]:
     return [[c, -s], [s, c]]
 
 
+def _audited(u: np.ndarray) -> np.ndarray:
+    defect = float(np.max(np.abs(u.conj().swapaxes(-1, -2) @ u
+                                 - np.eye(u.shape[-1]))))
+    if defect > TOL:
+        raise ValidationError(f"gate matrix not unitary: defect {defect:.3e}")
+    return u
+
+
+@functools.lru_cache(maxsize=8)
+def _ry_unitary(angle: float | tuple[float, ...]) -> np.ndarray:
+    """Audited, read-only RY matrix, or stack of them for an angle tuple.
+
+    The three thermal preparation gates of a :func:`verify_grid` block share
+    one angle tuple, so a block builds and audits two stacks, not four.
+    """
+    u = _audited(np.array([_ry_matrix(a) for a in angle]
+                          if isinstance(angle, tuple) else _ry_matrix(angle)))
+    u.flags.writeable = False
+    return u
+
+
 def gate_unitary(g: Gate) -> np.ndarray:
     """Local unitary of a gate on its own targets (crush has none).
 
-    An ry gate with a tuple of angles gives a stack of 2x2 unitaries.  Every
+    An ry gate with a tuple of angles gives a stack of 2x2 unitaries, built
+    and audited once per distinct angle tuple and returned read-only.  Every
     kind is real orthogonal, so the matrix is float64; conjugating it
     changes nothing, and it applies to complex states as well.
     """
     if g.kind == "ry":
-        u = np.array([_ry_matrix(a) for a in g.angle]
-                     if isinstance(g.angle, tuple) else _ry_matrix(g.angle))
-    elif g.kind == "x":
+        return _ry_unitary(g.angle)
+    if g.kind == "x":
         u = np.array([[0.0, 1.0], [1.0, 0.0]])
     elif g.kind == "swap":
         u = np.eye(4)[[0, 2, 1, 3]]
@@ -173,11 +194,7 @@ def gate_unitary(g: Gate) -> np.ndarray:
         raise ValueError("crush is not unitary")
     else:
         raise ValueError(f"unknown gate kind {g.kind!r}")
-    defect = float(np.max(np.abs(u.conj().swapaxes(-1, -2) @ u
-                                 - np.eye(u.shape[-1]))))
-    if defect > TOL:
-        raise ValidationError(f"gate matrix not unitary: defect {defect:.3e}")
-    return u
+    return _audited(u)
 
 
 def embed_unitary(u: np.ndarray, targets: tuple[int, ...], n: int) -> np.ndarray:
@@ -366,21 +383,26 @@ def verify_against_kraus(h: TwoLevelHamiltonian, temperature: float,
 _BLOCK_OFFSETS = ((0, 0), (0, 2), (2, 0), (2, 2))
 
 
-def _reference(delta: float, temps: Sequence[float],
-               phis: Sequence[float]) -> np.ndarray:
+def _reference(delta: float, temps: Sequence[float], phis: Sequence[float],
+               p_e: np.ndarray | None = None) -> np.ndarray:
     """Closed-form ancilla + substance state at each (temps[k], phis[k]) point.
 
-    ``temps`` are absolute temperatures.  One :func:`kernel._blocks` call per
-    distinct phi gives the diagonals of the four ancilla blocks; they go on
-    the ``(k, k)`` entries of each block, k = g, e, of a ``(points, 4, 4)``
-    float64 stack, which is validated as one stack.  Its entries equal the
-    real part of ``switch_closed_form(AncillaState(phi), rho_t, rho_t).mat``
-    bit for bit, and that matrix has no imaginary part.
+    ``temps`` are absolute temperatures; ``p_e`` holds their excited
+    populations when the caller has them (:func:`verify_grid` passes its
+    validated thermal stack's), else :func:`kernel._thermal_excited` computes
+    them.  One :func:`kernel._switch_blocks` call per distinct phi gives the
+    diagonals of the four ancilla blocks; they go on the ``(k, k)`` entries
+    of each block, k = g, e, of a ``(points, 4, 4)`` float64 stack, which is
+    validated as one stack.  Its entries equal the real part of
+    ``switch_closed_form(AncillaState(phi), rho_t, rho_t).mat`` bit for bit,
+    and that matrix has no imaginary part.
     """
+    if p_e is None:
+        p_e = _thermal_excited(delta, temps)
     ref = np.zeros((len(phis), 4, 4))
     for phi in dict.fromkeys(phis):
         rows = [k for k, ph in enumerate(phis) if ph == phi]
-        _, blocks = _blocks(delta, phi, [temps[k] for k in rows])
+        blocks = _switch_blocks(p_e[rows], phi)
         for k, diagonals in enumerate(blocks):
             for (r, c), d in zip(_BLOCK_OFFSETS, diagonals):
                 ref[rows, r + k, c + k] = d
@@ -396,7 +418,8 @@ def verify_grid(h: TwoLevelHamiltonian, temps: Sequence[float],
     messages of :class:`AncillaState` and :func:`thermal_state`.  The thermal
     states diag(p_g, p_e) come from one :func:`kernel._thermal_excited` call
     and are validated as one stack; each temperature's preparation angle is
-    taken from that stack as :func:`thermal_prep_angle` takes it.
+    taken from that stack as :func:`thermal_prep_angle` takes it, and so is
+    the p_e of the closed-form reference.
     The circuit runs ``_BLOCK`` points at a time on one stack, and each block
     is reduced to its distances before the next one starts, so memory does
     not grow with the grid.  The final states, the ancilla + substance
@@ -428,6 +451,8 @@ def verify_grid(h: TwoLevelHamiltonian, temps: Sequence[float],
         a = validate_states(rho).reshape(-1, *(2,) * 8)
         a = np.trace(np.trace(a, axis1=4, axis2=8), axis1=3, axis2=6)
         marginals = validate_states(a.reshape(-1, 4, 4))
-        expected = _reference(h.delta, [temps[i] for i, _ in block], phi)
+        points_t = [i for i, _ in block]
+        expected = _reference(h.delta, [temps[i] for i in points_t], phi,
+                              rho_ts[points_t, 1, 1])
         out += np.abs(marginals - expected).max(axis=(1, 2)).tolist()
     return out

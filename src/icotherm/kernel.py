@@ -17,10 +17,10 @@ the cold p_e for the hot reservoir when t_hot equals t_cold.
 matrix machinery (``switch_closed_form`` and ``post_select``, the 16-Kraus
 switch, the gate circuit) computes the same numbers independently and is the
 verification path; the tests hold the two paths equal.  The gate circuit's
-check (``circuit.verify_grid``) takes its thermal populations and its
-closed-form reference from :func:`_thermal_excited` and :func:`_blocks`,
-whose entries equal ``switch_closed_form``'s bit for bit, and runs every gate
-itself.  The kernel does not check its arguments; the entries that take them
+check (``circuit.verify_grid``) takes its thermal populations from
+:func:`_thermal_excited` and its closed-form reference from
+:func:`_switch_blocks` on those populations, whose entries equal
+``switch_closed_form``'s bit for bit, and runs every gate itself.  The kernel does not check its arguments; the entries that take them
 do.  Only :func:`absolute` and the degenerate verdict of :func:`cycles` raise
 ``ValueError``.
 
@@ -138,9 +138,15 @@ _WEIGHTS = {name: tuple(float((b[i].conjugate() * b[j]).real)
 
 
 def _blocks(delta: float, phi: float, temps) -> tuple[np.ndarray, list]:
-    """Thermal p_e and, per population (g, e), the diagonals of the switch
-    output's ancilla blocks 00, 01, 10, 11."""
+    """Thermal p_e and its :func:`_switch_blocks`."""
     p_e = _thermal_excited(delta, temps)
+    return p_e, _switch_blocks(p_e, phi)
+
+
+def _switch_blocks(p_e: np.ndarray, phi: float) -> list:
+    """Per population (g, e) of the thermal state with excited population
+    ``p_e``, the diagonals of the switch output's ancilla blocks 00, 01, 10,
+    11."""
     c2 = math.cos(phi / 2) ** 2
     s2 = math.sin(phi / 2) ** 2
     half_sin = math.sin(phi) / 2.0
@@ -148,7 +154,7 @@ def _blocks(delta: float, phi: float, temps) -> tuple[np.ndarray, list]:
     for p in (1.0 - p_e, p_e):
         cross = half_sin * (p * p * p)
         blocks.append((c2 * p, cross, cross, s2 * p))
-    return p_e, blocks
+    return blocks
 
 
 def _branch(delta: float, p_e: np.ndarray, blocks: list,

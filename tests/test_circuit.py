@@ -67,6 +67,15 @@ class TestGateUnitaries:
             swap(1, 1)
 
 
+def test_ry_stacks_built_once_per_block():
+    # A block runs four RY gates: the three thermal preparations share one
+    # angle tuple, and the ancilla rotation has its own.
+    circuit._ry_unitary.cache_clear()
+    verify_grid(H, [0.5, 1.0, 2.0], [0.3, 1.2])  # 6 points, one block
+    info = circuit._ry_unitary.cache_info()
+    assert (info.hits + info.misses, info.misses) == (4, 2)
+
+
 class TestApplyGate:
     def test_ry_pi_flips_ground(self):
         reg = fresh_register(1)
@@ -470,13 +479,13 @@ def test_thermal_check_names_the_bad_state(monkeypatch):
 def test_reference_check_names_the_bad_state(monkeypatch):
     # A negative population in the kernel's blocks fails the reference's
     # check with the message DensityMatrix gives that state.
-    blocks = circuit._blocks
+    blocks = circuit._switch_blocks
 
-    def negative(delta, phi, temps):
-        p_e, ((g00, g01, g10, g11), (e00, e01, e10, e11)) = blocks(delta, phi, temps)
-        return p_e, [(g00 + 0.05, g01, g10, g11), (e00, e01, e10, e11 - 0.05)]
+    def negative(p_e, phi):
+        (g00, g01, g10, g11), (e00, e01, e10, e11) = blocks(p_e, phi)
+        return [(g00 + 0.05, g01, g10, g11), (e00, e01, e10, e11 - 0.05)]
 
-    monkeypatch.setattr(circuit, "_blocks", negative)
+    monkeypatch.setattr(circuit, "_switch_blocks", negative)
     with pytest.raises(ValidationError) as got:
         verify_grid(H, [0.9], [0.7])
     rho_t = thermal_state(H, 0.9)
