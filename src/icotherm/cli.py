@@ -113,6 +113,11 @@ _GROUPS, _CUT_NEXT = _group_words()
 del _rows
 
 
+def _decimal_exponent(a: np.ndarray) -> np.ndarray:
+    """floor(log10 a): one off for a within a few ulps of a power of ten."""
+    return np.floor(np.log10(a))
+
+
 def _digit_words(x: np.ndarray) -> tuple[np.ndarray, ...]:
     """``%.12g`` of each float of ``x`` as three little-endian words.
 
@@ -126,7 +131,7 @@ def _digit_words(x: np.ndarray) -> tuple[np.ndarray, ...]:
     zero = a == 0.0
     proven = (a > 0.0) & (a < np.inf)
     np.copyto(a, 1.0, where=~proven)
-    ie = np.floor(np.log10(a)).astype(np.intp) - _E_LOW
+    ie = _decimal_exponent(a).astype(np.intp) - _E_LOW
 
     def scaled(a, ie):
         f1, f2, d1, d2 = (t[ie] for t in _SCALE)
@@ -134,7 +139,7 @@ def _digit_words(x: np.ndarray) -> tuple[np.ndarray, ...]:
 
     with np.errstate(over="ignore", invalid="ignore"):
         m = scaled(a, ie)
-        # log10 can land one off near a power of ten: move E and scale again.
+        # E can be one off near a power of ten: move it and scale again.
         off = np.flatnonzero((m < 1e11) | (m >= 1e12))
         if off.size:
             ie[off] += np.where(m[off] < 1e11, -1, 1)
@@ -180,6 +185,8 @@ def _respelled(x: np.ndarray) -> np.ndarray:
 
 def _text_words(texts: list[str], width: int) -> np.ndarray:
     """ASCII texts as ``(len(texts), width)`` little-endian words, NUL-padded."""
+    if not texts:
+        return np.zeros((0, width), dtype="<u8")
     return (np.array([t.encode() for t in texts], dtype=f"S{8 * width}")
             .view("<u8").reshape(len(texts), width))
 

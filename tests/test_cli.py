@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -576,6 +577,24 @@ MC_SEEDED = {
 }
 
 
+# SHA-256 of tables large enough for the digit pass (the default 57-row
+# tables fall under its cutoff), captured before the writer spelled digits in
+# numpy: zeros and e-notation noise (computational-basis heats), e+12 cells
+# and whole-number JSON respells (--delta 1e13), and heats from 1e-10 up.
+LARGE_DIGESTS = {
+    ("probs", "--steps", "3000"):
+        "8ab4986eb8e29b8740c0a3dcc6d9c916910de305af935849b878cad5bb8abeab",
+    ("heat", "--basis", "computational", "--steps", "3000", "--format", "json"):
+        "099412dacef3b9305cfee6abf91e1fdce951898e42c676c71ef1e99deec1b7d9",
+    ("fridge", "--delta", "1e13", "--steps", "3000"):
+        "f2bdf180c5314ef4f9a6241faf64b4215b6b71cf86736522d855a113a0289c9e",
+    ("fridge", "--delta", "1e13", "--steps", "3000", "--format", "json"):
+        "4d491f8abdd18db63e957c6c5242707c8e2f7ce03efcc831ed8149661e082884",
+    ("heat", "--t-min", "0.05", "--t-max", "40", "--steps", "3000", "--phi", "3"):
+        "f59e500da6dd2dd811ab6ab7141fa06f3a4db42322b938520bcf6a2b8f6fcf48",
+}
+
+
 class TestGoldenBytes:
     @pytest.mark.parametrize("flags", [[], ["--decompose-cswap"]])
     def test_circuit_verify_steps_3(self, capsys, flags):
@@ -614,6 +633,12 @@ class TestGoldenBytes:
     def test_all_respelled_json_columns(self, capsys, argv):
         code, out, _ = run_capture(capsys, list(argv))
         assert code == 0 and out == (GOLDEN / ALL_RESPELLED[argv]).read_text()
+
+    @pytest.mark.parametrize("argv", list(LARGE_DIGESTS))
+    def test_large_table_digest(self, capsys, argv):
+        code, out, _ = run_capture(capsys, list(argv))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == LARGE_DIGESTS[argv]
 
 
 class TestConsoleEntry:
@@ -725,3 +750,124 @@ class TestTableWriter:
                 cli._emit(header, _columns(header, part),
                           argparse.Namespace(format="json", out="-"))
             assert stdout.getvalue() == expected
+
+
+def _spelled(x):
+    """The CSV writer's text of one float column, one cell per item."""
+    assert len(x) >= cli._DIGIT_MIN_CELLS  # the digit pass runs
+    return cli._table_text(["x"], [np.asarray(x, dtype=float)], "csv").split("\n")[1:-1]
+
+
+def _printf(x):
+    return ["%.12g" % v for v in np.asarray(x, dtype=float).tolist()]
+
+
+def _neighbours(x, ulps=2):
+    """Each value and the doubles up to ``ulps`` steps either side of it."""
+    out = [np.asarray(x, dtype=float)]
+    for direction in (np.inf, -np.inf):
+        y = out[0]
+        for _ in range(ulps):
+            y = np.nextafter(y, direction)
+            out.append(y)
+    return np.concatenate(out)
+
+
+def _halfway(rng, exponents, per_exponent):
+    """Decimals of 13 significant digits ending in 5, parsed: each lies within
+    a rounding error of a point halfway between two 12-digit values."""
+    mantissas = rng.integers(10 ** 11, 10 ** 12, (len(exponents), per_exponent))
+    return np.array([float(f"{m}5e{e - 12}") for e, row in zip(exponents, mantissas)
+                     for m in row.tolist()])
+
+
+class TestDigitPass:
+    """The table writer's numpy digits equal ``"%.12g" % x`` cell for cell."""
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(20201124)
+        for _ in range(8):  # 4M doubles, every exponent and payload
+            x = rng.integers(0, 2 ** 64, 500_000, dtype=np.uint64).view(float)
+            assert _spelled(x) == _printf(x)
+
+    def test_log_uniform_both_signs(self):
+        rng = np.random.default_rng(12580)
+        x = 10.0 ** rng.uniform(-35, 35, 1_000_000)
+        x[::2] *= -1.0
+        assert _spelled(x) == _printf(x)
+
+    def test_edges(self):
+        rng = np.random.default_rng(794)
+        powers = np.array([float(f"1e{k}") for k in range(-330, 309)])
+        carries = np.array([float(f"{m}e{k}") for k in range(-45, 60)
+                            for m in ("9.9999999999995", "9.99999999999949",
+                                      "9.99999999999951", "1.00000000000005")])
+        cutoffs = [1e-4, 9.9999999999995e-5, 9.99999999999949e-5, 9.99999999999e-5,
+                   1e12, 999999999999.5, 999999999999.4, 999999999999.0,
+                   99999999999.95, 1e11]
+        specials = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324,
+                    -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                    -1.7976931348623157e308]
+        halfway = _halfway(rng, range(-40, 60), 40)
+        x = np.concatenate([_neighbours(powers), _neighbours(carries),
+                            _neighbours(cutoffs, 8), specials,
+                            _neighbours(halfway, 1)])
+        x = np.concatenate([x, -x])
+        assert _spelled(x) == _printf(x)
+
+    @pytest.mark.parametrize("shift", [-1, 1])
+    def test_exponent_one_off_is_corrected(self, monkeypatch, shift):
+        # log10 lands one off only within a few ulps of a power of ten; the
+        # pass must recover from an E one off anywhere.
+        exponent = cli._decimal_exponent
+        monkeypatch.setattr(cli, "_decimal_exponent",
+                            lambda a: exponent(a) + shift)
+        rng = np.random.default_rng(3)
+        x = 10.0 ** rng.uniform(-30, 50, 20_000)
+        assert _spelled(x) == _printf(x)
+
+
+_BIG_KINDS = ("bits", "log_uniform", "unit", "whole", "edge", "int")
+
+
+@st.composite
+def big_tables(draw):
+    """(header, rows, extra): 300 to 700 rows of typed columns, drawn from a
+    seeded generator, so each column mixes many exponents and edge values."""
+    header = draw(st.lists(st.from_regex(r"[a-z_][a-z0-9_]{0,7}", fullmatch=True)
+                           .filter(lambda key: key != "rng"),
+                           min_size=1, max_size=6, unique=True))
+    kinds = draw(st.lists(st.sampled_from(_BIG_KINDS),
+                          min_size=len(header), max_size=len(header)))
+    n = draw(st.integers(300, 700))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    edge = np.array(_EDGE_FLOATS)
+    cols = []
+    for kind in kinds:
+        if kind == "bits":
+            col = rng.integers(0, 2 ** 64, n, dtype=np.uint64).view(float)
+        elif kind == "log_uniform":
+            col = 10.0 ** rng.uniform(-40, 40, n) * rng.choice([-1.0, 1.0], n)
+        elif kind == "unit":
+            col = rng.random(n)
+        elif kind == "whole":
+            col = rng.integers(-10 ** 6, 10 ** 6, n).astype(float)
+        elif kind == "edge":
+            col = rng.choice(edge, n)
+        else:
+            col = rng.integers(-2 ** 62, 2 ** 62, n)
+        cols.append(col.tolist())
+    extra = draw(st.one_of(st.none(),
+                           st.fixed_dictionaries({"rng": st.text(max_size=12)})))
+    return header, [list(row) for row in zip(*cols)], extra
+
+
+class TestTableWriterDigitPass:
+    """Tables large enough for the digit pass, written as the oracle writes them."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(table=big_tables(), fmt=st.sampled_from(["csv", "json"]))
+    def test_matches_oracle(self, table, fmt):
+        header, rows, extra = table
+        expected = oracles.emit_text(header, rows, fmt, extra)
+        assert cli._table_text(header, _columns(header, rows), fmt, extra) == expected
