@@ -29,6 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from . import kernel
+from ._text import _chunk_text
 from .linalg import ValidationError
 from .thermo import TwoLevelHamiltonian
 from .channels import AncillaState
@@ -39,9 +40,6 @@ __all__ = ["build_parser", "run", "main"]
 
 _ENTROPY_BASES = {"e": math.e, "2": 2.0}
 
-
-# How json.dumps spells the floats that have no JSON number.
-_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 # Rows per chunk of the table writer.  A digit pass has a fixed cost of
 # about 120 us (some 60 numpy calls) and then costs about 55 ns per cell up
@@ -54,218 +52,6 @@ _CHUNK_ROWS = 4096
 # (min of repeats) on the default probs, heat, computational-basis heat and
 # fridge columns cut to 20-200 rows: the digit pass wins from 180-320 cells.
 _DIGIT_MIN_CELLS = 256
-
-# Decimal exponents the layout tables cover: 5e-324 has E = -324, and a
-# corrected E moves by one on either side of the double range.
-_E_LOW, _E_HIGH = -330, 311
-_U64 = (1 << 64) - 1
-
-
-def _exponent_row(e: int) -> tuple[tuple[float, ...], tuple[int, ...]]:
-    """Scale factors and layout words of one decimal exponent E (``%.12g``).
-
-    The scale takes a = |x| with floor(log10 a) = E to m = a * 10**(11 - E)
-    as ((a * f1) * f2) / d1 / d2, each factor an exact power 10**0..10**22;
-    at most two of them are not 1, so m is rounded at most twice.  f1 is
-    NaN where |11 - E| > 44, which leaves the cell unproven.  The layout
-    words are the byte shift of the leading zeros, the 128-bit masks of the
-    kept digit bytes [0, q) (and their complement), of the '.' at byte q and
-    of the '0' fill, and the exponent text 'e+dd' from byte 1 of a word.
-    """
-    s = 11 - e
-    f1 = 10.0 ** min(max(s, 0), 22) if abs(s) <= 44 else math.nan
-    f2, d1, d2 = (10.0 ** min(max(v, 0), 22) for v in (s - 22, -s, -s - 22))
-    expo = e < -4 or e >= 12
-    lead = 0 if expo or e >= 0 else -e  # 0.000ddd: zeros before the digits
-    q = 1 if expo or e < 0 else e + 1   # the '.' goes before digit byte q
-    fill = 0 if expo else (e + 1 if e >= 0 else lead)
-    keep = (1 << (8 * q)) - 1
-    masks = (keep, ~keep, 0x2E << (8 * q),
-             ((1 << (8 * fill)) - 1) & int("30" * 16, 16))
-    exp = int.from_bytes(b"\0" + (b"e%+03d" % e), "little") if expo else 0
-    return (f1, f2, d1, d2), (8 * lead, *(w for v in masks
-                                          for w in (v & _U64, (v >> 64) & _U64)),
-                              exp)
-
-
-_rows = [_exponent_row(e) for e in range(_E_LOW, _E_HIGH)]
-_SCALE = np.array([r[0] for r in _rows]).T.copy()
-_LAYOUT = np.array([r[1] for r in _rows], dtype=np.uint64).T.copy()
-
-
-def _group_words() -> tuple[np.ndarray, np.ndarray]:
-    """ASCII of the 4-digit groups 0000..9999, one little-endian word each.
-
-    Entries 10000 + g hold g with its trailing zeros cut (0 for g = 0): the
-    last nonzero group of a mantissa is looked up there.  The offsets pick
-    that half for the group before a zero group.
-    """
-    g = np.arange(10000, dtype=np.uint64)
-    digits = [g // 1000, g // 100 % 10, g // 10 % 10, g % 10]
-    word = sum(((np.uint64(0x30) + d) << np.uint64(8 * i)
-                for i, d in enumerate(digits)), np.uint64(0))
-    sig = np.select([d > 0 for d in digits[::-1]], [4, 3, 2, 1], 0)
-    cut = word & ((np.uint64(1) << (8 * sig).astype(np.uint64)) - np.uint64(1))
-    return np.concatenate([word, cut]), np.where(g == 0, 10000, 0)
-
-
-_GROUPS, _CUT_NEXT = _group_words()
-del _rows
-
-
-def _decimal_exponent(a: np.ndarray) -> np.ndarray:
-    """floor(log10 a): one off for a within a few ulps of a power of ten."""
-    return np.floor(np.log10(a))
-
-
-def _digit_words(x: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``%.12g`` of each float of ``x`` as three little-endian words.
-
-    Returns ``(lo, hi, tail, proven)``.  Where ``proven``, the bytes of lo,
-    hi and tail, NULs dropped, are exactly ``"%.12g" % abs(x)``: lo and hi
-    hold the leading zeros, digits and '.', tail a byte carried out of hi
-    and the exponent text.  Zeros are proven ('0').  Cells that are not
-    finite, or whose 12 digits the pass cannot prove, hold garbage.
-    """
-    a = np.abs(x)
-    zero = a == 0.0
-    proven = (a > 0.0) & (a < np.inf)
-    np.copyto(a, 1.0, where=~proven)
-    ie = _decimal_exponent(a).astype(np.intp) - _E_LOW
-
-    def scaled(a, ie):
-        f1, f2, d1, d2 = (t[ie] for t in _SCALE)
-        return ((a * f1) * f2) / d1 / d2
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        m = scaled(a, ie)
-        # E can be one off near a power of ten: move it and scale again.
-        off = np.flatnonzero((m < 1e11) | (m >= 1e12))
-        if off.size:
-            ie[off] += np.where(m[off] < 1e11, -1, 1)
-            m[off] = scaled(a[off], ie[off])
-        n = np.rint(m)
-        proven &= np.abs(m - n) < 0.499
-    carry = n >= 1e12  # 999999999999.5 and up round to 10**12
-    if carry.any():
-        n[carry] = 1e11
-        ie[carry] += 1
-    np.copyto(n, 0.0, where=~proven)
-    proven |= zero
-    n = n.astype(np.int64)
-    g0 = n // 100000000
-    r = n - g0 * 100000000
-    g1 = r // 10000
-    g2 = r - g1 * 10000
-    cut2 = _CUT_NEXT[g2]
-    lo = (_GROUPS[g0 + (cut2 & _CUT_NEXT[g1])]
-          | (_GROUPS[g1 + cut2] << np.uint64(32)))
-    hi = _GROUPS[g2 + 10000]
-    shift, klo, khi, nlo, nhi, dlo, dhi, zlo, zhi, exp = (t[ie] for t in _LAYOUT)
-    if shift.any():  # 128-bit shift of the digits past the leading zeros
-        hi = (hi << shift) | ((lo >> np.uint64(32)) >> (np.uint64(32) - shift))
-        lo <<= shift
-    lo |= zlo
-    hi |= zhi
-    # Insert the '.' at byte q when a digit follows it.
-    rlo = lo & nlo
-    rhi = hi & nhi
-    more = (rlo | rhi) != 0
-    lo = (lo & klo) | (rlo << np.uint64(8)) | (dlo * more)
-    hi = (hi & khi) | (rhi << np.uint64(8)) | (rlo >> np.uint64(56)) | (dhi * more)
-    return lo, hi, (rhi >> np.uint64(56)) | exp, proven
-
-
-def _respelled(x: np.ndarray) -> np.ndarray:
-    """JSON cells whose ``%.12g`` text is not the repr of its value."""
-    with np.errstate(invalid="ignore"):
-        a = np.abs(x)
-        return ~np.isfinite(x) | (a < 1e-300) | (np.abs(x - np.rint(x)) <= 2e-11 * a)
-
-
-def _text_words(texts: list[str], width: int) -> np.ndarray:
-    """ASCII texts as ``(len(texts), width)`` little-endian words, NUL-padded."""
-    if not texts:
-        return np.zeros((0, width), dtype="<u8")
-    return (np.array([t.encode() for t in texts], dtype=f"S{8 * width}")
-            .view("<u8").reshape(len(texts), width))
-
-
-@functools.lru_cache(maxsize=64)
-def _layout(consts: tuple[bytes, ...],
-            width: int) -> tuple[np.ndarray, list[int], list[int]]:
-    """Word template of one row: the constants, and cells of ``width`` words.
-
-    ``consts[j]`` comes before cell j and ``consts[-1]`` after the last.  A
-    cell's last word keeps bytes 6-7 for the next constant; the byte just
-    before a cell's first word (byte 7) is free for its '-'.  Returns the
-    read-only template and, per cell, its first word and the word of its
-    sign byte.  A table's chunks, and tables of one shape, share a layout.
-    """
-    words: list[int] = []
-    starts, signs = [], []
-    for j, c in enumerate(consts[:-1]):
-        if j:
-            words[-1] |= int.from_bytes(c[:2], "little") << 48
-            c = c[2:] if len(c) > 1 else None
-        if c is not None:
-            words += [int.from_bytes(c[i:i + 8], "little")
-                      for i in range(0, len(c) + 1, 8)]
-        signs.append(len(words) - 1)
-        starts.append(len(words))
-        words += [0] * width
-    c = consts[-1]
-    words[-1] |= int.from_bytes(c[:2], "little") << 48
-    words += [int.from_bytes(c[i:i + 8], "little") for i in range(2, len(c), 8)]
-    template = np.array(words, dtype=np.uint64)
-    template.flags.writeable = False
-    return template, starts, signs
-
-
-def _chunk_text(consts: tuple[bytes, ...], cols: list, ints: list[bool],
-                json_cells: bool, digit_pass: bool) -> str:
-    """One chunk of rows, spelled into one word buffer and decoded once."""
-    rows = len(cols[0])
-    floats = [j for j, is_int in enumerate(ints) if not is_int]
-    x = np.array([cols[j] for j in floats], dtype=float).reshape(-1)
-    if digit_pass:
-        lo, hi, tail, spelled = _digit_words(x)
-    else:
-        spelled = np.zeros(x.shape, dtype=bool)
-    if json_cells:
-        spelled &= ~_respelled(x)
-    # Every other float cell: %.12g (in JSON the repr of the respelled ones)
-    # once per distinct bit pattern, since 0.0 and -0.0 differ.
-    fallback = np.flatnonzero(~spelled)
-    bits, inverse = np.unique(x[fallback].view(np.uint64), return_inverse=True)
-    values = bits.view(float)
-    texts = ["%.12g" % v for v in values.tolist()]
-    if json_cells:
-        for i in np.flatnonzero(_respelled(values)).tolist():
-            v = repr(float(texts[i]))
-            texts[i] = _JSON_NONFINITE.get(v, v)
-    int_texts = ["%d" % v for j, is_int in enumerate(ints) if is_int
-                 for v in cols[j]]
-    # One width for every cell of the chunk, with 2 bytes to spare.
-    width = max(3 if digit_pass else 1,
-                (max(map(len, texts + int_texts), default=0) + 9) // 8)
-    cells = np.zeros((x.size, width), dtype="<u8")
-    if digit_pass:
-        cells[:, 0], cells[:, 1], cells[:, -1] = lo, hi, tail
-    cells[fallback] = _text_words(texts, width)[inverse.reshape(-1)]
-    cells = iter(cells.reshape(-1, rows, width))
-    int_cells = iter(_text_words(int_texts, width).reshape(-1, rows, width))
-    template, starts, signs = _layout(consts, width)
-    buf = np.empty((rows, len(template)), dtype="<u8")
-    buf[...] = template
-    for s, is_int in zip(starts, ints):
-        buf[:, s:s + width] |= next(int_cells if is_int else cells)
-    if digit_pass:
-        minus = (np.signbit(x) & spelled) * np.uint64(0x2D << 56)
-        for f, j in enumerate(floats):
-            buf[:, signs[j]] |= minus[f * rows:(f + 1) * rows]
-    return buf.tobytes().translate(None, b"\0").decode("ascii")
-
 
 def _table_text(header: list[str], columns: Sequence[Sequence], fmt: str,
                 extra_json_fields: dict | None = None) -> str:
@@ -341,7 +127,7 @@ def _table_text(header: list[str], columns: Sequence[Sequence], fmt: str,
         if not n:
             return "[]\n"
         # Every object starts with the ",\n" that joins it to the one before;
-        # the first one's is cut below.
+        # the first one's is cut.
         pieces = ["[\n"]
         keys = [json.dumps(key) for key in header]
         consts = ([f",\n  {{\n    {keys[0]}: "]
@@ -354,9 +140,8 @@ def _table_text(header: list[str], columns: Sequence[Sequence], fmt: str,
     for start in range(0, n, _CHUNK_ROWS):
         pieces.append(_chunk_text(
             consts, [c[start:start + _CHUNK_ROWS] for c in cols], ints,
-            fmt == "json", digit_pass))
+            fmt == "json", digit_pass, cut=2 if fmt == "json" and not start else 0))
     if fmt == "json":
-        pieces[1] = pieces[1][2:]
         pieces.append("\n]\n")
     return "".join(pieces)
 

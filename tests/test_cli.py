@@ -18,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import icotherm.cli as cli
+from icotherm import _text
 from icotherm.linalg import DensityMatrix, ValidationError
 
 import oracles
@@ -819,8 +820,8 @@ class TestDigitPass:
     def test_exponent_one_off_is_corrected(self, monkeypatch, shift):
         # log10 lands one off only within a few ulps of a power of ten; the
         # pass must recover from an E one off anywhere.
-        exponent = cli._decimal_exponent
-        monkeypatch.setattr(cli, "_decimal_exponent",
+        exponent = _text._decimal_exponent
+        monkeypatch.setattr(_text, "_decimal_exponent",
                             lambda a: exponent(a) + shift)
         rng = np.random.default_rng(3)
         x = 10.0 ** rng.uniform(-30, 50, 20_000)
