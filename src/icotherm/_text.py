@@ -240,34 +240,47 @@ def _chunk_text(consts: tuple[bytes, ...], cols: list, ints: list[bool],
         spelled = np.zeros(x.shape, dtype=bool)
     if json_cells:
         spelled &= ~_respelled(x)
-    # Every other float cell: %.12g (in JSON the repr of the respelled ones)
-    # once per distinct bit pattern, since 0.0 and -0.0 differ.
+    # Every other float cell: %.12g (in JSON the repr of the respelled ones),
+    # once per distinct bit pattern, since 0.0 and -0.0 differ.  A small
+    # table spells each of its cells by itself.
     fallback = np.flatnonzero(~spelled)
-    bits, inverse = np.unique(x[fallback].view(np.uint64), return_inverse=True)
+    if digit_pass:
+        bits, text_of = np.unique(x[fallback].view(np.uint64), return_inverse=True)
+        text_of = text_of.reshape(-1)
+    else:
+        bits, text_of = x.view(np.uint64), fallback
     values = bits.view(float)
     texts = ["%.12g" % v for v in values.tolist()]
     if json_cells:
         for i in np.flatnonzero(_respelled(values)).tolist():
             v = repr(float(texts[i]))
             texts[i] = _JSON_NONFINITE.get(v, v)
-    int_texts = ["%d" % v for j, is_int in enumerate(ints) if is_int
-                 for v in cols[j]]
+    int_cols = [j for j, is_int in enumerate(ints) if is_int]
+    texts += ["%d" % v for j in int_cols for v in cols[j]]
     # One width for every cell of the chunk, with 2 bytes to spare.
     width = max(3 if digit_pass else 1,
-                (max(map(len, texts + int_texts), default=0) + 9) // 8)
-    cells = np.zeros((x.size, width), dtype="<u8")
-    if digit_pass:
-        cells[:, 0], cells[:, 1], cells[:, -1] = lo, hi, tail
-        del lo, hi, tail
-    cells[fallback] = _text_words(texts, width)[inverse.reshape(-1)]
-    cells = iter(cells.reshape(-1, rows, width))
-    int_cells = iter(_text_words(int_texts, width).reshape(-1, rows, width))
+                (max(map(len, texts), default=0) + 9) // 8)
     template, starts, signs = _layout(consts, width)
     buf = np.empty((rows, len(template)), dtype="<u8")
     buf[...] = template
-    for s, is_int in zip(starts, ints):
-        buf[:, s:s + width] |= next(int_cells if is_int else cells)
-    del cells, int_cells
+    if digit_pass:
+        for f, j in enumerate(floats):
+            s = starts[j]
+            buf[:, s] = lo[f * rows:(f + 1) * rows]
+            buf[:, s + 1] = hi[f * rows:(f + 1) * rows]
+            buf[:, s + width - 1] |= tail[f * rows:(f + 1) * rows]
+        del lo, hi, tail
+    # The texts go to their cells' words with one fancy index: the float
+    # cells spelled above, then every int cell.
+    col, row = np.divmod(fallback, rows)
+    col = np.array(floats, dtype=np.intp)[col]
+    if int_cols:
+        col = np.concatenate([col, np.repeat(int_cols, rows)])
+        row = np.concatenate([row, np.tile(np.arange(rows), len(int_cols))])
+        text_of = np.concatenate([text_of, np.arange(len(bits), len(texts))])
+    words = np.array(starts)[col][:, None] + np.arange(width)
+    buf.reshape(-1)[row[:, None] * len(template) + words] = (
+        template[words] | _text_words(texts, width)[text_of])
     if digit_pass:
         minus = (np.signbit(x) & spelled) * np.uint64(0x2D << 56)
         for f, j in enumerate(floats):

@@ -297,7 +297,7 @@ def _cmd_circuit_verify(args) -> None:
     d = verify_grid(h, temps.tolist(), phis,
                     decompose_cswap=args.decompose_cswap)
     _emit(["t", "phi", "distance"],
-          [np.repeat(t, len(phis)), np.tile(phis, len(t)), np.array(d)], args)
+          [np.repeat(t, len(phis)), phis * len(t), d], args)
 
 
 def _cmd_mc(args) -> None:
