@@ -38,9 +38,9 @@ def _exponent_tables() -> tuple[np.ndarray, np.ndarray]:
     at most two of them are not 1, so m is rounded at most twice.  f1 is
     NaN where |11 - E| > 44, which leaves the cell unproven.  The layout
     words are the byte shift of the leading zeros, the 128-bit masks (two
-    words each) of the kept digit bytes [0, q) and of their complement, of
-    the '.' at byte q and of the '0' fill, and the exponent text 'e+dd' from
-    byte 1 of a word.  One column per E.
+    words each) of the kept digit bytes [0, q), of the '.' at byte q and of
+    the '0' fill, and the exponent text 'e+dd' from byte 1 of a word.  One
+    column per E.
     """
     e = np.arange(_E_LOW, _E_HIGH)
     s = 11 - e
@@ -54,7 +54,6 @@ def _exponent_tables() -> tuple[np.ndarray, np.ndarray]:
     k = range(13)
     per_q = np.vstack([
         _words([b"\xff" * i + b"\0" * (16 - i) for i in k]),
-        _words([b"\0" * i + b"\xff" * (16 - i) for i in k]),
         _words([(b"\0" * i + b".").ljust(16, b"\0") for i in k])])
     zeros = _words([(b"0" * i).ljust(16, b"\0") for i in k])
     exp = _words([(b"\0" + b"e%+03d" % v if x else b"").ljust(8, b"\0")
@@ -84,8 +83,8 @@ def _group_words() -> tuple[np.ndarray, np.ndarray]:
 
 
 _SCALE, _LAYOUT = _exponent_tables()
-(_SHIFT, _KEEP_LO, _KEEP_HI, _REST_LO, _REST_HI, _DOT_LO, _DOT_HI,
- _ZEROS_LO, _ZEROS_HI, _EXP) = _LAYOUT
+(_SHIFT, _KEEP_LO, _KEEP_HI, _DOT_LO, _DOT_HI, _ZEROS_LO, _ZEROS_HI,
+ _EXP) = _LAYOUT
 _GROUPS, _CUT_NEXT = _group_words()
 
 
@@ -164,13 +163,15 @@ def _digit_words(x: np.ndarray) -> tuple[np.ndarray, ...]:
     lo |= _ZEROS_LO[ie]
     hi |= _ZEROS_HI[ie]
     # Insert the '.' at byte q when a digit follows it.
-    rest_lo = lo & _REST_LO[ie]
-    rest_hi = hi & _REST_HI[ie]
+    kept = lo & _KEEP_LO[ie]
+    rest_lo = lo ^ kept
+    lo = kept
+    kept = hi & _KEEP_HI[ie]
+    rest_hi = hi ^ kept
+    hi = kept
     more = (rest_lo | rest_hi) != 0
-    lo &= _KEEP_LO[ie]
     lo |= rest_lo << np.uint64(8)
     lo |= _DOT_LO[ie] * more
-    hi &= _KEEP_HI[ie]
     hi |= rest_hi << np.uint64(8)
     hi |= rest_lo >> np.uint64(56)
     hi |= _DOT_HI[ie] * more

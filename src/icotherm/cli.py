@@ -11,6 +11,10 @@ mc              seeded demon simulation               (trials,seed,successes,
 
 Temperatures are in delta/k_B units; energies scale with --delta.  Output is
 byte-identical for identical arguments; numbers carry 12 significant digits.
+The commands pass the kernel's columns to one table writer
+(``icotherm._text``), which spells the digits of whole columns in numpy,
+exactly as ``%.12g`` spells them, and leaves to Python's ``%`` the few cells
+it cannot prove and every cell of a small table.
 Exit codes: 0 success, 2 argument error, 3 numerical validation failure.
 """
 
@@ -65,14 +69,15 @@ def _table_text(header: list[str], columns: Sequence[Sequence], fmt: str,
     ``extra_json_fields``.  ``%d`` and ``%.12g`` text holds no comma, quote
     or newline, so no cell needs CSV quoting.
 
-    Every table takes one path.  Rows are written ``_CHUNK_ROWS`` at a time
-    into a ``(rows, words)`` buffer of little-endian uint64 words that holds
-    the constant pieces (CSV's ``,`` and newline; JSON's object template
-    with its keys and ``extra_json_fields``) and the cells, all padded with
-    NUL bytes, which ``bytes.translate`` then drops; the chunk is decoded
-    once.  See :func:`_layout`.
+    Every table takes one path, ``icotherm._text``.  Rows are written
+    ``_CHUNK_ROWS`` at a time into a ``(rows, words)`` buffer of
+    little-endian uint64 words that holds the constant pieces (CSV's ``,``
+    and newline; JSON's object template with its keys and
+    ``extra_json_fields``) and the cells, all padded with NUL bytes, which
+    ``bytes.translate`` then drops; each chunk is decoded once.  Chunks keep
+    the arrays of the pass small next to the text, whatever the grid size.
 
-    *Digit pass.*  :func:`_digit_words` spells each float cell in numpy.
+    *Digit pass.*  ``_text._digit_words`` spells each float cell in numpy.
     With a = |x| and E = floor(log10 a), it computes m = a * 10**(11 - E)
     with at most two multiplications or divisions by the exact powers
     10**0..10**22, so m is rounded at most twice and, while m < 1e12,
@@ -89,12 +94,13 @@ def _table_text(header: list[str], columns: Sequence[Sequence], fmt: str,
     or ``-0``.  Cells that are not finite or have |11 - E| > 44 are not
     proven; neither is about 0.2 % of uniform values.
 
-    *Fallback.*  Every other cell is spelled by Python's ``%``, once per
-    distinct bit pattern, and scattered into the buffer with one fancy
-    index: float cells the digit pass did not prove, int cells (``%d``),
-    and in JSON the cells whose ``%.12g`` text is not the repr of its value.
-    A tables with fewer than ``_DIGIT_MIN_CELLS`` float cells skips the
-    digit pass and spells every cell this way.
+    *Fallback.*  Every other cell is spelled by Python's ``%``: float cells
+    the digit pass did not prove, int cells (``%d``), and in JSON the cells
+    whose ``%.12g`` text is not the repr of its value.  A table with fewer
+    than ``_DIGIT_MIN_CELLS`` float cells skips the digit pass, whose fixed
+    cost it would not repay, and spells each of its cells this way; a larger
+    one spells each distinct bit pattern once.  The texts go into the buffer
+    with one fancy index.
 
     *JSON respelling.*  A JSON float keeps its ``%.12g`` text, which already
     is that repr, except where a cell x is not finite, has ``|x| < 1e-300``
