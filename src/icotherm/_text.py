@@ -82,10 +82,15 @@ def _group_words() -> tuple[np.ndarray, np.ndarray]:
             np.where(g == 0, 10000, 0))
 
 
-_SCALE, _LAYOUT = _exponent_tables()
-(_SHIFT, _KEEP_LO, _KEEP_HI, _DOT_LO, _DOT_HI, _ZEROS_LO, _ZEROS_HI,
- _EXP) = _LAYOUT
-_GROUPS, _CUT_NEXT = _group_words()
+@functools.cache
+def _tables() -> tuple[np.ndarray, ...]:
+    """The exponent and group tables, built by the first digit pass.
+
+    A process that writes no table large enough for the pass (circuit-verify
+    and mc tables are a few rows) never builds them: they and their
+    temporaries cost about 0.9 MB of resident memory and 2 ms.
+    """
+    return (*_exponent_tables(), *_group_words())
 
 
 def _decimal_exponent(a: np.ndarray) -> np.ndarray:
@@ -93,9 +98,9 @@ def _decimal_exponent(a: np.ndarray) -> np.ndarray:
     return np.floor(np.log10(a))
 
 
-def _scaled(a: np.ndarray, ie: np.ndarray) -> np.ndarray:
+def _scaled(a: np.ndarray, ie: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """m = a * 10**(11 - E), E at index ``ie`` of the exponent tables."""
-    f1, f2, d1, d2 = (t[ie] for t in _SCALE)
+    f1, f2, d1, d2 = (t[ie] for t in scale)
     m = a * f1
     m *= f2
     m /= d1
@@ -114,6 +119,7 @@ def _digit_words(x: np.ndarray) -> tuple[np.ndarray, ...]:
     Temporaries are freed or reused as soon as they are spent: with a few
     arrays per cell alive at once, a chunk stays small.
     """
+    scale, layout, groups, cut_next = _tables()
     a = np.abs(x)
     zero = a == 0.0
     proven = a > 0.0
@@ -122,12 +128,12 @@ def _digit_words(x: np.ndarray) -> tuple[np.ndarray, ...]:
     ie = _decimal_exponent(a).astype(np.intp)
     ie -= _E_LOW
     with np.errstate(over="ignore", invalid="ignore"):
-        m = _scaled(a, ie)
+        m = _scaled(a, ie, scale)
         # E can be one off near a power of ten: move it and scale again.
         off = np.flatnonzero((m < 1e11) | (m >= 1e12))
         if off.size:
             ie[off] += np.where(m[off] < 1e11, -1, 1)
-            m[off] = _scaled(a[off], ie[off])
+            m[off] = _scaled(a[off], ie[off], scale)
         del a
         n = np.rint(m)
         m -= n
@@ -145,38 +151,39 @@ def _digit_words(x: np.ndarray) -> tuple[np.ndarray, ...]:
     g2 -= g0 * 100000000
     g1 = g2 // 10000
     g2 -= g1 * 10000
-    cut = _CUT_NEXT[g2]
-    hi = _GROUPS[g2 + 10000]
-    g2 = _GROUPS[g1 + cut]
+    cut = cut_next[g2]
+    hi = groups[g2 + 10000]
+    g2 = groups[g1 + cut]
     g2 <<= np.uint64(32)
-    cut &= _CUT_NEXT[g1]
+    cut &= cut_next[g1]
     g0 += cut
-    lo = _GROUPS[g0]
+    lo = groups[g0]
     lo |= g2
     del g0, g1, g2, cut
-    shift = _SHIFT[ie]
+    shift, keep_lo, keep_hi, dot_lo, dot_hi, zeros_lo, zeros_hi, exp = layout
+    shift = shift[ie]
     if shift.any():  # 128-bit shift of the digits past the leading zeros
         hi <<= shift
         hi |= (lo >> np.uint64(32)) >> (np.uint64(32) - shift)
         lo <<= shift
     del shift
-    lo |= _ZEROS_LO[ie]
-    hi |= _ZEROS_HI[ie]
+    lo |= zeros_lo[ie]
+    hi |= zeros_hi[ie]
     # Insert the '.' at byte q when a digit follows it.
-    kept = lo & _KEEP_LO[ie]
+    kept = lo & keep_lo[ie]
     rest_lo = lo ^ kept
     lo = kept
-    kept = hi & _KEEP_HI[ie]
+    kept = hi & keep_hi[ie]
     rest_hi = hi ^ kept
     hi = kept
     more = (rest_lo | rest_hi) != 0
     lo |= rest_lo << np.uint64(8)
-    lo |= _DOT_LO[ie] * more
+    lo |= dot_lo[ie] * more
     hi |= rest_hi << np.uint64(8)
     hi |= rest_lo >> np.uint64(56)
-    hi |= _DOT_HI[ie] * more
+    hi |= dot_hi[ie] * more
     rest_hi >>= np.uint64(56)
-    rest_hi |= _EXP[ie]
+    rest_hi |= exp[ie]
     return lo, hi, rest_hi, proven
 
 
