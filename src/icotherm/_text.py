@@ -63,7 +63,7 @@ def _exponent_tables() -> tuple[np.ndarray, np.ndarray]:
 
 
 def _group_words() -> tuple[np.ndarray, np.ndarray]:
-    """ASCII of the 4-digit groups 0000..9999, one little-endian word each.
+    """ASCII of the 4-digit groups 0000..9999, one little-endian uint32 each.
 
     Entries 10000 + g hold g with its trailing zeros cut (0 for g = 0): the
     last nonzero group of a mantissa is looked up there.  The offsets pick
@@ -78,8 +78,7 @@ def _group_words() -> tuple[np.ndarray, np.ndarray]:
     for i in (3, 2, 1, 0):
         zeros &= (cut >> (8 * i)) & 0xFF == 0x30
         cut[zeros] &= ~np.uint32(0xFF << (8 * i))
-    return (np.concatenate([word, cut]).astype(np.uint64),
-            np.where(g == 0, 10000, 0))
+    return np.concatenate([word, cut]), np.where(g == 0, 10000, 0).astype(np.int16)
 
 
 @functools.cache
@@ -87,8 +86,8 @@ def _tables() -> tuple[np.ndarray, ...]:
     """The exponent and group tables, built by the first digit pass.
 
     A process that writes no table large enough for the pass (circuit-verify
-    and mc tables are a few rows) never builds them: they and their
-    temporaries cost about 0.9 MB of resident memory and 2 ms.
+    and mc tables are a few rows) never builds them: they keep 158 KB, and
+    building them raises resident memory by about 0.8 MB and takes 1.5 ms.
     """
     return (*_exponent_tables(), *_group_words())
 
@@ -152,12 +151,12 @@ def _digit_words(x: np.ndarray) -> tuple[np.ndarray, ...]:
     g1 = g2 // 10000
     g2 -= g1 * 10000
     cut = cut_next[g2]
-    hi = groups[g2 + 10000]
-    g2 = groups[g1 + cut]
+    hi = groups[g2 + 10000].astype(np.uint64)
+    g2 = groups[g1 + cut].astype(np.uint64)
     g2 <<= np.uint64(32)
     cut &= cut_next[g1]
     g0 += cut
-    lo = groups[g0]
+    lo = groups[g0].astype(np.uint64)
     lo |= g2
     del g0, g1, g2, cut
     shift, keep_lo, keep_hi, dot_lo, dot_hi, zeros_lo, zeros_hi, exp = layout
@@ -233,6 +232,12 @@ def _layout(consts: tuple[bytes, ...],
     return template, starts, signs
 
 
+def _json_text(text: str) -> str:
+    """How ``json.dumps`` spells the float a ``%.12g`` text parses to."""
+    v = repr(float(text))
+    return _JSON_NONFINITE.get(v, v)
+
+
 def _chunk_text(consts: tuple[bytes, ...], cols: list, ints: list[bool],
                 json_cells: bool, digit_pass: bool, cut: int = 0) -> str:
     """One chunk of rows, spelled into one word buffer and decoded once.
@@ -241,36 +246,33 @@ def _chunk_text(consts: tuple[bytes, ...], cols: list, ints: list[bool],
     """
     rows = len(cols[0])
     floats = [j for j, is_int in enumerate(ints) if not is_int]
-    x = np.array([cols[j] for j in floats], dtype=float).reshape(-1)
+    # The float cells the digit pass does not spell are spelled by %, in JSON
+    # as the repr of their 12-digit value: what the respelled cells need, and
+    # what every other cell's text already is.  A large table spells each
+    # distinct bit pattern once (0.0 and -0.0 differ); a small one, whose
+    # every cell is spelled here, spells each cell by itself.
     if digit_pass:
+        x = np.array([cols[j] for j in floats], dtype=float).reshape(-1)
         lo, hi, tail, spelled = _digit_words(x)
-    else:
-        spelled = np.zeros(x.shape, dtype=bool)
-    if json_cells:
-        spelled &= ~_respelled(x)
-    # Every other float cell: %.12g (in JSON the repr of the respelled ones),
-    # once per distinct bit pattern, since 0.0 and -0.0 differ.  A small
-    # table spells each of its cells by itself.
-    fallback = np.flatnonzero(~spelled)
-    if digit_pass:
+        if json_cells:
+            spelled &= ~_respelled(x)
+        fallback = np.flatnonzero(~spelled)
         bits, text_of = np.unique(x[fallback].view(np.uint64), return_inverse=True)
-        text_of = text_of.reshape(-1)
+        values = bits.view(float).tolist()
     else:
-        bits, text_of = x.view(np.uint64), fallback
-    values = bits.view(float)
-    texts = ["%.12g" % v for v in values.tolist()]
+        values = [v for j in floats for v in cols[j].tolist()]
+    texts = ["%.12g" % v for v in values]
     if json_cells:
-        for i in np.flatnonzero(_respelled(values)).tolist():
-            v = repr(float(texts[i]))
-            texts[i] = _JSON_NONFINITE.get(v, v)
-    int_cols = [j for j, is_int in enumerate(ints) if is_int]
-    texts += ["%d" % v for j in int_cols for v in cols[j]]
+        texts = [_json_text(t) for t in texts]
+    texts += ["%d" % v for j, is_int in enumerate(ints) if is_int for v in cols[j]]
     # One width for every cell of the chunk, with 2 bytes to spare.
     width = max(3 if digit_pass else 1,
                 (max(map(len, texts), default=0) + 9) // 8)
     template, starts, signs = _layout(consts, width)
     buf = np.empty((rows, len(template)), dtype="<u8")
     buf[...] = template
+    words = _text_words(texts, width)
+    float_words, int_words = words[:len(values)], words[len(values):]
     if digit_pass:
         for f, j in enumerate(floats):
             s = starts[j]
@@ -278,22 +280,24 @@ def _chunk_text(consts: tuple[bytes, ...], cols: list, ints: list[bool],
             buf[:, s + 1] = hi[f * rows:(f + 1) * rows]
             buf[:, s + width - 1] |= tail[f * rows:(f + 1) * rows]
         del lo, hi, tail
-    # The texts go to their cells' words with one fancy index: the float
-    # cells spelled above, then every int cell.
-    col, row = np.divmod(fallback, rows)
-    col = np.array(floats, dtype=np.intp)[col]
-    if int_cols:
-        col = np.concatenate([col, np.repeat(int_cols, rows)])
-        row = np.concatenate([row, np.tile(np.arange(rows), len(int_cols))])
-        text_of = np.concatenate([text_of, np.arange(len(bits), len(texts))])
-    words = np.array(starts)[col][:, None] + np.arange(width)
-    buf.reshape(-1)[row[:, None] * len(template) + words] = (
-        template[words] | _text_words(texts, width)[text_of])
-    if digit_pass:
+        # The spelled floats go to their cells with one fancy index.
+        col, row = np.divmod(fallback, rows)
+        first = np.array(starts)[np.array(floats, dtype=np.intp)[col]]
+        at = (row * len(template) + first)[:, None] + np.arange(width)
+        buf.reshape(-1)[at] = template[at % len(template)] | float_words[text_of.reshape(-1)]
         minus = (np.signbit(x) & spelled) * np.uint64(0x2D << 56)
         for f, j in enumerate(floats):
             buf[:, signs[j]] |= minus[f * rows:(f + 1) * rows]
-    buf[0, 0] &= np.uint64(_U64 << (8 * cut) & _U64)
+    # Whole columns of texts: the int columns, and the float columns of a
+    # small table.
+    float_cells = iter(() if digit_pass else float_words.reshape(-1, rows, width))
+    int_cells = iter(int_words.reshape(-1, rows, width))
+    for j, is_int in enumerate(ints):
+        if is_int or not digit_pass:
+            buf[:, starts[j]:starts[j] + width] |= next(int_cells if is_int
+                                                        else float_cells)
+    if cut:
+        buf[0, 0] &= np.uint64(_U64 << (8 * cut) & _U64)
     data = buf.tobytes()
     del buf
     data = data.translate(None, b"\0")
