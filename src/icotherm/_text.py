@@ -269,33 +269,42 @@ def _chunk_text(consts: tuple[bytes, ...], cols: list, ints: list[bool],
     width = max(3 if digit_pass else 1,
                 (max(map(len, texts), default=0) + 9) // 8)
     template, starts, signs = _layout(consts, width)
+    if not digit_pass:
+        # A small table: every cell is a text, written by slice into a copy
+        # of the row words; a few dozen numpy calls would cost more here.
+        stride = 8 * len(template)
+        buf = bytearray(template.tobytes() * rows)
+        columns = iter(texts[i:i + rows] for i in range(0, len(texts), rows))
+        order = [j for j in floats] + [j for j, is_int in enumerate(ints) if is_int]
+        for j, column in zip(order, columns):
+            at = 8 * starts[j]
+            for text in column:
+                buf[at:at + len(text)] = text.encode()
+                at += stride
+        buf[:cut] = bytes(cut)
+        return buf.translate(None, b"\0").decode("ascii")
     buf = np.empty((rows, len(template)), dtype="<u8")
     buf[...] = template
     words = _text_words(texts, width)
-    float_words, int_words = words[:len(values)], words[len(values):]
-    if digit_pass:
-        for f, j in enumerate(floats):
-            s = starts[j]
-            buf[:, s] = lo[f * rows:(f + 1) * rows]
-            buf[:, s + 1] = hi[f * rows:(f + 1) * rows]
-            buf[:, s + width - 1] |= tail[f * rows:(f + 1) * rows]
-        del lo, hi, tail
-        # The spelled floats go to their cells with one fancy index.
-        col, row = np.divmod(fallback, rows)
-        first = np.array(starts)[np.array(floats, dtype=np.intp)[col]]
-        at = (row * len(template) + first)[:, None] + np.arange(width)
-        buf.reshape(-1)[at] = template[at % len(template)] | float_words[text_of.reshape(-1)]
-        minus = (np.signbit(x) & spelled) * np.uint64(0x2D << 56)
-        for f, j in enumerate(floats):
-            buf[:, signs[j]] |= minus[f * rows:(f + 1) * rows]
-    # Whole columns of texts: the int columns, and the float columns of a
-    # small table.
-    float_cells = iter(() if digit_pass else float_words.reshape(-1, rows, width))
-    int_cells = iter(int_words.reshape(-1, rows, width))
+    for f, j in enumerate(floats):
+        s = starts[j]
+        buf[:, s] = lo[f * rows:(f + 1) * rows]
+        buf[:, s + 1] = hi[f * rows:(f + 1) * rows]
+        buf[:, s + width - 1] |= tail[f * rows:(f + 1) * rows]
+    del lo, hi, tail
+    # The spelled floats go to their cells with one fancy index, and the
+    # int columns whole.
+    col, row = np.divmod(fallback, rows)
+    first = np.array(starts)[np.array(floats, dtype=np.intp)[col]]
+    at = (row * len(template) + first)[:, None] + np.arange(width)
+    buf.reshape(-1)[at] = template[at % len(template)] | words[text_of.reshape(-1)]
+    int_cells = iter(words[len(values):].reshape(-1, rows, width))
     for j, is_int in enumerate(ints):
-        if is_int or not digit_pass:
-            buf[:, starts[j]:starts[j] + width] |= next(int_cells if is_int
-                                                        else float_cells)
+        if is_int:
+            buf[:, starts[j]:starts[j] + width] |= next(int_cells)
+    minus = (np.signbit(x) & spelled) * np.uint64(0x2D << 56)
+    for f, j in enumerate(floats):
+        buf[:, signs[j]] |= minus[f * rows:(f + 1) * rows]
     if cut:
         buf[0, 0] &= np.uint64(_U64 << (8 * cut) & _U64)
     data = buf.tobytes()

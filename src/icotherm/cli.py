@@ -96,11 +96,14 @@ def _table_text(header: list[str], columns: Sequence[Sequence], fmt: str,
 
     *Fallback.*  Every other cell is spelled by Python's ``%``: float cells
     the digit pass did not prove, int cells (``%d``), and in JSON the cells
-    whose ``%.12g`` text is not the repr of its value.  A table with fewer
+    the respelling below selects.  In JSON each such float text is then
+    spelled as the repr of the float it parses to, which, for a cell the
+    respelling does not select, is its text already.  A table with fewer
     than ``_DIGIT_MIN_CELLS`` float cells skips the digit pass, whose fixed
-    cost it would not repay, and spells each of its cells this way; a larger
-    one spells each distinct bit pattern once.  The texts go into the buffer
-    with one fancy index.
+    cost it would not repay, and spells each of its cells this way, each
+    text written by slice into a copy of the row words; a larger one spells
+    each distinct bit pattern once and writes the texts with one fancy
+    index.
 
     *JSON respelling.*  A JSON float keeps its ``%.12g`` text, which already
     is that repr, except where a cell x is not finite, has ``|x| < 1e-300``
