@@ -1,19 +1,37 @@
-"""Table text for the CLI: float and int columns spelled into word buffers.
+"""The CLI's table writer: float and int columns as CSV or JSON text.
 
-:func:`_chunk_text` writes rows of cells and constant pieces into a
+:func:`_table_text` frames a table (CSV header and rows, or the JSON array of
+objects) and picks its route per table.  A table with fewer than
+``_DIGIT_MIN_CELLS`` float cells is spelled by one ``%`` pass over a row
+template.  A larger one is cut into chunks of ``_CHUNK_ROWS`` rows;
+:func:`_chunk_text` writes a chunk's cells and constant pieces into a
 ``(rows, words)`` buffer of little-endian uint64 words, NUL-padded, and drops
-the NULs with one ``bytes.translate``.  :func:`_digit_words` spells floats
-exactly as ``"%.12g" % x`` does, in numpy; every cell it cannot prove, and
-every int cell, is spelled by Python's ``%``.  ``cli._table_text`` frames the
-table (CSV header and rows, or the JSON array of objects) and cuts it into
-chunks; its docstring gives the exactness argument.
+the NULs with one ``bytes.translate``.  There :func:`_digit_words` spells
+floats exactly as ``"%.12g" % x`` does, in numpy, and Python's ``%`` spells
+every cell it cannot prove and every int cell.  :func:`_table_text`'s
+docstring gives the exactness argument.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+import json
+from typing import Sequence
 
 import numpy as np
+
+# Rows per chunk of a digit-pass table.  A digit pass has a fixed cost of
+# about 120 us (some 60 numpy calls) and then costs about 55 ns per cell up
+# to some 30 000 cells, where its temporaries leave the cache; 4096 rows of
+# 3-5 columns stay below that.  A chunk's arrays take a few MB, so the
+# memory of a large --steps table follows its text.
+_CHUNK_ROWS = 4096
+# Tables with fewer float cells than this skip the digit pass and are
+# spelled by one % pass over a row template.  Measured in-process on the
+# default probs, heat and fridge columns cut to 20-200 rows, the template
+# wins up to 500-700 cells in CSV and the digit pass from 120-180 in JSON.
+_DIGIT_MIN_CELLS = 256
 
 # How json.dumps spells the floats that have no JSON number.
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -238,51 +256,150 @@ def _json_text(text: str) -> str:
     return _JSON_NONFINITE.get(v, v)
 
 
+def _table_text(header: list[str], columns: Sequence[Sequence], fmt: str,
+                extra_json_fields: dict | None = None) -> str:
+    """The whole table as CSV or ``indent=2`` JSON text.
+
+    ``columns`` holds one sequence per header key, all of one length: float
+    columns (float64 arrays) are written with 12 significant digits
+    (``%.12g``), int columns (a column whose first cell is an int) whole
+    (``%d``).  In JSON a float is the shortest repr of its 12-digit value,
+    non-finite ones as ``NaN``/``Infinity``, and every object ends with
+    ``extra_json_fields``.  ``%d`` and ``%.12g`` text holds no comma, quote
+    or newline, so no cell needs CSV quoting.
+
+    A table with at least ``_DIGIT_MIN_CELLS`` float cells is written
+    ``_CHUNK_ROWS`` rows at a time into a ``(rows, words)`` buffer of
+    little-endian uint64 words that holds the constant pieces (CSV's ``,``
+    and newline; JSON's object template with its keys and
+    ``extra_json_fields``) and the cells, all padded with NUL bytes, which
+    ``bytes.translate`` then drops; each chunk is decoded once.  Chunks keep
+    the arrays of the pass small next to the text, whatever the grid size.
+
+    *Digit pass.*  :func:`_digit_words` spells each float cell in numpy.
+    With a = |x| and E = floor(log10 a), it computes m = a * 10**(11 - E)
+    with at most two multiplications or divisions by the exact powers
+    10**0..10**22, so m is rounded at most twice and, while m < 1e12,
+    |m - m_exact| <= 2 * 2**-53 * 1e12 < 2.3e-4.  When m falls outside
+    [1e11, 1e12), E moves by one and m is computed again.  A cell is proven
+    when m lies more than 1e-3 from a half-integer, |m - rint(m)| < 0.499:
+    m_exact is then on the same side of every half-integer, so N = rint(m)
+    is m_exact rounded to 12 digits, the mantissa ``%.12g`` prints (10**12
+    carries to 10**11 and E + 1).  N is split into three 4-digit groups,
+    each looked up as 4 ASCII bytes; trailing zeros are cut, and the digits
+    are laid out as ``%g`` does: e-notation (``e+dd``, three digits from
+    |E| = 100) iff E < -4 or E >= 12, else positional, with a ``0.000``
+    lead when E < 0.  The sign comes from ``signbit`` and zeros are ``0``
+    or ``-0``.  Cells that are not finite or have |11 - E| > 44 are not
+    proven; neither is about 0.2 % of uniform values.
+
+    *Fallback.*  Every other cell is spelled by Python's ``%``: float cells
+    the digit pass did not prove, once per distinct bit pattern, int cells
+    (``%d``), and in JSON the cells the respelling below selects.  In JSON
+    each such float text is then spelled as the repr of the float it parses
+    to, which, for a cell the respelling does not select, is its text
+    already; the texts go into the buffer with one fancy index.  A table
+    with fewer than ``_DIGIT_MIN_CELLS`` float cells skips the digit pass
+    and the buffer, whose fixed cost it would not repay: its rows are one
+    ``%`` pass over a row template of the constant pieces (``%`` escaped as
+    ``%%``) and the cells, ``%.12g`` or ``%d`` in CSV, and in JSON the
+    repr text of each float cell's ``%.12g``.
+
+    *JSON respelling.*  A JSON float keeps its ``%.12g`` text, which already
+    is that repr, except where a cell x is not finite, has ``|x| < 1e-300``
+    (0, -0.0 and the subnormals, whose 12 digits do not round-trip) or has
+    ``|x - rint(x)| <= 2e-11*|x|``; those are respelled as the repr of the
+    float their text parses to.  For every other cell:
+
+    * the text is a decimal of at most 12 significant digits, and one of at
+      most 15 round-trips through a normal double, so the shortest repr of
+      the parsed value has exactly those digits;
+    * the value is not whole, so repr adds no ``.0``: rounding to 12 digits
+      moves x by at most ``0.5e-11*|x|``, so a whole 12-digit value is
+      selected with 4x slack;
+    * both formats switch to e-notation below 1e-4 and spell the exponent
+      alike.  Above 1e12 ``%g`` uses e-notation and repr does not (until
+      1e16), but every ``|x| >= 5e10`` is within 0.5 of a whole number and
+      is selected.
+    """
+    ints = [isinstance(c, np.ndarray) and c.dtype.kind in "iub"
+            or (not isinstance(c, np.ndarray) and len(c) > 0
+                and isinstance(c[0], (int, np.integer)))
+            for c in columns]
+    cols = [c if is_int else np.asarray(c, dtype=float)
+            for c, is_int in zip(columns, ints)]
+    n = len(cols[0])
+    json_cells = fmt == "json"
+    if json_cells:
+        if not n:
+            return "[]\n"
+        # Every object starts with the ",\n" that joins it to the one before;
+        # the first one's is cut.
+        head, cut, tail = "[\n", 2, "\n]\n"
+        keys = [json.dumps(key) for key in header]
+        consts = ([f",\n  {{\n    {keys[0]}: "]
+                  + [f",\n    {key}: " for key in keys[1:]]
+                  + ["".join(f",\n    {json.dumps(key)}: {json.dumps(v)}"
+                             for key, v in (extra_json_fields or {}).items())
+                     + "\n  }"])
+    else:
+        head, cut, tail = ",".join(header) + "\n", 0, ""
+        consts = [""] + [","] * (len(header) - 1) + ["\n"]
+    if n * ints.count(False) < _DIGIT_MIN_CELLS:
+        return head + _template_text(consts, cols, ints, json_cells)[cut:] + tail
+    consts = tuple(c.encode("ascii") for c in consts)
+    pieces = [head]
+    for start in range(0, n, _CHUNK_ROWS):
+        pieces.append(_chunk_text(
+            consts, [c[start:start + _CHUNK_ROWS] for c in cols], ints,
+            json_cells, 0 if start else cut))
+    pieces.append(tail)
+    return "".join(pieces)
+
+
+def _template_text(consts: list[str], cols: list, ints: list[bool],
+                   json_cells: bool) -> str:
+    """The rows of a small table, spelled by one ``%`` pass over a row
+    template; ``consts[j]`` comes before cell j and ``consts[-1]`` after the
+    last."""
+    cells = [c if is_int else c.tolist() for c, is_int in zip(cols, ints)]
+    if json_cells:
+        cells = [c if is_int else [_json_text("%.12g" % v) for v in c]
+                 for c, is_int in zip(cells, ints)]
+    specs = ["%d" if is_int else "%s" if json_cells else "%.12g" for is_int in ints]
+    row = "".join(c.replace("%", "%%") + s for c, s in zip(consts, specs + [""]))
+    # A list first: tuple() of an iterator resizes, which piled tuples into
+    # Python's free lists (0.8 MB over 18 000 small tables, Python 3.11).
+    values = list(itertools.chain.from_iterable(zip(*cells)))
+    return (row * len(cols[0])) % tuple(values)
+
+
 def _chunk_text(consts: tuple[bytes, ...], cols: list, ints: list[bool],
-                json_cells: bool, digit_pass: bool, cut: int = 0) -> str:
+                json_cells: bool, cut: int) -> str:
     """One chunk of rows, spelled into one word buffer and decoded once.
 
     The first ``cut`` bytes of the first row (at most 8) are dropped.
     """
     rows = len(cols[0])
     floats = [j for j, is_int in enumerate(ints) if not is_int]
-    # The float cells the digit pass does not spell are spelled by %, in JSON
-    # as the repr of their 12-digit value: what the respelled cells need, and
-    # what every other cell's text already is.  A large table spells each
-    # distinct bit pattern once (0.0 and -0.0 differ); a small one, whose
-    # every cell is spelled here, spells each cell by itself.
-    if digit_pass:
-        x = np.array([cols[j] for j in floats], dtype=float).reshape(-1)
-        lo, hi, tail, spelled = _digit_words(x)
-        if json_cells:
-            spelled &= ~_respelled(x)
-        fallback = np.flatnonzero(~spelled)
-        bits, text_of = np.unique(x[fallback].view(np.uint64), return_inverse=True)
-        values = bits.view(float).tolist()
-    else:
-        values = [v for j in floats for v in cols[j].tolist()]
+    x = np.array([cols[j] for j in floats], dtype=float).reshape(-1)
+    lo, hi, tail, spelled = _digit_words(x)
+    if json_cells:
+        spelled &= ~_respelled(x)
+    # The float cells the digit pass does not spell are spelled by %, each
+    # distinct bit pattern once (0.0 and -0.0 differ), in JSON as the repr
+    # of their 12-digit value: what the respelled cells need, and what every
+    # other cell's text already is.
+    fallback = np.flatnonzero(~spelled)
+    bits, text_of = np.unique(x[fallback].view(np.uint64), return_inverse=True)
+    values = bits.view(float).tolist()
     texts = ["%.12g" % v for v in values]
     if json_cells:
         texts = [_json_text(t) for t in texts]
     texts += ["%d" % v for j, is_int in enumerate(ints) if is_int for v in cols[j]]
     # One width for every cell of the chunk, with 2 bytes to spare.
-    width = max(3 if digit_pass else 1,
-                (max(map(len, texts), default=0) + 9) // 8)
+    width = max(3, (max(map(len, texts), default=0) + 9) // 8)
     template, starts, signs = _layout(consts, width)
-    if not digit_pass:
-        # A small table: every cell is a text, written by slice into a copy
-        # of the row words; a few dozen numpy calls would cost more here.
-        stride = 8 * len(template)
-        buf = bytearray(template.tobytes() * rows)
-        columns = iter(texts[i:i + rows] for i in range(0, len(texts), rows))
-        order = [j for j in floats] + [j for j, is_int in enumerate(ints) if is_int]
-        for j, column in zip(order, columns):
-            at = 8 * starts[j]
-            for text in column:
-                buf[at:at + len(text)] = text.encode()
-                at += stride
-        buf[:cut] = bytes(cut)
-        return buf.translate(None, b"\0").decode("ascii")
     buf = np.empty((rows, len(template)), dtype="<u8")
     buf[...] = template
     words = _text_words(texts, width)

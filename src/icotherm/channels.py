@@ -44,7 +44,6 @@ __all__ = [
     "AncillaState",
     "validate_cptp",
     "apply_channel",
-    "identity_channel",
     "make_thermalizing_channel",
     "compose",
     "make_quantum_switch",
@@ -134,10 +133,6 @@ def apply_channel(ch: QuantumChannel, rho: DensityMatrix) -> DensityMatrix:
     for e in ch.kraus:
         out = out + e @ rho.mat @ dagger(e)
     return DensityMatrix(symmetrize(out), dims=rho.dims)
-
-
-def identity_channel(dim: int) -> QuantumChannel:
-    return QuantumChannel(kraus=(np.eye(dim, dtype=complex),), dim=dim)
 
 
 def make_thermalizing_channel(h: TwoLevelHamiltonian,

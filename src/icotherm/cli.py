@@ -11,10 +11,11 @@ mc              seeded demon simulation               (trials,seed,successes,
 
 Temperatures are in delta/k_B units; energies scale with --delta.  Output is
 byte-identical for identical arguments; numbers carry 12 significant digits.
-The commands pass the kernel's columns to one table writer
-(``icotherm._text``), which spells the digits of whole columns in numpy,
-exactly as ``%.12g`` spells them, and leaves to Python's ``%`` the few cells
-it cannot prove and every cell of a small table.
+The commands pass the kernel's columns to one table writer,
+``icotherm._text._table_text``.  It spells a table of fewer than 256 float
+cells with one ``%`` pass over a row template.  A larger one has the digits
+of whole columns spelled in numpy, exactly as ``%.12g`` spells them, and
+Python's ``%`` spells the few cells the numpy pass cannot prove.
 Exit codes: 0 success, 2 argument error, 3 numerical validation failure.
 """
 
@@ -24,7 +25,6 @@ import argparse
 import contextlib
 import errno
 import functools
-import json
 import math
 import os
 import sys
@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from . import kernel
-from ._text import _chunk_text
+from ._text import _table_text
 from .linalg import ValidationError
 from .thermo import TwoLevelHamiltonian
 from .channels import AncillaState
@@ -43,116 +43,6 @@ from .fridge import CycleParams, grid, monte_carlo
 __all__ = ["build_parser", "run", "main"]
 
 _ENTROPY_BASES = {"e": math.e, "2": 2.0}
-
-
-# Rows per chunk of the table writer.  A digit pass has a fixed cost of
-# about 120 us (some 60 numpy calls) and then costs about 55 ns per cell up
-# to some 30 000 cells, where its temporaries leave the cache; 4096 rows of
-# 3-5 columns stay below that.  A chunk's arrays take a few MB, so the
-# memory of a large --steps table follows its text.
-_CHUNK_ROWS = 4096
-# Tables with fewer float cells than this skip the digit pass: every cell is
-# then spelled by Python's %, into the same buffer.  Measured in-process
-# (min of repeats) on the default probs, heat, computational-basis heat and
-# fridge columns cut to 20-200 rows: the digit pass wins from 180-320 cells.
-_DIGIT_MIN_CELLS = 256
-
-def _table_text(header: list[str], columns: Sequence[Sequence], fmt: str,
-                extra_json_fields: dict | None = None) -> str:
-    """The whole table as CSV or ``indent=2`` JSON text.
-
-    ``columns`` holds one sequence per header key, all of one length: float
-    columns (float64 arrays) are written with 12 significant digits
-    (``%.12g``), int columns (a column whose first cell is an int) whole
-    (``%d``).  In JSON a float is the shortest repr of its 12-digit value,
-    non-finite ones as ``NaN``/``Infinity``, and every object ends with
-    ``extra_json_fields``.  ``%d`` and ``%.12g`` text holds no comma, quote
-    or newline, so no cell needs CSV quoting.
-
-    Every table takes one path, ``icotherm._text``.  Rows are written
-    ``_CHUNK_ROWS`` at a time into a ``(rows, words)`` buffer of
-    little-endian uint64 words that holds the constant pieces (CSV's ``,``
-    and newline; JSON's object template with its keys and
-    ``extra_json_fields``) and the cells, all padded with NUL bytes, which
-    ``bytes.translate`` then drops; each chunk is decoded once.  Chunks keep
-    the arrays of the pass small next to the text, whatever the grid size.
-
-    *Digit pass.*  ``_text._digit_words`` spells each float cell in numpy.
-    With a = |x| and E = floor(log10 a), it computes m = a * 10**(11 - E)
-    with at most two multiplications or divisions by the exact powers
-    10**0..10**22, so m is rounded at most twice and, while m < 1e12,
-    |m - m_exact| <= 2 * 2**-53 * 1e12 < 2.3e-4.  When m falls outside
-    [1e11, 1e12), E moves by one and m is computed again.  A cell is proven
-    when m lies more than 1e-3 from a half-integer, |m - rint(m)| < 0.499:
-    m_exact is then on the same side of every half-integer, so N = rint(m)
-    is m_exact rounded to 12 digits, the mantissa ``%.12g`` prints (10**12
-    carries to 10**11 and E + 1).  N is split into three 4-digit groups,
-    each looked up as 4 ASCII bytes; trailing zeros are cut, and the digits
-    are laid out as ``%g`` does: e-notation (``e+dd``, three digits from
-    |E| = 100) iff E < -4 or E >= 12, else positional, with a ``0.000``
-    lead when E < 0.  The sign comes from ``signbit`` and zeros are ``0``
-    or ``-0``.  Cells that are not finite or have |11 - E| > 44 are not
-    proven; neither is about 0.2 % of uniform values.
-
-    *Fallback.*  Every other cell is spelled by Python's ``%``: float cells
-    the digit pass did not prove, int cells (``%d``), and in JSON the cells
-    the respelling below selects.  In JSON each such float text is then
-    spelled as the repr of the float it parses to, which, for a cell the
-    respelling does not select, is its text already.  A table with fewer
-    than ``_DIGIT_MIN_CELLS`` float cells skips the digit pass, whose fixed
-    cost it would not repay, and spells each of its cells this way, each
-    text written by slice into a copy of the row words; a larger one spells
-    each distinct bit pattern once and writes the texts with one fancy
-    index.
-
-    *JSON respelling.*  A JSON float keeps its ``%.12g`` text, which already
-    is that repr, except where a cell x is not finite, has ``|x| < 1e-300``
-    (0, -0.0 and the subnormals, whose 12 digits do not round-trip) or has
-    ``|x - rint(x)| <= 2e-11*|x|``; those are respelled as the repr of the
-    float their text parses to.  For every other cell:
-
-    * the text is a decimal of at most 12 significant digits, and one of at
-      most 15 round-trips through a normal double, so the shortest repr of
-      the parsed value has exactly those digits;
-    * the value is not whole, so repr adds no ``.0``: rounding to 12 digits
-      moves x by at most ``0.5e-11*|x|``, so a whole 12-digit value is
-      selected with 4x slack;
-    * both formats switch to e-notation below 1e-4 and spell the exponent
-      alike.  Above 1e12 ``%g`` uses e-notation and repr does not (until
-      1e16), but every ``|x| >= 5e10`` is within 0.5 of a whole number and
-      is selected.
-    """
-    ints = [isinstance(c, np.ndarray) and c.dtype.kind in "iub"
-            or (not isinstance(c, np.ndarray) and len(c) > 0
-                and isinstance(c[0], (int, np.integer)))
-            for c in columns]
-    cols = [c if is_int else np.asarray(c, dtype=float)
-            for c, is_int in zip(columns, ints)]
-    n = len(cols[0])
-    if fmt == "csv":
-        pieces = [",".join(header) + "\n"]
-        consts = [""] + [","] * (len(header) - 1) + ["\n"]
-    else:
-        if not n:
-            return "[]\n"
-        # Every object starts with the ",\n" that joins it to the one before;
-        # the first one's is cut.
-        pieces = ["[\n"]
-        keys = [json.dumps(key) for key in header]
-        consts = ([f",\n  {{\n    {keys[0]}: "]
-                  + [f",\n    {key}: " for key in keys[1:]]
-                  + ["".join(f",\n    {json.dumps(key)}: {json.dumps(v)}"
-                             for key, v in (extra_json_fields or {}).items())
-                     + "\n  }"])
-    consts = tuple(c.encode("ascii") for c in consts)
-    digit_pass = n * ints.count(False) >= _DIGIT_MIN_CELLS
-    for start in range(0, n, _CHUNK_ROWS):
-        pieces.append(_chunk_text(
-            consts, [c[start:start + _CHUNK_ROWS] for c in cols], ints,
-            fmt == "json", digit_pass, cut=2 if fmt == "json" and not start else 0))
-    if fmt == "json":
-        pieces.append("\n]\n")
-    return "".join(pieces)
 
 
 def _emit(header: list[str], columns: Sequence[Sequence], args,

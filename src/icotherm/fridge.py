@@ -27,9 +27,10 @@ Every number here comes from :mod:`icotherm.kernel`, the closed form
 evaluated over a whole temperature grid at once; the functions below check
 the arguments and wrap its arrays in records.  The records compute the
 conditional state's effective temperature, which no table reports, from the
-kernel's populations.  A record builds the validated :class:`DensityMatrix`
-of a conditional state (``PostSelection.state``, ``CycleReport.rho_minus``)
-only when that attribute is first read, and caches it.  ``switch_closed_form`` with ``post_select``, the 16-Kraus switch
+kernel's populations with ``thermo``'s rule.  A record builds the validated
+:class:`DensityMatrix` of a conditional state (``PostSelection.state``,
+``CycleReport.rho_minus``) only when that attribute is first read, and
+caches it.  ``switch_closed_form`` with ``post_select``, the 16-Kraus switch
 and the gate circuit are the independent verification path and are not
 called here.
 """
@@ -46,7 +47,8 @@ from . import kernel
 from .kernel import DegenerateCycleError
 from .linalg import DensityMatrix
 from .thermo import (PROB_FLOOR, PostSelection, TwoLevelHamiltonian, _check_phi,
-                     _check_entropy_base, _check_positive, shannon_entropy)
+                     _check_entropy_base, _check_positive, _effective_temperature,
+                     shannon_entropy)
 
 __all__ = [
     "CycleParams",
@@ -252,15 +254,13 @@ def grid(t_min: float, t_max: float, steps: int, delta: float, min_steps: int = 
 
 def _reports(c: kernel.Cycles, t_cold: list[float],
              delta: float) -> list[CycleReport]:
-    t_eff = kernel._effective_temperature(delta, c.minus.p_g, c.minus.p_e) / delta
     cols = [a.tolist() for a in (c.minus.prob, c.minus.p_g, c.minus.p_e, c.w,
-                                 c.q_c, c.minus.dq, c.eta, t_eff,
-                                 c.e_minus, c.e_hot)]
+                                 c.q_c, c.minus.dq, c.eta, c.e_minus, c.e_hot)]
     return [CycleReport(t_cold=t, p_minus=p, p_g_minus=g, p_e_minus=e, w=w,
-                        q_c=q_c, q_ico_minus=dq, eta=eta, t_eff_minus=t_eff,
+                        q_c=q_c, q_ico_minus=dq, eta=eta,
+                        t_eff_minus=_effective_temperature(delta, g, e) / delta,
                         e_minus=e_minus, e_hot=e_hot)
-            for t, p, g, e, w, q_c, dq, eta, t_eff, e_minus, e_hot
-            in zip(t_cold, *cols)]
+            for t, p, g, e, w, q_c, dq, eta, e_minus, e_hot in zip(t_cold, *cols)]
 
 
 def run_cycle(p: CycleParams) -> CycleReport:

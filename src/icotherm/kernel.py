@@ -20,8 +20,10 @@ verification path; the tests hold the two paths equal.  The gate circuit's
 check (``circuit.verify_grid``) takes its thermal populations from
 :func:`_thermal_excited` and its closed-form reference from
 :func:`_switch_blocks` on those populations, whose entries equal
-``switch_closed_form``'s bit for bit, and runs every gate itself.  The kernel does not check its arguments; the entries that take them
-do.  Only :func:`absolute` and the degenerate verdict of :func:`cycles` raise
+``switch_closed_form``'s bit for bit, and runs every gate itself.
+
+The kernel does not check its arguments; the entries that take them do.
+Only :func:`absolute` and the degenerate verdict of :func:`cycles` raise
 ``ValueError``.
 
 The arithmetic repeats the matrix path's floating-point operations in the
@@ -190,20 +192,6 @@ def _xlogx(a: np.ndarray) -> np.ndarray:
     pos = a > 0.0
     out[pos] = a[pos] * _each(math.log, a[pos])
     return out
-
-
-def _effective_temperature(delta: float, p_g: np.ndarray,
-                           p_e: np.ndarray) -> np.ndarray:
-    """delta / ln(p_g / p_e) with ``thermo.effective_temperature``'s sentinels."""
-    p_g = np.maximum(p_g, 0.0)
-    p_e = np.maximum(p_e, 0.0)
-    t = np.full(p_g.shape, math.inf)  # p_g == p_e: maximally mixed
-    regular = (p_g > 0.0) & (p_e > 0.0) & (p_g != p_e)
-    with np.errstate(over="ignore"):  # p_g / p_e = inf gives T_eff = 0
-        t[regular] = delta / _each(math.log, p_g[regular] / p_e[regular])
-    t[p_g == 0.0] = -0.0
-    t[p_e == 0.0] = 0.0
-    return t
 
 
 def cycles(delta: float, phi: float, t_cold, t_hot, t_reset: float,

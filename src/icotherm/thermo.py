@@ -140,16 +140,25 @@ def effective_temperature(rho: DensityMatrix, h: TwoLevelHamiltonian) -> float:
         raise ValidationError(
             f"state is not diagonal: |off-diagonal| = {off:.3e} > {_DIAG_TOL:g}"
         )
+    return _effective_temperature(h.delta, float(rho.mat[0, 0].real),
+                                  float(rho.mat[1, 1].real))
+
+
+def _effective_temperature(delta: float, p_g: float, p_e: float) -> float:
+    """delta / ln(p_g / p_e) with :func:`effective_temperature`'s sentinels;
+    ln p_g - ln p_e where p_g / p_e overflows (p_e below about 5.6e-309)."""
     # Clamp sub-noise negatives so the log never sees a negative population.
-    p_g = max(float(rho.mat[0, 0].real), 0.0)
-    p_e = max(float(rho.mat[1, 1].real), 0.0)
+    p_g = max(p_g, 0.0)
+    p_e = max(p_e, 0.0)
     if p_e == 0.0:
         return 0.0
     if p_g == p_e:
         return math.inf
     if p_g == 0.0:
         return -0.0
-    return h.delta / math.log(p_g / p_e)
+    ratio = p_g / p_e
+    log = math.log(ratio) if ratio < math.inf else math.log(p_g) - math.log(p_e)
+    return delta / log
 
 
 def post_select(joint: DensityMatrix, outcome: str) -> PostSelection:

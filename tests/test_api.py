@@ -28,7 +28,7 @@ PUBLIC = sorted("""
 MODULE_ONLY = {
     "linalg": "dagger symmetrize",
     "thermo": "OUTCOMES internal_energy post_select shannon_entropy",
-    "channels": "CptpReport QuantumChannel identity_channel",
+    "channels": "CptpReport QuantumChannel",
     "circuit": "Gate QubitRegister apply_gate crush embed_unitary "
                "fresh_register gate_unitary ry swap toffoli x_gate",
     "fridge": "RNG_ALGORITHM work_of_erasure",

@@ -10,7 +10,6 @@ from icotherm.channels import (
     QuantumChannel,
     apply_channel,
     compose,
-    identity_channel,
     make_quantum_switch,
     make_thermalizing_channel,
     switch_closed_form,
@@ -30,6 +29,10 @@ P_E = 0.2689414213699951
 TR_RHO_T_CUBED = 0.41016420027555445
 
 
+def _identity(dim):
+    return QuantumChannel((np.eye(dim),), dim)
+
+
 def test_frozen_populations_match_oracle():
     np.testing.assert_allclose(oracles.boltzmann(1.0, 1.0), [P_G, P_E],
                                atol=1e-15)
@@ -37,7 +40,7 @@ def test_frozen_populations_match_oracle():
 
 class TestValidateCptp:
     def test_identity_passes(self):
-        rep = validate_cptp(identity_channel(2))
+        rep = validate_cptp(_identity(2))
         assert rep.deviation == 0.0 and rep.passed
 
     def test_scaled_identity_fails(self):
@@ -55,7 +58,7 @@ class TestApplyChannel:
     def test_identity_preserves_state(self):
         rng = np.random.default_rng(0)
         rho = random_density_matrix(2, rng)
-        out = apply_channel(identity_channel(2), rho)
+        out = apply_channel(_identity(2), rho)
         np.testing.assert_allclose(out.mat, rho.mat, atol=1e-12)
 
     def test_thermalizing_excited_input(self):
@@ -75,7 +78,7 @@ class TestApplyChannel:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            apply_channel(identity_channel(2),
+            apply_channel(_identity(2),
                           DensityMatrix(np.eye(4) / 4, dims=(2, 2)))
 
     def test_broken_channel_rejected(self):
@@ -108,7 +111,7 @@ class TestCompose:
     def test_identity_neutral(self):
         rng = np.random.default_rng(2)
         ch = make_thermalizing_channel(H, 1.3)
-        both = compose(identity_channel(2), ch)
+        both = compose(_identity(2), ch)
         rho = random_density_matrix(2, rng)
         np.testing.assert_allclose(apply_channel(both, rho).mat,
                                    apply_channel(ch, rho).mat, atol=1e-12)
@@ -138,7 +141,7 @@ class TestCompose:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            compose(identity_channel(2), identity_channel(4))
+            compose(_identity(2), _identity(4))
 
 
 class TestQuantumSwitch:
@@ -167,7 +170,7 @@ class TestQuantumSwitch:
 
     def test_switch_of_identities_is_identity(self):
         rng = np.random.default_rng(6)
-        sw = make_quantum_switch(identity_channel(2), identity_channel(2))
+        sw = make_quantum_switch(_identity(2), _identity(2))
         joint = random_density_matrix(4, rng, dims=(2, 2))
         np.testing.assert_allclose(apply_channel(sw, joint).mat, joint.mat,
                                    atol=1e-12)
@@ -191,7 +194,7 @@ class TestQuantumSwitch:
     def test_rejects_non_cptp_input(self):
         broken = QuantumChannel(kraus=(0.5 * np.eye(2, dtype=complex),), dim=2)
         with pytest.raises(ValidationError):
-            make_quantum_switch(broken, identity_channel(2))
+            make_quantum_switch(broken, _identity(2))
 
 
 class TestSwitchClosedForm:
@@ -285,5 +288,5 @@ class TestChannelProperties:
 @pytest.mark.parametrize("combine", [compose, make_quantum_switch])
 def test_dimension_mismatch_message(combine):
     with pytest.raises(ValueError) as err:
-        combine(identity_channel(2), identity_channel(4))
+        combine(_identity(2), _identity(4))
     assert str(err.value) == "dimension mismatch: 2 vs 4"

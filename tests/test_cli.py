@@ -755,8 +755,8 @@ class TestTableWriter:
 
 def _spelled(x):
     """The CSV writer's text of one float column, one cell per item."""
-    assert len(x) >= cli._DIGIT_MIN_CELLS  # the digit pass runs
-    return cli._table_text(["x"], [np.asarray(x, dtype=float)], "csv").split("\n")[1:-1]
+    assert len(x) >= _text._DIGIT_MIN_CELLS  # the digit pass runs
+    return _text._table_text(["x"], [np.asarray(x, dtype=float)], "csv").split("\n")[1:-1]
 
 
 def _printf(x):
@@ -871,4 +871,48 @@ class TestTableWriterDigitPass:
     def test_matches_oracle(self, table, fmt):
         header, rows, extra = table
         expected = oracles.emit_text(header, rows, fmt, extra)
-        assert cli._table_text(header, _columns(header, rows), fmt, extra) == expected
+        assert _text._table_text(header, _columns(header, rows), fmt, extra) == expected
+
+
+def _boundary_table(float_cols, n, seed):
+    """(header, rows, extra): ``float_cols`` float columns of ``n`` mixed
+    values, an int column second, and ``%`` in a key and in ``extra``."""
+    rng = np.random.default_rng(seed)
+    edge = np.array(_EDGE_FLOATS)
+    cols = [np.where(rng.random(n) < 0.3, rng.choice(edge, n),
+                     10.0 ** rng.uniform(-40, 40, n) * rng.choice([-1.0, 1.0], n)).tolist()
+            for _ in range(float_cols)]
+    cols.insert(1, rng.integers(-2 ** 62, 2 ** 62, n).tolist())
+    header = ["t", "n%d", "50%"] + [f"x{j}" for j in range(float_cols - 2)]
+    return header, [list(row) for row in zip(*cols)], {"rng": "50% pcg64"}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("float_cols, n, digit_pass",
+                         [(3, 85, False), (4, 64, True)], ids=["255", "256"])
+def test_route_boundary_matches_oracle(monkeypatch, fmt, float_cols, n, digit_pass):
+    # 255 float cells take the % template, 256 the digit pass.
+    assert float_cols * n == _text._DIGIT_MIN_CELLS - (not digit_pass)
+    chunks = []
+    chunk_text = _text._chunk_text
+
+    def counted(*args):
+        chunks.append(len(args[1][0]))
+        return chunk_text(*args)
+
+    monkeypatch.setattr(_text, "_chunk_text", counted)
+    header, rows, extra = _boundary_table(float_cols, n, seed=float_cols)
+    expected = oracles.emit_text(header, rows, fmt, extra)
+    assert _text._table_text(header, _columns(header, rows), fmt, extra) == expected
+    assert chunks == ([n] if digit_pass else [])
+
+
+@pytest.mark.parametrize("scale", [None, 1 / 7], ids=["int_only", "digit_pass"])
+def test_json_longer_than_a_chunk(scale):
+    # An int-only table takes the % template whatever its length; with a
+    # float column, the second chunk keeps its first object's ",\n".
+    header = ["trials", "seed%"]
+    rows = [[i, -7919 * i if scale is None else -7919 * i * scale]
+            for i in range(_text._CHUNK_ROWS + 5)]
+    expected = oracles.emit_text(header, rows, "json", {"rng": "%s"})
+    assert _text._table_text(header, _columns(header, rows), "json", {"rng": "%s"}) == expected

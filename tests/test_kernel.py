@@ -143,6 +143,15 @@ def test_effective_temperature_sentinels():
         assert t_eff[i] == effective_temperature(ps.state, h)
 
 
+@pytest.mark.parametrize("t", [1 / 710, 1 / 720], ids=["1/710", "1/720"])
+def test_effective_temperature_where_the_population_ratio_overflows(t):
+    # p_e < 5.6e-309, so p_g / p_e overflows while ln p_g - ln p_e does not.
+    h = TwoLevelHamiltonian(1.0)
+    assert effective_temperature(thermal_state(h, t), h) == pytest.approx(t, rel=1e-12)
+    r = fridge.run_cycle(CycleParams(t_hot=1.0, t_cold=t, phi=0.0))
+    assert r.t_eff_minus == pytest.approx(t, rel=1e-12)
+
+
 def test_degenerate_first_point_raises_matrix_path_message():
     delta, phi, t_cold = 1.3, math.pi / 2, 0.01
     h = TwoLevelHamiltonian(delta)
