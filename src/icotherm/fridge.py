@@ -18,6 +18,26 @@ which by energy conservation over strokes (i)-(iii) equals the net heat
 extracted from the cold side.  The efficiency charges the erasure work every
 attempt but credits heat only on success:  eta = q_c / (W / P-).
 
+The efficiency in closed form.  With s = sin(phi), x = p_g p_e and
+gap = p_g - p_e = sqrt(1 - 4x) at the cold temperature (see ``kernel``),
+P- = (1 - s)/2 + (3/2) s x and the |-> outcome moves P- q_c =
+(delta s / 2) x gap + P- delta (p_e(T_C) - p_e(T_H)), while the erasure
+costs W = t_R delta h(P-), h the binary entropy in the chosen base.  So
+
+    eta t_R = s x gap / (2 h(P-)) + P- (p_e(T_C) - p_e(T_H)) / h(P-),
+
+and the second term is negative for T_H > T_C, since p_e rises with T: a
+hotter reservoir only lowers eta.  The first term depends on s and on
+x in [0, 1/4] alone and grows with s (P- <= 1/2 falls towards 0, and h with
+it).  At s = 1 its supremum is 0.0919065 (natural log; times ln 2 = 0.0637048
+in base 2), at t_C = 0.5228 (p_e = 0.1287, P- = 0.1682).  So
+eta <= 0.0919065 / t_R for every T_C <= T_H and every phi, while a classical
+refrigerator's bound T_C / (T_H - T_C) grows without limit as T_H -> T_C.
+A control qubit dephased to coherence v carries v c s off its diagonal, so the
+switch's interference blocks, and with them every formula above, carry
+v sin(phi) in place of s: the cooling comes from the coherence of the two
+orders, and at v = 0 no heat moves.
+
 Units: temperatures in :class:`CycleParams` are dimensionless multiples of
 delta/k_B (so populations depend only on them); energies (w, q_c) carry the
 factor delta.  Reported effective temperatures use the same dimensionless
@@ -80,8 +100,10 @@ class CycleParams:
     Temperatures (t_hot, t_cold, t_reset) are in units of delta/k_B; phi is
     the ancilla angle in radians; entropy_base selects the logarithm base of
     the erasure entropy (natural log by default, base 2 rescales w and eta by
-    1/ln 2).  t_hot and t_cold may be inf (the maximally mixed state);
-    t_reset and t_reset * delta must be finite: infinite erasure is no cycle.
+    1/ln 2).  t_hot and t_cold may be inf (the maximally mixed state), but a
+    finite one times delta must neither leave the float range nor underflow
+    to 0 (``kernel.absolute``'s rules); t_reset and t_reset * delta must be
+    finite: infinite erasure is no cycle.
     """
 
     delta: float = 1.0
@@ -98,6 +120,7 @@ class CycleParams:
         _check_t_reset(self.t_reset, self.delta)
         _check_phi(self.phi)
         _check_entropy_base(self.entropy_base)
+        kernel.absolute([self.t_cold, self.t_hot], self.delta)
 
 
 @dataclass(frozen=True)

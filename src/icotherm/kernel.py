@@ -1,47 +1,36 @@
 """Closed-form switch physics over whole temperature grids: the runtime path.
 
 Every number the package reports is a closed-form function of the thermal
-populations (p_g, p_e) and the ancilla angle phi.  For the replacement Kraus
-family the switch output has ancilla blocks c² rho_t, (sin(phi)/2) rho_t³,
-(sin(phi)/2) rho_t³ and s² rho_t (see ``channels.switch_closed_form``), all
-diagonal, so projecting the ancilla on a ket b leaves, per population k,
+populations (p_g, p_e) and the ancilla angle phi.  The switch output's
+ancilla blocks are c² rho_t, (sin(phi)/2) rho_t³ twice and s² rho_t (see
+``channels.switch_closed_form``), so with s = sin(phi), x = p_g p_e and
+gap = p_g - p_e the |+>/|-> outcomes are, with no step that cancels:
 
-    m_k = sum_ij conj(b_i) b_j [block_ij]_kk,    P = m_g + m_e,
+* P-+ = (1 -+ s) / 2 +- (3/2) s x, with 1 - s = cos²(phi) / (1 + s);
+* dQ-+ = P-+ delta (p_e|-+ - p_e) = +-(delta s / 2) x gap, with
+  gap = -expm1(-delta/T) / (2 + expm1(-delta/T));
+* p_e|-+ = p_e +- (s/2) x gap / P-+ and p_g|-+ = p_g -+ (s/2) x gap / P-+.
 
-the conditional populations m_k / P and the heat dQ = P (delta m_e/P -
-delta p_e).  For |+>/|-> this is P-+ = (1 -+ sin(phi) (p_g³ + p_e³)) / 2.
-:func:`switched` evaluates these for a whole grid in one numpy pass and
-:func:`cycles` builds the refrigerator cycle (P-, W, Q_C, eta) on it, reusing
-the cold p_e for the hot reservoir when t_hot equals t_cold.
-``fridge`` and the CLI take every reported number from here.  The density
-matrix machinery (``switch_closed_form`` and ``post_select``, the 16-Kraus
-switch, the gate circuit) computes the same numbers independently and is the
-verification path; the tests hold the two paths equal.  The gate circuit's
-check (``circuit.verify_grid``) takes its thermal populations from
-:func:`_thermal_excited` and its closed-form reference from
-:func:`_switch_blocks` on those populations, whose entries equal
-``switch_closed_form``'s bit for bit, and runs every gate itself.
+|0>/|1> leave P = cos²(phi/2) or sin²(phi/2), the thermal state and dQ = 0.
+:func:`switched` evaluates these over a grid in one numpy pass, :func:`cycles`
+the refrigerator cycle (P-, W, Q_C, eta); ``fridge`` and the CLI report them.
 
-The kernel does not check its arguments; the entries that take them do.
-Only :func:`absolute` and the degenerate verdict of :func:`cycles` raise
-``ValueError``.
+Each value is within a few units in the last place of the exact closed form
+of the double arguments, times 1 + delta/T (the condition number of exp), so
+each printed 12-digit cell is within one unit in its 12th digit;
+``tests/test_kernel.py`` holds both to the 50-digit ``tests/oracles.py``.  The
+verification path computes the same numbers independently:
+``switch_closed_form`` -> ``post_select`` subtracts nearly equal numbers and
+agrees within about eps / gap, the 16-Kraus switch within ``linalg.TOL``.
+The gate circuit's check (``circuit.verify_grid``) takes its thermal
+populations from :func:`_thermal_excited` and its reference from
+:func:`_switch_blocks`, whose entries equal ``switch_closed_form``'s bit for
+bit, and runs every gate itself.
 
-The arithmetic repeats the matrix path's floating-point operations in the
-same order, so both paths agree bit for bit and the CLI's 12-digit tables do
-not depend on which one made them:
-
-* T = t * delta, x = exp(-delta / T), p_e = x / (1 + x), p_g = 1 - p_e;
-* the weights conj(b_i) b_j come from ``post_select``'s own kets, so for
-  |+>/|-> they are (1/sqrt 2)² = 0.4999999999999999, and the blocks are
-  accumulated in the order ij = 00, 01, 10, 11;
-* a conditional population is m_k * (1 / P), which is what numpy's complex
-  division m / P computes for a real P;
-* the erasure entropy is -(p ln p + q ln q), as ``shannon_entropy`` sums it.
-
-``exp`` and ``log`` are applied per element with ``math.exp`` and
-``math.log``, not with ``np.exp`` and ``np.log``: numpy's vectorized versions
-differ from the C library's in the last bit for a share of inputs (several
-percent for ``exp``), which is enough to flip a 12th significant digit.
+The kernel does not check its arguments; only :func:`absolute` and the
+degenerate verdict of :func:`cycles` raise ``ValueError``.  ``exp``, ``expm1``
+and ``log`` run per element as the ``math`` functions: numpy's differ from the
+C library's in the last bit for several percent of inputs.
 """
 
 from __future__ import annotations
@@ -51,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .thermo import _OUTCOME_KETS, PROB_FLOOR
+from .thermo import PROB_FLOOR
 
 __all__ = ["BASES", "Branch", "Switched", "Cycles", "DegenerateCycleError",
            "absolute", "switched", "cycles"]
@@ -68,8 +57,7 @@ class Branch(NamedTuple):
     """One ancilla outcome over the grid.
 
     ``p_g``/``p_e`` are the conditional populations, NaN where ``degenerate``
-    (probability at or below ``PROB_FLOOR``, no conditional state); ``dq`` is
-    0 there.
+    (probability at or below ``PROB_FLOOR``); ``dq`` is 0 there.
     """
 
     outcome: str
@@ -132,19 +120,6 @@ def _thermal_excited(delta: float, temps) -> np.ndarray:
     return x / (1.0 + x)
 
 
-# Post-selection weights conj(b_i) b_j in the order ij = 00, 01, 10, 11,
-# formed from post_select's kets: for |+>/|-> they are +-(1/sqrt 2)².
-_WEIGHTS = {name: tuple(float((b[i].conjugate() * b[j]).real)
-                        for i in range(2) for j in range(2))
-            for name, b in _OUTCOME_KETS.items()}
-
-
-def _blocks(delta: float, phi: float, temps) -> tuple[np.ndarray, list]:
-    """Thermal p_e and its :func:`_switch_blocks`."""
-    p_e = _thermal_excited(delta, temps)
-    return p_e, _switch_blocks(p_e, phi)
-
-
 def _switch_blocks(p_e: np.ndarray, phi: float) -> list:
     """Per population (g, e) of the thermal state with excited population
     ``p_e``, the diagonals of the switch output's ancilla blocks 00, 01, 10,
@@ -159,31 +134,46 @@ def _switch_blocks(p_e: np.ndarray, phi: float) -> list:
     return blocks
 
 
-def _branch(delta: float, p_e: np.ndarray, blocks: list,
-            outcome: str) -> Branch:
-    w00, w01, w10, w11 = _WEIGHTS[outcome]
-    m_g, m_e = (((w00 * d00 + w01 * d01) + w10 * d10) + w11 * d11
-                for d00, d01, d10, d11 in blocks)
-    prob = np.minimum(np.maximum(m_g + m_e, 0.0), 1.0)
+def _branch(outcome: str, prob: np.ndarray, p_g: np.ndarray, p_e: np.ndarray,
+            dq: np.ndarray) -> Branch:
+    """The outcome with its populations and heat masked where degenerate."""
     degenerate = prob <= PROB_FLOOR
-    # Where P = 0 the quotient is inf or NaN; those entries are masked.
+    return Branch(outcome, prob, np.where(degenerate, np.nan, p_g),
+                  np.where(degenerate, np.nan, p_e),
+                  np.where(degenerate, 0.0, dq), degenerate)
+
+
+def _pm(delta: float, phi: float, temps: np.ndarray,
+        p_e: np.ndarray) -> tuple[Branch, Branch]:
+    """|+> and |-> at absolute temperatures ``temps`` of thermal p_e ``p_e``."""
+    s = math.sin(phi)
+    p_g = 1.0 - p_e
+    x = p_g * p_e
+    with np.errstate(over="ignore"):
+        em1 = _each(math.expm1, -delta / temps)
+    gap = -em1 / (2.0 + em1)
+    shift = (s / 2.0) * x * gap
+    dq = (delta * s / 2.0) * x * gap
+    plus = (1.0 + s) / 2.0 - (1.5 * s) * x
+    minus = math.cos(phi) ** 2 / (1.0 + s) / 2.0 + (1.5 * s) * x
+    # _branch masks the quotients where P = 0; 0.0 - dq is +0.0 where dq is.
     with np.errstate(divide="ignore", invalid="ignore"):
-        inv = 1.0 / prob
-        cond_g = np.where(degenerate, np.nan, m_g * inv)
-        cond_e = np.where(degenerate, np.nan, m_e * inv)
-    dq = np.where(degenerate, 0.0, prob * (delta * cond_e - delta * p_e))
-    return Branch(outcome, prob, cond_g, cond_e, dq, degenerate)
+        up, down = shift / plus, shift / minus
+    return (_branch("plus", plus, p_g + up, p_e - up, 0.0 - dq),
+            _branch("minus", minus, p_g - down, p_e + down, dq))
 
 
-def switched(delta: float, phi: float, temps,
-             basis: str = "pm") -> Switched:
-    """Post-selected switch output at each absolute temperature in ``temps``.
-
-    The substance starts in the thermal state of the reservoirs' temperature.
-    """
-    p_e, blocks = _blocks(delta, phi, temps)
-    return Switched(*(_branch(delta, p_e, blocks, outcome)
-                      for outcome in BASES[basis]))
+def switched(delta: float, phi: float, temps, basis: str = "pm") -> Switched:
+    """Post-selected switch output at each absolute temperature in ``temps``,
+    the substance starting in the thermal state of the reservoirs."""
+    temps = np.asarray(temps, dtype=float)
+    p_e = _thermal_excited(delta, temps)
+    if basis == "pm":
+        return Switched(*_pm(delta, phi, temps, p_e))
+    probs = (math.cos(phi / 2) ** 2, math.sin(phi / 2) ** 2)
+    return Switched(*(_branch(outcome, np.full_like(p_e, prob), 1.0 - p_e, p_e,
+                              np.zeros_like(p_e))
+                      for outcome, prob in zip(BASES[basis], probs)))
 
 
 def _xlogx(a: np.ndarray) -> np.ndarray:
@@ -205,6 +195,7 @@ def cycles(delta: float, phi: float, t_cold, t_hot, t_reset: float,
     equals t_cold (``fridge`` passes the cold grid itself), the cold p_e is
     reused for the hot reservoir instead of computed again.
 
+    Q_C = dQ- / P-, plus delta (p_e(t_cold) - p_e(t_hot)) where they differ.
     eta = Q_C P- / W is evaluated without a floating-point warning.  When W
     underflows so far that Q_C P- / W leaves the float range, or W is 0
     (t_reset * delta underflows), eta is +-inf; where Q_C P- is 0 (no heat
@@ -217,27 +208,35 @@ def cycles(delta: float, phi: float, t_cold, t_hot, t_reset: float,
         below ``PROB_FLOOR``.
     """
     t_cold = np.asarray(t_cold, dtype=float)
-    p_e, blocks = _blocks(delta, phi, absolute(t_cold, delta))
-    minus = _branch(delta, p_e, blocks, "minus")
+    temps = absolute(t_cold, delta)
+    p_e = _thermal_excited(delta, temps)
+    _, minus = _pm(delta, phi, temps, p_e)
     if minus.degenerate.any():
         i = int(np.argmax(minus.degenerate))
-        raise DegenerateCycleError(
-            f"success probability {float(minus.prob[i])!r} "
-            f"at t_cold={float(t_cold[i])}"
-        )
-    e_minus = delta * minus.p_e
+        raise DegenerateCycleError(f"success probability {float(minus.prob[i])!r} "
+                                   f"at t_cold={float(t_cold[i])}")
+    q_c = minus.dq / minus.prob
     t_hot = np.broadcast_to(t_hot, t_cold.shape)
     if np.array_equal(t_hot, t_cold):
         e_hot = delta * p_e
     else:
-        e_hot = delta * _thermal_excited(delta, absolute(t_hot, delta))
-    q_c = e_minus - e_hot
+        p_e_hot = _thermal_excited(delta, absolute(t_hot, delta))
+        e_hot = delta * p_e_hot
+        # p_e(t_cold) - p_e(t_hot) cancels where |y| = |1/t_hot - 1/t_cold| < 1;
+        # there it is p_g(t_cold) p_e(t_hot) expm1(y), y taken without cancelling.
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = np.where(np.isinf(t_cold) | np.isinf(t_hot), 1.0 / t_hot - 1.0 / t_cold,
+                         (t_cold - t_hot) / t_cold / t_hot)
+        close = np.abs(y) < 1.0
+        dp_e = (1.0 - p_e) * p_e_hot * _each(math.expm1, np.where(close, y, 0.0))
+        q_c = q_c + delta * np.where(close, dp_e, p_e - p_e_hot)
     p = minus.prob
-    entropy = -(_xlogx(p) + _xlogx(1.0 - p))
+    # (1 - p) ln(1 - p) by log1p: ln of the rounded 1 - p loses p's digits.
+    entropy = -(_xlogx(p) + (1.0 - p) * _each(math.log1p, -p))
     if entropy_base != math.e:
         entropy = entropy / math.log(entropy_base)
     w = (t_reset * delta) * entropy
     q = q_c * p
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         eta = np.where(q == 0.0, q, q / w)
-    return Cycles(minus, w, q_c, eta, e_minus, e_hot)
+    return Cycles(minus, w, q_c, eta, delta * minus.p_e, e_hot)

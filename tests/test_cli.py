@@ -247,15 +247,18 @@ _TABLES = ("probs", "heat", "fridge", "circuit-verify")
 _OVERFLOW = "temperature 2.0 times delta 1e+308 exceeds the float range"
 _UNDERFLOW = "temperature 1e-05 times delta 1e-320 underflows to 0"
 _RESET_OVERFLOW = "t_reset 1e+300 times delta 1e+10 exceeds the float range"
-_DEGENERATE = "success probability 1.8600379880104176e-44 at t_cold=0.01"
+_DEGENERATE = "success probability 9.373498642194622e-34 at t_cold=0.01"
+_W_TOTAL = "trials 1000 times w 6.06497e+305 exceeds the float range"
+_Q_C_TOTAL = "successes 29445 times q_c 1.54039e+305 exceeds the float range"
+# Verdicts on the result, reached only after compute.
+_RESULT_VERDICTS = (_DEGENERATE, _W_TOTAL, _Q_C_TOTAL)
 
 # The rejection table, one list of rows per test that runs them:
 # "Class.test" -> [(id, argv, message)].  argv exits 2 with
 # "icotherm: error: <message>".  A row with id None is its test's only row
-# and runs unparametrized.  The table subcommands decide each argument rule
-# before the kernel or the circuit runs; mc checks its t * delta products in
-# kernel.cycles.  The degenerate t_cold (before mc's t_hot product is
-# checked) and the mc totals are verdicts on the result, after compute.
+# and runs unparametrized.  Every subcommand decides each argument rule,
+# mc's t * delta products included, before the kernel or the circuit runs;
+# the degenerate t_cold and the mc totals are verdicts on the result.
 REJECTED = {
     "TestExitCodes.test_bad_grid": [
         (None, ["probs", "--t-min", "-1", "--t-max", "2", "--steps", "4"],
@@ -321,15 +324,15 @@ REJECTED = {
         (["mc", "--t-min", "0.01", "--trials", "0"], "trials must be >= 1, got 0"),
         (["fridge", "--t-min", "0.01", "--delta", "1e308"],  # the first bad point
          "temperature 1.825357142857143 times delta 1e+308 exceeds the float range"),
-        (["mc", "--t-min", "0.01", "--t-max", "2", "--delta", "1e308"], _DEGENERATE),
+        # An argument rule before the degenerate verdict on t_cold.
+        (["mc", "--t-min", "0.01", "--t-max", "2", "--delta", "1e308"], _OVERFLOW),
     ]],
     "TestRuntimePath.test_degenerate_fridge_grid_writes_no_file": [
         (None, ["fridge", "--t-min", "0.01"], _DEGENERATE)],
     "TestMonteCarloTotalOverflow.test_rejected_before_output": [
-        ("w_total", ["mc", "--t-reset", "1e306", "--trials", "1000"],
-         "trials 1000 times w 6.06497e+305 exceeds the float range"),
+        ("w_total", ["mc", "--t-reset", "1e306", "--trials", "1000"], _W_TOTAL),
         ("q_c_total", ["mc", "--delta", "1e306", "--t-reset", "1e-3", "--trials", "100000"],
-         "successes 29445 times q_c 1.54039e+305 exceeds the float range")],
+         _Q_C_TOTAL)],
 }
 
 
@@ -357,7 +360,7 @@ def exits_2(capsys, monkeypatch, tmp_path):
     """Assert that argv exits 2 with the exact message, no stdout and no
     file, to stdout (False) and to --out (True), warnings as errors."""
     def check(argv, message, modes=(False, True)):
-        if argv[0] != "mc" and message != _DEGENERATE:  # an argument rule
+        if message not in _RESULT_VERDICTS:  # an argument rule
             for owner, name in ((cli.kernel, "switched"), (cli.kernel, "cycles"),
                                 (cli, "verify_grid")):
                 monkeypatch.setattr(owner, name, _never)
@@ -579,21 +582,13 @@ MC_SEEDED = {
 
 
 # SHA-256 of tables large enough for the digit pass (the default 57-row
-# tables fall under its cutoff), captured before the writer spelled digits in
-# numpy: zeros and e-notation noise (computational-basis heats), e+12 cells
-# and whole-number JSON respells (--delta 1e13), and heats from 1e-10 up.
+# tables fall under its cutoff), one "<sha256>  <argv>" line each, also read
+# by CI: zeros (computational-basis heats), e+12 cells and whole-number JSON
+# respells (--delta 1e13), and heats from 1e-10 up.
 LARGE_DIGESTS = {
-    ("probs", "--steps", "3000"):
-        "8ab4986eb8e29b8740c0a3dcc6d9c916910de305af935849b878cad5bb8abeab",
-    ("heat", "--basis", "computational", "--steps", "3000", "--format", "json"):
-        "099412dacef3b9305cfee6abf91e1fdce951898e42c676c71ef1e99deec1b7d9",
-    ("fridge", "--delta", "1e13", "--steps", "3000"):
-        "f2bdf180c5314ef4f9a6241faf64b4215b6b71cf86736522d855a113a0289c9e",
-    ("fridge", "--delta", "1e13", "--steps", "3000", "--format", "json"):
-        "4d491f8abdd18db63e957c6c5242707c8e2f7ce03efcc831ed8149661e082884",
-    ("heat", "--t-min", "0.05", "--t-max", "40", "--steps", "3000", "--phi", "3"):
-        "f59e500da6dd2dd811ab6ab7141fa06f3a4db42322b938520bcf6a2b8f6fcf48",
-}
+    tuple(argv.split()): digest
+    for digest, argv in (line.split("  ", 1) for line in
+                         (GOLDEN / "large-tables.sha256").read_text().splitlines())}
 
 
 class TestGoldenBytes:

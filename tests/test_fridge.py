@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from icotherm import fridge
+from icotherm import fridge, kernel
 from icotherm.fridge import (
     MC_CHUNK,
     CycleParams,
@@ -32,6 +32,13 @@ DQ_MINUS_UNIT = 0.04542887383647417
 T_EFF_MINUS_UNIT = 3.2200924481896736
 
 GRID = np.linspace(0.2, 3.0, 57)  # 0.05 spacing
+
+# Supremum of eta t_R over every phi and T_C <= T_H (natural-log entropy),
+# derived in the fridge module docstring; base 2 multiplies it by ln 2.
+ETA_T_R_SUP = 0.091907
+# Cold grids up to 1e9, the default grid, the peak region and the mixed state.
+ETA_GRIDS = (np.geomspace(0.05, 1e9, 300), GRID, np.linspace(0.4, 0.7, 301),
+             np.array([0.5, math.inf]))
 
 
 class TestWorkOfErasure:
@@ -129,6 +136,24 @@ class TestRunCycle:
             CycleParams(delta=1e10, t_reset=1e300)
         rep = run_cycle(CycleParams(delta=1e8, t_reset=1e300))
         assert math.isfinite(rep.w) and rep.w > 0.0
+
+
+class TestEfficiencyBound:
+    @pytest.mark.parametrize("base", [math.e, 2.0])
+    @pytest.mark.parametrize("ratio", [1.0, 1.01, 1.1, 1.5, 2.0])
+    @pytest.mark.parametrize("phi", [0.0, 0.7, 1.234567, math.pi / 2, 3.0, math.pi])
+    def test_below_the_supremum_and_the_carnot_bound(self, phi, ratio, base):
+        bound = ETA_T_R_SUP * (math.log(2.0) if base == 2.0 else 1.0) * (1 + 1e-12)
+        for t in ETA_GRIDS:
+            for t_reset in (0.25, 1.0, 4.0):
+                eta = kernel.cycles(1.0, phi, t, t * ratio, t_reset, base).eta
+                assert np.all(eta * t_reset <= bound)
+                if ratio > 1.0 and t_reset == 1.0:  # COP_C = T_C / (T_H - T_C)
+                    assert np.all(eta < 1.0 / (ratio - 1.0))
+
+    def test_supremum_is_reached(self):
+        c = kernel.cycles(1.0, math.pi / 2, ETA_GRIDS[2], ETA_GRIDS[2], 1.0)
+        assert c.eta.max() > 0.091906
 
 
 class TestSweep:

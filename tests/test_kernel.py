@@ -1,19 +1,28 @@
-"""The grid kernel against the density-matrix verification path.
+"""The grid kernel against the exact closed form and the verification path.
 
-The kernel repeats the matrix path's floating-point operations in the same
-order, so against ``switch_closed_form`` -> ``post_select`` ->
-``internal_energy`` / ``work_of_erasure`` it must agree exactly (``==``).
-Against the brute-force 16-Kraus switch, which sums the operators in another
-order, it must agree within ``linalg.TOL``.
+The accuracy contract: every kernel value is within ``KERNEL_ULPS`` units in
+the last place of the 50-digit closed form of ``oracles.switch_exact`` /
+``oracles.cycle_exact``, times 1 + delta/T: the condition number of the
+thermal populations under the rounding of t * delta and delta / T.  So every
+12-digit table cell is within one unit in its 12th digit.  The matrix
+path ``switch_closed_form`` -> ``post_select`` -> ``internal_energy`` /
+``work_of_erasure`` subtracts nearly equal numbers; it is held within
+``MATRIX_ULPS`` of the size of what it subtracts (about eps / gap relative
+for the heats), and the kernel within the sum of both bounds of it.  The
+brute-force 16-Kraus switch, which sums its operators in another order,
+agrees with the kernel within ``linalg.TOL``.
 """
 
+import json
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import icotherm.cli as cli
 from icotherm import fridge, kernel
 from icotherm.channels import (
     AncillaState,
@@ -31,6 +40,15 @@ from icotherm.thermo import (
     post_select,
     thermal_state,
 )
+
+import oracles
+
+EPS = Decimal(2) ** -52
+KERNEL_ULPS = 8
+MATRIX_ULPS = 4
+# Above the oracle's own rounding of values that are exactly 0 (heats at
+# phi = 0 or in the computational basis), far below any value compared here.
+NOISE = Decimal("1e-46")
 
 PHIS = (0.0, math.pi / 2, math.pi, 1.234567)
 DELTAS = (1.0, 1.7)
@@ -52,22 +70,50 @@ def _reference_outcome(h, temperature, phi, outcome):
     return ps.probability, pops, dq
 
 
+def _cond(*temps):
+    """1 + delta/T summed over the temperatures a value depends on."""
+    return 1 + sum(1 / Decimal(t) for t in temps)
+
+
+def _err(got, want):
+    return abs(Decimal(float(got)) - want)
+
+
+def _three_way(cond, got, matrix, exact, matrix_scale, scale=None):
+    """Kernel ``got`` and matrix path ``matrix`` within their bounds of
+    ``exact``, and of each other within the sum of the bounds.  The kernel's
+    bound is relative to ``scale`` (``|exact|`` by default), the matrix
+    path's to ``matrix_scale``, the size of the terms it subtracts."""
+    k = KERNEL_ULPS * EPS * cond * (abs(exact) if scale is None else scale) + NOISE
+    m = MATRIX_ULPS * EPS * cond * matrix_scale + NOISE
+    assert _err(got, exact) <= k
+    assert _err(matrix, exact) <= m
+    assert _err(got, Decimal(float(matrix))) <= k + m
+
+
 @pytest.mark.parametrize("basis", sorted(kernel.BASES))
 @pytest.mark.parametrize("phi", PHIS)
 @pytest.mark.parametrize("delta", DELTAS)
 def test_switched_equals_matrix_path(basis, phi, delta):
+    """Kernel, matrix path and exact closed form agree within their bounds."""
     h = TwoLevelHamiltonian(delta)
     temps = np.array(T_GRID) * delta
     sw = kernel.switched(delta, phi, temps, basis)
-    for branch, outcome in zip(sw, kernel.BASES[basis]):
-        assert branch.outcome == outcome
-        for i, temp in enumerate(temps.tolist()):
-            prob, pops, dq = _reference_outcome(h, temp, phi, outcome)
-            assert branch.prob[i] == prob
+    for i, t in enumerate(T_GRID):
+        p_g, p_e = oracles.thermal_populations(t)
+        exact = oracles.switch_exact(t, delta, phi, basis)
+        for branch, outcome, (prob, g, e, dq) in zip(sw, kernel.BASES[basis], exact):
+            assert branch.outcome == outcome
+            m_prob, pops, m_dq = _reference_outcome(h, temps[i], phi, outcome)
             assert branch.degenerate[i] == (pops is None)
-            assert branch.dq[i] == dq
-            if pops is not None:
-                assert (branch.p_g[i], branch.p_e[i]) == pops
+            _three_way(_cond(t), branch.prob[i], m_prob, prob, 1)
+            if pops is None:
+                assert np.isnan(branch.p_g[i]) and np.isnan(branch.p_e[i])
+                assert branch.dq[i] == 0.0 == m_dq
+                continue
+            _three_way(_cond(t), branch.p_g[i], pops[0], g, (p_g + g) / prob)
+            _three_way(_cond(t), branch.p_e[i], pops[1], e, (p_e + e) / prob)
+            _three_way(_cond(t), branch.dq[i], m_dq, dq, Decimal(delta) * (p_e + e))
 
 
 @pytest.mark.parametrize("phi, delta, t_hot, base", [
@@ -75,28 +121,52 @@ def test_switched_equals_matrix_path(basis, phi, delta):
     (PHIS[2], 1.0, 0.4, 2.0), (PHIS[3], 1.7, math.inf, math.e),
     (PHIS[1], 1.0, 0.4, math.e)])
 def test_cycles_equal_matrix_path(phi, delta, t_hot, base):
+    """The cycle's numbers, kernel and matrix path, within their bounds of the
+    exact closed form; q_c's bound where t_hot != t_cold is relative to the
+    two terms it sums, dQ-/P- and delta (p_e(t_cold) - p_e(t_hot))."""
     h = TwoLevelHamiltonian(delta)
     t_cold = np.array(T_GRID[1:])
     hot = t_cold if t_hot is None else t_hot
     t_reset = 0.8
+    ln_base = 1 if base == math.e else Decimal(base).ln()
+    d, energy = Decimal(delta), Decimal(t_reset * delta)
     c = kernel.cycles(delta, phi, t_cold, hot, t_reset, base)
     for i, t in enumerate(t_cold.tolist()):
         th = t if t_hot is None else t_hot
+        cond = _cond(t, th)
+        prob, w, q_c, eta, dq = oracles.cycle_exact(t, th, delta, phi, t_reset, base)
+        _, g, e, _ = oracles.switch_exact(t, delta, phi)[1]
+        p_e, p_e_hot = (oracles.thermal_populations(u)[1] for u in (t, th))
+        terms = abs(dq / prob) + abs(d * (p_e - p_e_hot))
+
         rho_t = thermal_state(h, t * delta)
         ps = post_select(switch_closed_form(AncillaState(phi), rho_t, rho_t), "minus")
         e_minus = internal_energy(ps.state, h)
         e_hot = internal_energy(thermal_state(h, th * delta), h)
-        w = work_of_erasure(ps.probability, t_reset * delta, base=base)
-        assert c.minus.prob[i] == ps.probability
-        assert c.e_minus[i] == e_minus
+        m_w = work_of_erasure(ps.probability, t_reset * delta, base=base)
+        m_q_c = e_minus - e_hot
+        # What the matrix path subtracts: e_minus's and e_hot's sizes for
+        # q_c, P's entropy slope (and its rounding of 1 - P) for W.
+        q_c_scale = d * ((p_e + e) / prob + p_e_hot)
+        w_scale = energy * (abs(((1 - prob) / prob).ln()) + 1) / ln_base
+        _three_way(cond, c.minus.prob[i], ps.probability, prob, 1)
+        _three_way(cond, c.minus.dq[i], ps.probability * (
+            e_minus - internal_energy(rho_t, h)), dq, d * (p_e + e))
+        _three_way(cond, c.e_minus[i], e_minus, d * e, d * (p_e + e) / prob)
         assert c.e_hot[i] == e_hot
-        assert c.q_c[i] == e_minus - e_hot
-        assert c.w[i] == w
-        assert c.eta[i] == (e_minus - e_hot) * ps.probability / w
-        assert c.minus.dq[i] == ps.probability * (e_minus - internal_energy(rho_t, h))
+        _three_way(cond, c.q_c[i], m_q_c, q_c, q_c_scale, terms)
+        _three_way(cond, c.w[i], m_w, w, w_scale)
+        _three_way(cond, c.eta[i], m_q_c * ps.probability / m_w, eta,
+                   (prob * q_c_scale + abs(q_c) * (1 + prob * w_scale / w)) / w,
+                   prob * terms / w)
         r = fridge.run_cycle(CycleParams(delta=delta, t_hot=th, t_cold=t,
                                          t_reset=t_reset, phi=phi, entropy_base=base))
-        assert r.t_eff_minus == effective_temperature(ps.state, h) / delta
+        if g == e:
+            assert r.t_eff_minus == math.inf
+        else:
+            t_eff = 1 / (g / e).ln()
+            assert _err(r.t_eff_minus, t_eff) <= (
+                KERNEL_ULPS * EPS * cond * (abs(t_eff) + t_eff * t_eff))
 
 
 @pytest.mark.parametrize("basis", sorted(kernel.BASES))
@@ -152,13 +222,99 @@ def test_effective_temperature_where_the_population_ratio_overflows(t):
     assert r.t_eff_minus == pytest.approx(t, rel=1e-12)
 
 
+@pytest.mark.parametrize("t", [1 / 700, 1 / 744, 1 / 745],
+                         ids=["1/700", "1/744", "1/745"])
+def test_conditional_state_at_phi_0_is_the_thermal_state(t):
+    # At phi = 0 the |-> state is the thermal state, bit for bit, also where
+    # p_e is subnormal (t = 1/745 gave the ground-state sentinel 0.0).
+    h = TwoLevelHamiltonian(1.0)
+    r = fridge.run_cycle(CycleParams(t_cold=t, t_hot=1.0, phi=0.0))
+    assert r.t_eff_minus == effective_temperature(thermal_state(h, t), h)
+    assert r.t_eff_minus > 0.0
+
+
+# CLI grids (t_min, t_max, steps) up to t = 1e9 and angles, for the printed
+# digits; (1e4, 1e6, 3) printed dq_plus -6.25000000365e-08 against dq_minus
+# 6.25000000087e-08 when the heats were differences of energies.
+CLI_GRIDS = [(0.05, 3.0, 30), (0.2, 40.0, 25), (1e3, 1e6, 7), (1e4, 1e6, 3),
+             (1e6, 1e9, 4)]
+CLI_PHIS = (0.0, 0.7, 1.234567, math.pi / 2, 3.0, math.pi)
+
+
+def _table(capsys, argv):
+    assert cli.run(argv) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    return header.split(","), [row.split(",") for row in rows]
+
+
+def _one_unit(text, exact):
+    """A printed cell within one unit in the 12th significant digit of
+    ``exact`` (an exact 0 allows only the oracle's rounding)."""
+    unit = Decimal(10) ** (exact.adjusted() - 11) if abs(exact) > NOISE else NOISE
+    return abs(Decimal(text) - exact) <= unit
+
+
+@pytest.mark.parametrize("phi", CLI_PHIS)
+@pytest.mark.parametrize("grid", CLI_GRIDS, ids=lambda g: "-".join(map(str, g)))
+def test_printed_columns_within_one_unit_of_the_oracle(capsys, grid, phi):
+    t_min, t_max, steps = grid
+    flags = ["--t-min", repr(t_min), "--t-max", repr(t_max), "--steps", str(steps),
+             "--phi", repr(phi)]
+    ts = np.linspace(t_min, t_max, steps).tolist()
+    for basis in sorted(kernel.BASES):
+        exact = [{"p_plus": plus[0], "p_minus": minus[0],
+                  "dq_plus": plus[3], "dq_minus": minus[3]}
+                 for plus, minus in (oracles.switch_exact(t, 1.0, phi, basis)
+                                     for t in ts)]
+        for cmd in ("probs", "heat"):
+            _check_cells(capsys, [cmd, *flags, "--basis", basis], ts, phi, exact)
+    for base in ("e", "2"):
+        exact = [dict(zip(("p_minus", "w", "q_c", "eta"), oracles.cycle_exact(
+                     t, t, 1.0, phi, 1.0, 2.0 if base == "2" else math.e)))
+                 for t in ts]
+        _check_cells(capsys, ["fridge", *flags, "--entropy-base", base], ts, phi, exact)
+
+
+def _check_cells(capsys, argv, ts, phi, exact):
+    header, rows = _table(capsys, argv)
+    assert len(rows) == len(ts)
+    for i, row in enumerate(rows):
+        for name, text in zip(header, row):
+            want = (Decimal(ts[i]) if name in ("t", "t_cold") else
+                    Decimal(phi) if name == "phi" else exact[i][name])
+            assert _one_unit(text, want), (argv, name, ts[i], text, want)
+
+
+@pytest.mark.parametrize("grid", CLI_GRIDS, ids=lambda g: "-".join(map(str, g)))
+def test_heats_are_exact_negatives_and_zero_in_the_computational_basis(capsys, grid):
+    t_min, t_max, steps = grid
+    flags = ["--t-min", repr(t_min), "--t-max", repr(t_max), "--steps", str(steps)]
+    for phi in CLI_PHIS:
+        _, rows = _table(capsys, ["heat", *flags, "--phi", repr(phi)])
+        for _, plus, minus in rows:
+            assert plus == minus == "0" if minus == "0" else plus == "-" + minus
+        _, rows = _table(capsys, ["heat", *flags, "--phi", repr(phi),
+                                  "--basis", "computational"])
+        assert {cell for _, *heats in rows for cell in heats} == {"0"}
+        assert cli.run(["heat", *flags, "--phi", repr(phi), "--basis", "computational",
+                        "--format", "json"]) == 0
+        objs = json.loads(capsys.readouterr().out)
+        assert all(repr(o[k]) == "0.0" for o in objs for k in ("dq_plus", "dq_minus"))
+
+
 def test_degenerate_first_point_raises_matrix_path_message():
     delta, phi, t_cold = 1.3, math.pi / 2, 0.01
     h = TwoLevelHamiltonian(delta)
     rho_t = thermal_state(h, t_cold * delta)
     ps = post_select(switch_closed_form(AncillaState(phi), rho_t, rho_t), "minus")
     assert ps.state is None
-    want = f"success probability {ps.probability!r} at t_cold={t_cold}"
+    # The message names the kernel's P-, within its bound of the exact one
+    # (9.37e-34: sin of the double nearest pi/2 is 1 - 1.9e-33); the matrix
+    # path's is within its absolute bound.
+    prob = kernel.switched(delta, phi, [t_cold * delta]).minus.prob[0]
+    exact = oracles.switch_exact(t_cold, delta, phi)[1][0]
+    _three_way(_cond(t_cold), prob, ps.probability, exact, 1)
+    want = f"success probability {float(prob)!r} at t_cold={t_cold}"
     with pytest.raises(DegenerateCycleError) as err:
         kernel.cycles(delta, phi, [t_cold, 0.5, 1.0], 1.0, 1.0)
     assert str(err.value) == want
