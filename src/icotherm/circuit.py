@@ -74,16 +74,21 @@ __all__ = [
 ]
 
 # Grid points whose gates run as one stack, and states per validate_states
-# call.  A block's arrays have a fixed size, so memory does not grow with the
-# grid.  Larger sizes hold more memory: with float64 states, over 600
-# circuit_verify requests in one process, these raised peak RSS by 0.5 MB
-# (1.4 %) over one point at a time, and 8 points with 32-state chunks by
-# 0.6 MB (1.7 %), with no speed gain beyond the host's run-to-run swings.
-# Validating all of a block's intermediate states in one call was slower
-# (x0.91-0.92 in points per second, in-process): Cholesky costs the same per
-# state, so the cost follows the number of states, not the number of calls.
-_BLOCK = 6
-_CHUNK = 16
+# call; a chunk holds whole points, max(1, _CHUNK // states per point) of
+# them.  A block's arrays have a fixed size, so memory does not grow with the
+# grid.  verify_grid on a 30 x 10 grid, in-process, best of 9 (lower of two
+# rounds), in us per point; Python 3.11, numpy 2.4, shared 2-core VM:
+#
+#   _BLOCK/_CHUNK   6/16  10/16  6/64  8/64  10/32  10/64  10/128  12/64  16/64
+#   plain            109     99    88    81     85     76      91     69     66
+#   Toffoli          147    135   131   124    132    119     158    113    116
+#
+# The cost levels off at about 10 points and 64 states, and 128-state chunks
+# are slower.  tests/test_circuit.py needs point 10 of a 3 x 4 grid in a later
+# block, so _BLOCK <= 10.  Peak RSS after 1 500 circuit_verify requests in one
+# process was 35.3-35.4 MB at 10/64 and 35.4-35.6 MB at 6/16.
+_BLOCK = 10
+_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -114,7 +119,7 @@ def ry(target: int, angle: float | tuple[float, ...]) -> Gate:
 
     A tuple holds one angle per state of a stack.
     """
-    angle = (tuple(map(float, angle)) if isinstance(angle, tuple)
+    angle = (tuple([float(a) for a in angle]) if isinstance(angle, tuple)
              else float(angle))
     return Gate(kind="ry", targets=(target,), angle=angle)
 
@@ -330,9 +335,11 @@ def _run_gates(theta: float | tuple[float, ...], phi: float | tuple[float, ...],
     16)`` stack.  The run starts from a float64 state, and the states keep
     the dtype the steps give them: a step that returns a complex array makes
     the stack complex, so no imaginary part is dropped.  Every intermediate
-    state is validated before the last gate, in chunks of ``_CHUNK`` states
-    taken point by point, so the state-by-state re-check of a failing chunk
-    names the first bad state of the first bad point.
+    state is validated before the last gate, in chunks of whole points: each
+    chunk stacks the states of ``max(1, _CHUNK // states per point)`` points
+    from the steps' own arrays, point by point, so no state is copied into
+    more than its own chunk, and the state-by-state re-check of a failing
+    chunk names the first bad state of the first bad point.
     """
     lead = (len(phi),) if isinstance(phi, tuple) else ()
     rho = np.zeros((*lead, 16, 16))
@@ -342,10 +349,11 @@ def _run_gates(theta: float | tuple[float, ...], phi: float | tuple[float, ...],
     steps = []
     for g in gates[:-1]:
         rho = _step(rho, g, 4)
-        steps.append(rho)
-    states = np.stack(steps, axis=-3).reshape(-1, 16, 16)
-    for i in range(0, len(states), _CHUNK):
-        validate_states(states[i:i + _CHUNK])
+        steps.append(rho if lead else rho[None])
+    k = max(1, _CHUNK // len(steps))
+    for p in range(0, len(steps[0]), k):
+        validate_states(np.stack([s[p:p + k] for s in steps], axis=-3)
+                        .reshape(-1, 16, 16))
     return _step(rho, gates[-1], 4)
 
 
@@ -357,7 +365,7 @@ def build_switch_circuit(h: TwoLevelHamiltonian, temperature: float,
     + crusher each), ancilla rotation ry(phi), then the controlled-SWAP
     routing sequence (optionally expanded into Toffoli gates).  Every
     intermediate state is checked like a :class:`DensityMatrix`, in one
-    batched pass after the last gate.
+    batched pass before the last gate.
     """
     a = AncillaState(phi)
     rho = _run_gates(thermal_prep_angle(thermal_state(h, temperature)), a.phi,
@@ -444,8 +452,8 @@ def verify_grid(h: TwoLevelHamiltonian, temps: Sequence[float],
     out: list[float] = []
     for start in range(0, points, _BLOCK):
         block = [divmod(k, m) for k in range(start, min(start + _BLOCK, points))]
-        phi = tuple(ancillas[j].phi for _, j in block)
-        rho = _run_gates(tuple(thetas[i] for i, _ in block), phi,
+        phi = tuple([ancillas[j].phi for _, j in block])
+        rho = _run_gates(tuple([thetas[i] for i, _ in block]), phi,
                          decompose_cswap)
         # partial_trace's order: reservoir 2 (qubit 3) first, then reservoir 1.
         a = validate_states(rho).reshape(-1, *(2,) * 8)

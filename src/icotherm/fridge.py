@@ -38,6 +38,23 @@ switch's interference blocks, and with them every formula above, carry
 v sin(phi) in place of s: the cooling comes from the coherence of the two
 orders, and at v = 0 no heat moves.
 
+The entropy ledger per attempt.  Stroke (i) moves dq- + dq+ = 0 on average,
+and an attempt the demon rejects re-prepares the substance at the cold
+temperature, so only a kept cycle moves heat net: the cold side gives P- q_c
+per attempt and the hot reservoir takes it (strokes (i)-(iii)).  The erasure
+gives W to the resetting reservoir every attempt.  In nats (k_B = 1), the
+three reservoirs' entropy changes per attempt sum to
+
+    W / T_R - P- q_c (1/T_C - 1/T_H) >= 0,
+
+the second law with the demon's memory reset each attempt.  W / T_R is
+delta h(P-), the memory's entropy in nats, whatever ``entropy_base`` the
+report uses: in base b the reported W is t_R delta h(P-) / ln b, so the ledger
+takes W ln b.  In the units above both terms carry the factor delta, so the
+ledger's sign depends on t_C, t_H and phi alone.  As t_C -> 0 at s = 1,
+P- ~ (3/2) p_e and P- q_c ~ p_e / 2, so the ledger tends to h(P-) times at
+least 1 - (1 - t_C/t_H)/3 >= 2/3.
+
 Units: temperatures in :class:`CycleParams` are dimensionless multiples of
 delta/k_B (so populations depend only on them); energies (w, q_c) carry the
 factor delta.  Reported effective temperatures use the same dimensionless

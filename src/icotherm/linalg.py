@@ -81,6 +81,9 @@ def validate_states(states: np.ndarray) -> np.ndarray:
     verdict and message it gives on the stack cast to complex: the
     non-finite, Hermiticity and trace defects of a real matrix equal those
     of its complex copy, and :func:`_check_states` casts before ``eigvalsh``.
+
+    A float64 or complex128 input that is already exactly Hermitian equals
+    its symmetrized copy and is returned as it is, not copied.
     """
     a = np.asarray(states, dtype=complex if np.iscomplexobj(states) else float)
     try:
@@ -114,15 +117,28 @@ def _check_states(a: np.ndarray) -> np.ndarray:
     When the factorization fails, ``eigvalsh`` decides on the stack cast to
     complex, so a real stack gets the verdict and message of its complex
     copy.
+
+    ``symmetrize`` runs only where it can change the stack.  Where the
+    Hermiticity defect is exactly 0, entry (j, i) is the conjugate of entry
+    (i, j), so (a + a†)/2 computes each component as (x + x)/2, which is x
+    unless x + x overflows: every entry is kept, apart from the sign of a
+    zero, and every later check gives the same verdict and message.  The
+    largest |entry| bounds every component, so below 2**1023 no sum
+    overflows; at or above it the stack is symmetrized.  That largest |entry|
+    is non-finite where some entry is, and also where the modulus of a
+    finite complex entry overflows; only then are the entries tested one by
+    one.
     """
-    if not np.isfinite(a).all():
+    top = float(np.abs(a).max())
+    if not math.isfinite(top) and not np.isfinite(a).all():
         raise ValueError("density matrix contains non-finite entries")
     herm_defect = float(np.abs(a - a.conj().swapaxes(-1, -2)).max())
     if herm_defect > TOL:
         raise ValidationError(
             f"state not Hermitian: max|M - M†| = {herm_defect:.3e}"
         )
-    a = symmetrize(a)
+    if herm_defect or top >= 2.0 ** 1023:
+        a = symmetrize(a)
     trace_defect = float(np.abs(a.trace(axis1=-2, axis2=-1).real - 1.0).max())
     if trace_defect > TOL:
         raise ValidationError(f"state trace off by {trace_defect:.3e}")
@@ -143,7 +159,7 @@ class DensityMatrix:
     Parameters
     ----------
     mat:
-        Square complex matrix.  Stored symmetrized and read-only.
+        Square complex matrix.  Stored as a symmetrized, read-only copy.
     dims:
         Ordered subsystem dimensions whose product equals the matrix dimension.
         Defaults to the all-qubit factorization ``(2, 2, ...)`` when the
@@ -153,7 +169,7 @@ class DensityMatrix:
     __slots__ = ("mat", "dims")
 
     def __init__(self, mat, dims: Sequence[int] | None = None):
-        a = np.asarray(mat, dtype=complex)
+        a = np.array(mat, dtype=complex)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {a.shape}")
         dim = a.shape[0]

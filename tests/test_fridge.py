@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from icotherm import fridge, kernel
 from icotherm.fridge import (
@@ -154,6 +156,24 @@ class TestEfficiencyBound:
     def test_supremum_is_reached(self):
         c = kernel.cycles(1.0, math.pi / 2, ETA_GRIDS[2], ETA_GRIDS[2], 1.0)
         assert c.eta.max() > 0.091906
+
+
+# The ledger's smallest value on a scan of ratios 1-20, 25 phi values and
+# t_R in {0.1, 1, 10} over cold grids from 0.05 to 1e9: +4.8e-8, 0.755 h(P-).
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.floats(0.05, 1e9), min_size=1, max_size=20),
+       st.floats(1.0, 20.0), st.floats(0.0, math.pi),
+       st.sampled_from([0.1, 1.0, 10.0]), st.sampled_from([math.e, 2.0]))
+@example([0.05], 5.0, math.pi / 2, 0.1, math.e)
+def test_entropy_ledger_per_attempt(t_cold, ratio, phi, t_reset, base):
+    # W / T_R - P- q_c (1/T_C - 1/T_H) >= 0 with W in nats, as derived in the
+    # fridge module docstring.
+    t_cold = np.array(t_cold)
+    t_hot = t_cold * ratio
+    c = kernel.cycles(1.0, phi, t_cold, t_hot, t_reset, base)
+    ledger = (c.w * math.log(base) / t_reset
+              - c.minus.prob * c.q_c * (1.0 / t_cold - 1.0 / t_hot))
+    assert np.all(ledger >= 0.0), ledger.min()
 
 
 class TestSweep:

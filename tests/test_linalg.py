@@ -339,3 +339,117 @@ class TestPositivityCertificate:
         monkeypatch.setattr(np.linalg, "eigvalsh", refused)
         validate_states(stack)
         DensityMatrix(np.diag([1.0, 0.0]))  # pure: PSD but singular
+
+
+def _symmetrize_first(states):
+    """validate_states with symmetrize run before the trace check on every
+    stack: the reference the exactly Hermitian fast path must match."""
+    def check(a):
+        if not np.isfinite(a).all():
+            raise ValueError("density matrix contains non-finite entries")
+        herm_defect = float(np.abs(a - a.conj().swapaxes(-1, -2)).max())
+        if herm_defect > TOL:
+            raise ValidationError(
+                f"state not Hermitian: max|M - M†| = {herm_defect:.3e}")
+        a = symmetrize(a)
+        trace_defect = float(np.abs(a.trace(axis1=-2, axis2=-1).real - 1.0).max())
+        if trace_defect > TOL:
+            raise ValidationError(f"state trace off by {trace_defect:.3e}")
+        try:
+            np.linalg.cholesky(a + (TOL - 1e-12) * np.eye(a.shape[-1]))
+        except np.linalg.LinAlgError:
+            min_eig = float(np.linalg.eigvalsh(a.astype(complex)).min())
+            if min_eig < -TOL:
+                raise ValidationError(
+                    f"state has negative eigenvalue {min_eig:.3e}") from None
+        return a
+
+    a = np.asarray(states, dtype=complex if np.iscomplexobj(states) else float)
+    try:
+        return check(a)
+    except (ValueError, ValidationError):
+        if a.ndim == 3:
+            for state in a:
+                check(state)
+        raise
+
+
+def _outcome(validate, a):
+    """The returned array, or the type and message of the exception raised."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return validate(a.copy())
+    except (ValueError, ValidationError) as e:
+        return type(e), str(e)
+
+
+def _same_outcome(a):
+    got, want = _outcome(validate_states, a), _outcome(_symmetrize_first, a)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    return got
+
+
+class TestExactlyHermitianFastPath:
+    """An exactly Hermitian stack skips symmetrize and keeps every verdict."""
+
+    def test_exactly_hermitian_real_stacks(self):
+        rng = np.random.default_rng(21)
+        for dim in (2, 4, 16):
+            a = symmetrize(np.array([_real_state(dim, 0.0, rng) for _ in range(5)]))
+            assert np.array_equal(a, a.swapaxes(1, 2))
+            _same_outcome(a)
+            _same_outcome(a[0])
+            _same_outcome(a * (1 + 1e-6))  # trace off
+            a[3] = symmetrize(_real_state(dim, -2 * TOL, rng))
+            _same_outcome(a)  # negative eigenvalue
+
+    def test_exactly_hermitian_complex_stacks(self):
+        rng = np.random.default_rng(22)
+        for dim in (2, 4, 16):
+            a = symmetrize(np.array([_state_with_min_eig(dim, 0.0, rng)
+                                     for _ in range(5)]))
+            assert np.array_equal(a, a.conj().swapaxes(1, 2))
+            _same_outcome(a)
+            _same_outcome(a[2])
+            a[1] = symmetrize(_state_with_min_eig(dim, -2 * TOL, rng))
+            _same_outcome(a)
+
+    def test_mixed_signed_zeros(self):
+        a = np.array([[0.5, 0.0], [-0.0, 0.5]])
+        out = _same_outcome(a)
+        assert np.signbit(out[1, 0])  # kept as given: -0.0 == 0.0
+        c = np.array([[[0.5, -0.0j], [0.0j, 0.5]], [[0.5, 0.0], [-0.0, 0.5]]])
+        c[0, 0, 0] = complex(0.5, -0.0)
+        _same_outcome(c)
+
+    def test_entry_at_2_to_the_1023_is_still_symmetrized(self):
+        # (a + a)/2 overflows there: the old order reports a trace of inf.
+        a = np.array([[2.0**1023, 0.0], [0.0, 0.5]])
+        assert _same_outcome(a) == (ValidationError, "state trace off by inf")
+        assert _same_outcome(np.array([a, np.diag([0.5, 0.5])]))[0] is ValidationError
+
+    def test_non_finite_entries(self):
+        for bad in (np.nan, np.inf, -np.inf, complex(np.inf, 0.0),
+                    complex(0.0, np.nan)):
+            a = np.diag([0.5, 0.5]).astype(type(bad))
+            a[0, 1] = a[1, 0] = bad
+            assert _same_outcome(a) == (
+                ValueError, "density matrix contains non-finite entries")
+
+    def test_small_asymmetry_is_symmetrized(self):
+        rng = np.random.default_rng(23)
+        a = symmetrize(np.array([_real_state(16, 0.0, rng) for _ in range(4)]))
+        a[2, 3, 5] += 1e-12  # inside TOL: symmetrized
+        out = _same_outcome(a)
+        assert np.array_equal(out, symmetrize(a)) and out[2, 3, 5] == out[2, 5, 3]
+        a[2, 3, 5] += 1e-6  # beyond TOL: rejected with the same message
+        assert _same_outcome(a)[1].startswith("state not Hermitian")
+
+    def test_density_matrix_keeps_its_own_copy(self):
+        m = np.diag([0.25, 0.75]).astype(complex)
+        rho = DensityMatrix(m)
+        m[0, 0] = 1.0  # the caller's array stays writeable
+        assert rho.mat[0, 0] == 0.25 and not rho.mat.flags.writeable
