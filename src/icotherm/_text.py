@@ -1,15 +1,15 @@
 """The CLI's table writer: float and int columns as CSV or JSON text.
 
 :func:`_table_text` frames a table (CSV header and rows, or the JSON array of
-objects) and picks its route per table.  A table with fewer than
-``_DIGIT_MIN_CELLS`` float cells is spelled by one ``%`` pass over a row
-template.  A larger one is cut into chunks of ``_CHUNK_ROWS`` rows;
-:func:`_chunk_text` writes a chunk's cells and constant pieces into a
+objects) and picks its route per table.  A table with an int column, or
+with fewer than ``_DIGIT_MIN_CELLS`` cells, is spelled by one ``%`` pass over
+a row template.  A larger float table is cut into chunks of ``_CHUNK_ROWS``
+rows; :func:`_chunk_text` writes a chunk's cells and constant pieces into a
 ``(rows, words)`` buffer of little-endian uint64 words, NUL-padded, and drops
 the NULs with one ``bytes.translate``.  There :func:`_digit_words` spells
 floats exactly as ``"%.12g" % x`` does, in numpy, and Python's ``%`` spells
-every cell it cannot prove and every int cell.  :func:`_table_text`'s
-docstring gives the exactness argument.
+every cell it cannot prove.  :func:`_table_text`'s docstring gives the
+exactness argument.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 # 3-5 columns stay below that.  A chunk's arrays take a few MB, so the
 # memory of a large --steps table follows its text.
 _CHUNK_ROWS = 4096
-# Tables with fewer float cells than this skip the digit pass and are
+# Float tables with fewer cells than this skip the digit pass and are
 # spelled by one % pass over a row template.  Measured in-process on the
 # default probs, heat and fridge columns cut to 20-200 rows, the template
 # wins up to 500-700 cells in CSV and the digit pass from 120-180 in JSON.
@@ -211,21 +211,23 @@ def _respelled(x: np.ndarray) -> np.ndarray:
         return ~np.isfinite(x) | (a < 1e-300) | (np.abs(x - np.rint(x)) <= 2e-11 * a)
 
 
-def _text_words(texts: list[str], width: int) -> np.ndarray:
-    """ASCII texts as ``(len(texts), width)`` little-endian words, NUL-padded."""
+def _text_words(texts: list[str]) -> np.ndarray:
+    """ASCII texts of at most 22 bytes as ``(len(texts), 3)`` little-endian
+    words, NUL-padded."""
     if not texts:
-        return np.zeros((0, width), dtype="<u8")
-    return (np.array([t.encode() for t in texts], dtype=f"S{8 * width}")
-            .view("<u8").reshape(len(texts), width))
+        return np.zeros((0, 3), dtype="<u8")
+    return (np.array([t.encode() for t in texts], dtype="S24")
+            .view("<u8").reshape(len(texts), 3))
 
 
 @functools.lru_cache(maxsize=64)
-def _layout(consts: tuple[bytes, ...],
-            width: int) -> tuple[np.ndarray, list[int], list[int]]:
-    """Word template of one row: the constants, and cells of ``width`` words.
+def _layout(consts: tuple[bytes, ...]) -> tuple[np.ndarray, list[int], list[int]]:
+    """Word template of one row: the constants, and cells of three words.
 
     ``consts[j]`` comes before cell j and ``consts[-1]`` after the last.  A
-    cell's last word keeps bytes 6-7 for the next constant; the byte just
+    cell's last word keeps bytes 6-7 for the next constant, so a cell holds
+    22 bytes: no float text, ``%.12g`` or JSON, is longer than 19 (such as
+    ``-2.22507385851e-308`` and ``-1234567890120000.0``).  The byte just
     before a cell's first word (byte 7) is free for its '-'.  Returns the
     read-only template and, per cell, its first word and the word of its
     sign byte.  A table's chunks, and tables of one shape, share a layout.
@@ -241,7 +243,7 @@ def _layout(consts: tuple[bytes, ...],
                       for i in range(0, len(c) + 1, 8)]
         signs.append(len(words) - 1)
         starts.append(len(words))
-        words += [0] * width
+        words += [0, 0, 0]
     c = consts[-1]
     words[-1] |= int.from_bytes(c[:2], "little") << 48
     words += [int.from_bytes(c[i:i + 8], "little") for i in range(2, len(c), 8)]
@@ -268,7 +270,7 @@ def _table_text(header: list[str], columns: Sequence[Sequence], fmt: str,
     ``extra_json_fields``.  ``%d`` and ``%.12g`` text holds no comma, quote
     or newline, so no cell needs CSV quoting.
 
-    A table with at least ``_DIGIT_MIN_CELLS`` float cells is written
+    A table of floats only with at least ``_DIGIT_MIN_CELLS`` cells is written
     ``_CHUNK_ROWS`` rows at a time into a ``(rows, words)`` buffer of
     little-endian uint64 words that holds the constant pieces (CSV's ``,``
     and newline; JSON's object template with its keys and
@@ -293,17 +295,18 @@ def _table_text(header: list[str], columns: Sequence[Sequence], fmt: str,
     or ``-0``.  Cells that are not finite or have |11 - E| > 44 are not
     proven; neither is about 0.2 % of uniform values.
 
-    *Fallback.*  Every other cell is spelled by Python's ``%``: float cells
-    the digit pass did not prove, once per distinct bit pattern, int cells
-    (``%d``), and in JSON the cells the respelling below selects.  In JSON
-    each such float text is then spelled as the repr of the float it parses
-    to, which, for a cell the respelling does not select, is its text
-    already; the texts go into the buffer with one fancy index.  A table
-    with fewer than ``_DIGIT_MIN_CELLS`` float cells skips the digit pass
-    and the buffer, whose fixed cost it would not repay: its rows are one
-    ``%`` pass over a row template of the constant pieces (``%`` escaped as
-    ``%%``) and the cells, ``%.12g`` or ``%d`` in CSV, and in JSON the
-    repr text of each float cell's ``%.12g``.
+    *Fallback.*  Every other cell is spelled by Python's ``%``: cells the
+    digit pass did not prove, once per distinct bit pattern, and in JSON the
+    cells the respelling below selects.  In JSON each such text is then
+    spelled as the repr of the float it parses to, which, for a cell the
+    respelling does not select, is its text already; the texts go into the
+    buffer with one fancy index.  A table with an int column, or with fewer
+    than ``_DIGIT_MIN_CELLS`` cells, skips the digit pass and the buffer:
+    its rows are one ``%`` pass over a row template of the constant pieces
+    (``%`` escaped as ``%%``) and the cells, ``%.12g`` or ``%d`` in CSV,
+    and in JSON the repr text of each float cell's ``%.12g``.  The only int
+    table, ``mc``'s, is one row, and a small table would not repay the
+    buffer's fixed cost.
 
     *JSON respelling.*  A JSON float keeps its ``%.12g`` text, which already
     is that repr, except where a cell x is not finite, has ``|x| < 1e-300``
@@ -345,23 +348,23 @@ def _table_text(header: list[str], columns: Sequence[Sequence], fmt: str,
     else:
         head, cut, tail = ",".join(header) + "\n", 0, ""
         consts = [""] + [","] * (len(header) - 1) + ["\n"]
-    if n * ints.count(False) < _DIGIT_MIN_CELLS:
+    if any(ints) or n * len(cols) < _DIGIT_MIN_CELLS:
         return head + _template_text(consts, cols, ints, json_cells)[cut:] + tail
     consts = tuple(c.encode("ascii") for c in consts)
     pieces = [head]
     for start in range(0, n, _CHUNK_ROWS):
         pieces.append(_chunk_text(
-            consts, [c[start:start + _CHUNK_ROWS] for c in cols], ints,
-            json_cells, 0 if start else cut))
+            consts, [c[start:start + _CHUNK_ROWS] for c in cols], json_cells,
+            0 if start else cut))
     pieces.append(tail)
     return "".join(pieces)
 
 
 def _template_text(consts: list[str], cols: list, ints: list[bool],
                    json_cells: bool) -> str:
-    """The rows of a small table, spelled by one ``%`` pass over a row
-    template; ``consts[j]`` comes before cell j and ``consts[-1]`` after the
-    last."""
+    """The rows of a table with an int column or few cells, spelled by one
+    ``%`` pass over a row template; ``consts[j]`` comes before cell j and
+    ``consts[-1]`` after the last."""
     cells = [c if is_int else c.tolist() for c, is_int in zip(cols, ints)]
     if json_cells:
         cells = [c if is_int else [_json_text("%.12g" % v) for v in c]
@@ -374,54 +377,43 @@ def _template_text(consts: list[str], cols: list, ints: list[bool],
     return (row * len(cols[0])) % tuple(values)
 
 
-def _chunk_text(consts: tuple[bytes, ...], cols: list, ints: list[bool],
-                json_cells: bool, cut: int) -> str:
-    """One chunk of rows, spelled into one word buffer and decoded once.
+def _chunk_text(consts: tuple[bytes, ...], cols: list, json_cells: bool,
+                cut: int) -> str:
+    """One chunk of rows of float columns, spelled into one word buffer and
+    decoded once.
 
     The first ``cut`` bytes of the first row (at most 8) are dropped.
     """
     rows = len(cols[0])
-    floats = [j for j, is_int in enumerate(ints) if not is_int]
-    x = np.array([cols[j] for j in floats], dtype=float).reshape(-1)
+    x = np.array(cols, dtype=float).reshape(-1)
     lo, hi, tail, spelled = _digit_words(x)
     if json_cells:
         spelled &= ~_respelled(x)
-    # The float cells the digit pass does not spell are spelled by %, each
-    # distinct bit pattern once (0.0 and -0.0 differ), in JSON as the repr
-    # of their 12-digit value: what the respelled cells need, and what every
-    # other cell's text already is.
+    # The cells the digit pass does not spell are spelled by %, each distinct
+    # bit pattern once (0.0 and -0.0 differ), in JSON as the repr of their
+    # 12-digit value: what the respelled cells need, and what every other
+    # cell's text already is.
     fallback = np.flatnonzero(~spelled)
     bits, text_of = np.unique(x[fallback].view(np.uint64), return_inverse=True)
-    values = bits.view(float).tolist()
-    texts = ["%.12g" % v for v in values]
+    texts = ["%.12g" % v for v in bits.view(float).tolist()]
     if json_cells:
         texts = [_json_text(t) for t in texts]
-    texts += ["%d" % v for j, is_int in enumerate(ints) if is_int for v in cols[j]]
-    # One width for every cell of the chunk, with 2 bytes to spare.
-    width = max(3, (max(map(len, texts), default=0) + 9) // 8)
-    template, starts, signs = _layout(consts, width)
+    template, starts, signs = _layout(consts)
     buf = np.empty((rows, len(template)), dtype="<u8")
     buf[...] = template
-    words = _text_words(texts, width)
-    for f, j in enumerate(floats):
-        s = starts[j]
-        buf[:, s] = lo[f * rows:(f + 1) * rows]
-        buf[:, s + 1] = hi[f * rows:(f + 1) * rows]
-        buf[:, s + width - 1] |= tail[f * rows:(f + 1) * rows]
+    for j, s in enumerate(starts):
+        buf[:, s] = lo[j * rows:(j + 1) * rows]
+        buf[:, s + 1] = hi[j * rows:(j + 1) * rows]
+        buf[:, s + 2] |= tail[j * rows:(j + 1) * rows]
     del lo, hi, tail
-    # The spelled floats go to their cells with one fancy index, and the
-    # int columns whole.
+    # The texts go to their cells with one fancy index.
     col, row = np.divmod(fallback, rows)
-    first = np.array(starts)[np.array(floats, dtype=np.intp)[col]]
-    at = (row * len(template) + first)[:, None] + np.arange(width)
-    buf.reshape(-1)[at] = template[at % len(template)] | words[text_of.reshape(-1)]
-    int_cells = iter(words[len(values):].reshape(-1, rows, width))
-    for j, is_int in enumerate(ints):
-        if is_int:
-            buf[:, starts[j]:starts[j] + width] |= next(int_cells)
+    at = (row * len(template) + np.array(starts)[col])[:, None] + np.arange(3)
+    words = _text_words(texts)[text_of.reshape(-1)]
+    buf.reshape(-1)[at] = template[at % len(template)] | words
     minus = (np.signbit(x) & spelled) * np.uint64(0x2D << 56)
-    for f, j in enumerate(floats):
-        buf[:, signs[j]] |= minus[f * rows:(f + 1) * rows]
+    for j, s in enumerate(signs):
+        buf[:, s] |= minus[j * rows:(j + 1) * rows]
     if cut:
         buf[0, 0] &= np.uint64(_U64 << (8 * cut) & _U64)
     data = buf.tobytes()

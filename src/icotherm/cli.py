@@ -12,10 +12,11 @@ mc              seeded demon simulation               (trials,seed,successes,
 Temperatures are in delta/k_B units; energies scale with --delta.  Output is
 byte-identical for identical arguments; numbers carry 12 significant digits.
 The commands pass the kernel's columns to one table writer,
-``icotherm._text._table_text``.  It spells a table of fewer than 256 float
-cells with one ``%`` pass over a row template.  A larger one has the digits
-of whole columns spelled in numpy, exactly as ``%.12g`` spells them, and
-Python's ``%`` spells the few cells the numpy pass cannot prove.
+``icotherm._text._table_text``.  It spells a table with an int column
+(``mc``'s), or of fewer than 256 cells, with one ``%`` pass over a row
+template.  A larger float table has the digits of whole columns spelled in
+numpy, exactly as ``%.12g`` spells them, and Python's ``%`` spells the few
+cells the numpy pass cannot prove.
 Exit codes: 0 success, 2 argument error, 3 numerical validation failure.
 """
 

@@ -123,11 +123,18 @@ def _check_states(a: np.ndarray) -> np.ndarray:
     (i, j), so (a + a†)/2 computes each component as (x + x)/2, which is x
     unless x + x overflows: every entry is kept, apart from the sign of a
     zero, and every later check gives the same verdict and message.  The
-    largest |entry| bounds every component, so below 2**1023 no sum
-    overflows; at or above it the stack is symmetrized.  That largest |entry|
-    is non-finite where some entry is, and also where the modulus of a
-    finite complex entry overflows; only then are the entries tested one by
-    one.
+    largest |entry| is non-finite where some entry is, and also where the
+    modulus of a finite complex entry overflows; only then are the entries
+    tested one by one.
+
+    No valid state has an entry of modulus 2**1023 or more: a state that
+    passes the trace check and is positive semidefinite has every |entry|
+    at most 1 + TOL.  At that size (x + x)/2 and the Cholesky factor
+    overflow, and ``eigvalsh`` of a complex entry whose modulus overflows is
+    NaN.  Such a stack is therefore not symmetrized, which keeps its trace
+    and moves the eigenvalues of its lower triangle by at most d TOL/2, and
+    it skips the certificate.  Its eigenvalues are those of a/4, times 4, so
+    a negative one beyond the float range reads ``-inf``.
     """
     top = float(np.abs(a).max())
     if not math.isfinite(top) and not np.isfinite(a).all():
@@ -137,19 +144,23 @@ def _check_states(a: np.ndarray) -> np.ndarray:
         raise ValidationError(
             f"state not Hermitian: max|M - M†| = {herm_defect:.3e}"
         )
-    if herm_defect or top >= 2.0 ** 1023:
+    huge = top >= 2.0 ** 1023
+    if herm_defect and not huge:
         a = symmetrize(a)
     trace_defect = float(np.abs(a.trace(axis1=-2, axis2=-1).real - 1.0).max())
     if trace_defect > TOL:
         raise ValidationError(f"state trace off by {trace_defect:.3e}")
-    try:
-        np.linalg.cholesky(a + _shift(a.shape[-1]))
-    except np.linalg.LinAlgError:
-        min_eig = float(np.linalg.eigvalsh(a.astype(complex)).min())
-        if min_eig < -TOL:
-            raise ValidationError(
-                f"state has negative eigenvalue {min_eig:.3e}"
-            ) from None
+    if not huge:
+        try:
+            np.linalg.cholesky(a + _shift(a.shape[-1]))
+            return a
+        except np.linalg.LinAlgError:
+            pass
+    c = a.astype(complex)
+    min_eig = (4.0 * float(np.linalg.eigvalsh(c / 4.0).min()) if huge
+               else float(np.linalg.eigvalsh(c).min()))
+    if not min_eig >= -TOL:
+        raise ValidationError(f"state has negative eigenvalue {min_eig:.3e}")
     return a
 
 

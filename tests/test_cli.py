@@ -823,6 +823,43 @@ class TestDigitPass:
         assert _spelled(x) == _printf(x)
 
 
+class TestThreeWordCells:
+    """A digit-pass cell is three words, 22 bytes: no float text is longer
+    than 19, in ``%.12g`` or in JSON."""
+
+    @pytest.fixture(scope="class")
+    def texts(self):
+        # The edge floats and 1M random bit patterns, with their texts.
+        # json.dumps spells a finite float as its repr, and the non-finite
+        # ones in at most 9 bytes.
+        bits = np.random.default_rng(1919).integers(0, 2 ** 64, 1_000_000, dtype=np.uint64)
+        x = np.concatenate([_EDGE_FLOATS, bits.view(float)])
+        csv_texts = _printf(x)
+        return x, csv_texts, [repr(float(t)) for t in csv_texts]
+
+    def test_no_text_is_longer_than_19_bytes(self, texts):
+        _, csv_texts, json_texts = texts
+        assert max(map(len, csv_texts)) == 19
+        assert max(map(len, json_texts)) == 19
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_longest_texts_match_oracle(self, chunk_rows, texts, fmt):
+        x, csv_texts, json_texts = texts
+        longest = [v for v, c, j in zip(x.tolist(), csv_texts, json_texts)
+                   if len(c) >= 18 or len(j) >= 18][:300]
+        cells = [-2.2250738585072014e-308, -5e-324, -1234567890120000.0,
+                 -math.inf, math.nan] + longest
+        assert ["%.12g" % v for v in cells[:3]] == [
+            "-2.22507385851e-308", "-4.94065645841e-324", "-1.23456789012e+15"]
+        assert json.dumps(cells[2]) == "-1234567890120000.0"
+        cells += cells[:-len(cells) % 4]
+        header = ["a", "b%", "c", "d"]
+        rows = [cells[i:i + 4] for i in range(0, len(cells), 4)]
+        expected = oracles.emit_text(header, rows, fmt)
+        assert _text._table_text(header, _columns(header, rows), fmt) == expected
+        assert chunk_rows == [len(rows)]
+
+
 _BIG_KINDS = ("bits", "log_uniform", "unit", "whole", "edge", "int")
 
 
@@ -871,43 +908,63 @@ class TestTableWriterDigitPass:
 
 def _boundary_table(float_cols, n, seed):
     """(header, rows, extra): ``float_cols`` float columns of ``n`` mixed
-    values, an int column second, and ``%`` in a key and in ``extra``."""
+    values, with ``%`` in a key and in ``extra``."""
     rng = np.random.default_rng(seed)
     edge = np.array(_EDGE_FLOATS)
     cols = [np.where(rng.random(n) < 0.3, rng.choice(edge, n),
                      10.0 ** rng.uniform(-40, 40, n) * rng.choice([-1.0, 1.0], n)).tolist()
             for _ in range(float_cols)]
-    cols.insert(1, rng.integers(-2 ** 62, 2 ** 62, n).tolist())
-    header = ["t", "n%d", "50%"] + [f"x{j}" for j in range(float_cols - 2)]
+    header = ["t", "n%d", "50%"] + [f"x{j}" for j in range(float_cols - 3)]
     return header, [list(row) for row in zip(*cols)], {"rng": "50% pcg64"}
+
+
+@pytest.fixture
+def chunk_rows(monkeypatch):
+    """The row count of each chunk the digit pass writes."""
+    rows = []
+    chunk_text = _text._chunk_text
+
+    def counted(*args):
+        rows.append(len(args[1][0]))
+        return chunk_text(*args)
+
+    monkeypatch.setattr(_text, "_chunk_text", counted)
+    return rows
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("float_cols, n, digit_pass",
                          [(3, 85, False), (4, 64, True)], ids=["255", "256"])
-def test_route_boundary_matches_oracle(monkeypatch, fmt, float_cols, n, digit_pass):
+def test_route_boundary_matches_oracle(chunk_rows, fmt, float_cols, n, digit_pass):
     # 255 float cells take the % template, 256 the digit pass.
     assert float_cols * n == _text._DIGIT_MIN_CELLS - (not digit_pass)
-    chunks = []
-    chunk_text = _text._chunk_text
-
-    def counted(*args):
-        chunks.append(len(args[1][0]))
-        return chunk_text(*args)
-
-    monkeypatch.setattr(_text, "_chunk_text", counted)
     header, rows, extra = _boundary_table(float_cols, n, seed=float_cols)
     expected = oracles.emit_text(header, rows, fmt, extra)
     assert _text._table_text(header, _columns(header, rows), fmt, extra) == expected
-    assert chunks == ([n] if digit_pass else [])
+    assert chunk_rows == ([n] if digit_pass else [])
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_route_int_column_takes_the_template(chunk_rows, fmt):
+    # A table with an int column takes the % template whatever its size.
+    n = _text._CHUNK_ROWS + 5
+    header, rows, extra = _boundary_table(4, n, seed=5)
+    ints = np.random.default_rng(6).integers(-2 ** 62, 2 ** 62, n).tolist()
+    header.insert(1, "seed")
+    rows = [[row[0], i, *row[1:]] for row, i in zip(rows, ints)]
+    expected = oracles.emit_text(header, rows, fmt, extra)
+    assert _text._table_text(header, _columns(header, rows), fmt, extra) == expected
+    assert chunk_rows == []
 
 
 @pytest.mark.parametrize("scale", [None, 1 / 7], ids=["int_only", "digit_pass"])
-def test_json_longer_than_a_chunk(scale):
-    # An int-only table takes the % template whatever its length; with a
-    # float column, the second chunk keeps its first object's ",\n".
+def test_json_longer_than_a_chunk(chunk_rows, scale):
+    # An int-only table takes the % template whatever its length; a float
+    # table crosses the chunk joint, and the second chunk keeps its first
+    # object's ",\n".
     header = ["trials", "seed%"]
-    rows = [[i, -7919 * i if scale is None else -7919 * i * scale]
+    rows = [[i, -7919 * i] if scale is None else [i * scale, -7919 * i * scale]
             for i in range(_text._CHUNK_ROWS + 5)]
     expected = oracles.emit_text(header, rows, "json", {"rng": "%s"})
     assert _text._table_text(header, _columns(header, rows), "json", {"rng": "%s"}) == expected
+    assert chunk_rows == ([] if scale is None else [_text._CHUNK_ROWS, 5])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -425,11 +427,35 @@ class TestExactlyHermitianFastPath:
         c[0, 0, 0] = complex(0.5, -0.0)
         _same_outcome(c)
 
-    def test_entry_at_2_to_the_1023_is_still_symmetrized(self):
-        # (a + a)/2 overflows there: the old order reports a trace of inf.
-        a = np.array([[2.0**1023, 0.0], [0.0, 0.5]])
-        assert _same_outcome(a) == (ValidationError, "state trace off by inf")
-        assert _same_outcome(np.array([a, np.diag([0.5, 0.5])]))[0] is ValidationError
+    def test_entry_at_2_to_the_1023_is_rejected_with_finite_defects(self):
+        # (a + a)/2 overflows there, and so does the modulus of z, but no
+        # valid state comes near: each stack gets its own defect, no warning.
+        big, z = 2.0**1023, 1.5e308 * (1 + 1j)
+        diag = np.array([[big, 0.0], [0.0, 0.5]])
+        real = np.array([[0.5, big], [big, 0.5]])
+        asym = np.diag([0.5, 0.5])
+        asym[0, 1] += 1e-12  # valid, symmetrized
+        negative = "state has negative eigenvalue -8.988e+307"
+        for a, want in [(diag, "state trace off by 8.988e+307"),
+                        (diag.astype(complex), "state trace off by 8.988e+307"),
+                        (np.array([diag, asym]), "state trace off by 8.988e+307"),
+                        (real, negative),
+                        (np.array([real, asym]), negative),
+                        (np.array([asym, real]), negative),
+                        (np.array([[0.5, z], [z.conjugate(), 0.5]]),
+                         "state has negative eigenvalue -inf")]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValidationError) as got:
+                    validate_states(a)
+            assert str(got.value) == want
+        with pytest.raises(ValidationError):
+            DensityMatrix(real)
+
+    def test_nan_eigenvalue_is_rejected(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.full(a.shape[:-1], np.nan))
+        with pytest.raises(ValidationError, match="negative eigenvalue nan"):
+            validate_states(np.array([[0.5, 0.6], [0.6, 0.5]]))
 
     def test_non_finite_entries(self):
         for bad in (np.nan, np.inf, -np.inf, complex(np.inf, 0.0),
