@@ -116,7 +116,9 @@ def _check_states(a: np.ndarray) -> np.ndarray:
     stable in the same way, so a real stack is certified in real arithmetic.
     When the factorization fails, ``eigvalsh`` decides on the stack cast to
     complex, so a real stack gets the verdict and message of its complex
-    copy.
+    copy.  It runs on a/4 and the eigenvalues are multiplied back by 4:
+    scaling by a power of two is exact outside underflow, and it keeps the
+    modulus of every finite complex entry in range.
 
     ``symmetrize`` runs only where it can change the stack.  Where the
     Hermiticity defect is exactly 0, entry (j, i) is the conjugate of entry
@@ -133,8 +135,8 @@ def _check_states(a: np.ndarray) -> np.ndarray:
     overflow, and ``eigvalsh`` of a complex entry whose modulus overflows is
     NaN.  Such a stack is therefore not symmetrized, which keeps its trace
     and moves the eigenvalues of its lower triangle by at most d TOL/2, and
-    it skips the certificate.  Its eigenvalues are those of a/4, times 4, so
-    a negative one beyond the float range reads ``-inf``.
+    it skips the certificate.  A negative eigenvalue beyond the float range
+    reads ``-inf``.
     """
     top = float(np.abs(a).max())
     if not math.isfinite(top) and not np.isfinite(a).all():
@@ -156,9 +158,7 @@ def _check_states(a: np.ndarray) -> np.ndarray:
             return a
         except np.linalg.LinAlgError:
             pass
-    c = a.astype(complex)
-    min_eig = (4.0 * float(np.linalg.eigvalsh(c / 4.0).min()) if huge
-               else float(np.linalg.eigvalsh(c).min()))
+    min_eig = 4.0 * float(np.linalg.eigvalsh(a.astype(complex) / 4.0).min())
     if not min_eig >= -TOL:
         raise ValidationError(f"state has negative eigenvalue {min_eig:.3e}")
     return a

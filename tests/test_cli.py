@@ -11,6 +11,7 @@ import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -860,12 +861,12 @@ class TestThreeWordCells:
         assert chunk_rows == [len(rows)]
 
 
-_BIG_KINDS = ("bits", "log_uniform", "unit", "whole", "edge", "int")
+_BIG_KINDS = ("bits", "log_uniform", "unit", "whole", "edge")
 
 
 @st.composite
 def big_tables(draw):
-    """(header, rows, extra): 300 to 700 rows of typed columns, drawn from a
+    """(header, rows, extra): 300 to 700 rows of float columns, drawn from a
     seeded generator, so each column mixes many exponents and edge values."""
     header = draw(st.lists(st.from_regex(r"[a-z_][a-z0-9_]{0,7}", fullmatch=True)
                            .filter(lambda key: key != "rng"),
@@ -885,10 +886,8 @@ def big_tables(draw):
             col = rng.random(n)
         elif kind == "whole":
             col = rng.integers(-10 ** 6, 10 ** 6, n).astype(float)
-        elif kind == "edge":
-            col = rng.choice(edge, n)
         else:
-            col = rng.integers(-2 ** 62, 2 ** 62, n)
+            col = rng.choice(edge, n)
         cols.append(col.tolist())
     extra = draw(st.one_of(st.none(),
                            st.fixed_dictionaries({"rng": st.text(max_size=12)})))
@@ -903,7 +902,9 @@ class TestTableWriterDigitPass:
     def test_matches_oracle(self, table, fmt):
         header, rows, extra = table
         expected = oracles.emit_text(header, rows, fmt, extra)
-        assert _text._table_text(header, _columns(header, rows), fmt, extra) == expected
+        with mock.patch.object(_text, "_chunk_text", wraps=_text._chunk_text) as chunk:
+            assert _text._table_text(header, _columns(header, rows), fmt, extra) == expected
+        assert chunk.called
 
 
 def _boundary_table(float_cols, n, seed):
