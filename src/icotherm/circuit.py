@@ -19,9 +19,10 @@ Gates act as basis permutations (X, SWAP, CSWAP, Toffoli) and axis updates
 coherences) on the last two axes of a state or of a stack of states, so
 :func:`verify_grid` runs each gate once for a whole block of grid points.
 The intermediate states of a run are validated in batched passes.
-:func:`verify_grid` takes the thermal populations and the closed-form
-reference it compares the circuit with from :mod:`icotherm.kernel`, and
-validates them as stacks; the kernel runs none of the gates.
+:func:`verify_grid` takes only the thermal populations from
+:mod:`icotherm.kernel`; :func:`_reference` writes the closed-form reference
+it compares the circuit with from them and each point's phi.  Both are
+validated as stacks; the kernel runs none of the gates.
 
 The circuit runs in real arithmetic.  Every unitary kind (RY, X, SWAP,
 CSWAP, Toffoli) is a real orthogonal matrix, the crusher only zeroes
@@ -49,7 +50,7 @@ from .linalg import (
     validate_states,
 )
 from .channels import AncillaState
-from .kernel import _switch_blocks, _thermal_excited
+from .kernel import _thermal_excited
 from .thermo import (TwoLevelHamiltonian, _check_positive, _check_qubit,
                      thermal_state)
 
@@ -379,41 +380,35 @@ def verify_against_kraus(h: TwoLevelHamiltonian, temperature: float,
 
     Traces the reservoir qubits out of the circuit output and compares the
     ancilla + substance state against the closed form for the same
-    temperature and control angle.  The reference comes from
-    :mod:`icotherm.kernel`, whose entries equal :func:`switch_closed_form`'s
-    bit for bit; the circuit shares only the thermal populations with it and
-    runs every gate itself.  One point of :func:`verify_grid`.
+    temperature and control angle.  The reference (:func:`_reference`)
+    equals :func:`switch_closed_form`'s entries bit for bit; only the thermal
+    populations come from :mod:`icotherm.kernel`, and the circuit runs every
+    gate itself.  One point of :func:`verify_grid`.
     """
     return verify_grid(h, [temperature], [phi], decompose_cswap)[0]
 
 
-# (row, column) offsets of the ancilla blocks 00, 01, 10, 11 in a 4x4 state.
-_BLOCK_OFFSETS = ((0, 0), (0, 2), (2, 0), (2, 2))
+def _reference(phis: Sequence[float], p_e: np.ndarray) -> np.ndarray:
+    """Closed-form ancilla + substance state at each (phis[k], p_e[k]) point.
 
-
-def _reference(delta: float, temps: Sequence[float], phis: Sequence[float],
-               p_e: np.ndarray | None = None) -> np.ndarray:
-    """Closed-form ancilla + substance state at each (temps[k], phis[k]) point.
-
-    ``temps`` are absolute temperatures; ``p_e`` holds their excited
-    populations when the caller has them (:func:`verify_grid` passes its
-    validated thermal stack's), else :func:`kernel._thermal_excited` computes
-    them.  One :func:`kernel._switch_blocks` call per distinct phi gives the
-    diagonals of the four ancilla blocks; they go on the ``(k, k)`` entries
-    of each block, k = g, e, of a ``(points, 4, 4)`` float64 stack, which is
-    validated as one stack.  Its entries equal the real part of
+    ``p_e`` holds the thermal excited populations; :func:`verify_grid` passes
+    its validated thermal stack's.  For p = p_g, p_e the four ancilla blocks
+    hold c² p, (sin(phi)/2) p³ twice and s² p on their diagonals, with c²,
+    s² and sin(phi)/2 from the ``math`` calls of :func:`switch_closed_form`;
+    they are written by slice into one ``(points, 4, 4)`` float64 stack,
+    which is validated as one stack.  Its entries equal the real part of
     ``switch_closed_form(AncillaState(phi), rho_t, rho_t).mat`` bit for bit,
     and that matrix has no imaginary part.
     """
-    if p_e is None:
-        p_e = _thermal_excited(delta, temps)
+    c2, s2, half_sin = np.array(
+        [(math.cos(phi / 2) ** 2, math.sin(phi / 2) ** 2, math.sin(phi) / 2.0)
+         for phi in phis]).T
     ref = np.zeros((len(phis), 4, 4))
-    for phi in dict.fromkeys(phis):
-        rows = [k for k, ph in enumerate(phis) if ph == phi]
-        blocks = _switch_blocks(p_e[rows], phi)
-        for k, diagonals in enumerate(blocks):
-            for (r, c), d in zip(_BLOCK_OFFSETS, diagonals):
-                ref[rows, r + k, c + k] = d
+    for k, p in enumerate((1.0 - p_e, p_e)):
+        cross = half_sin * (p * p * p)
+        ref[:, k, k] = c2 * p
+        ref[:, k, k + 2] = ref[:, k + 2, k] = cross
+        ref[:, k + 2, k + 2] = s2 * p
     return validate_states(ref)
 
 
@@ -427,7 +422,7 @@ def verify_grid(h: TwoLevelHamiltonian, temps: Sequence[float],
     states diag(p_g, p_e) come from one :func:`kernel._thermal_excited` call
     and are validated as one stack; each temperature's preparation angle is
     taken from that stack as :func:`thermal_prep_angle` takes it, and so is
-    the p_e of the closed-form reference.
+    the p_e that :func:`_reference` is given with each point's phi.
     The circuit runs ``_BLOCK`` points at a time on one stack, and each block
     is reduced to its distances before the next one starts, so memory does
     not grow with the grid.  The final states, the ancilla + substance
@@ -460,7 +455,6 @@ def verify_grid(h: TwoLevelHamiltonian, temps: Sequence[float],
         a = np.trace(np.trace(a, axis1=4, axis2=8), axis1=3, axis2=6)
         marginals = validate_states(a.reshape(-1, 4, 4))
         points_t = [i for i, _ in block]
-        expected = _reference(h.delta, [temps[i] for i in points_t], phi,
-                              rho_ts[points_t, 1, 1])
+        expected = _reference(phi, rho_ts[points_t, 1, 1])
         out += np.abs(marginals - expected).max(axis=(1, 2)).tolist()
     return out

@@ -163,10 +163,9 @@ def _check_out(path: str) -> None:
 def _switched(args) -> tuple[np.ndarray, kernel.Switched]:
     """Reported temperatures and both outcomes over the requested grid."""
     h = TwoLevelHamiltonian(args.delta)
-    _, temps = grid(args.t_min, args.t_max, args.steps, h.delta)
+    t, temps = grid(args.t_min, args.t_max, args.steps, h.delta)
     phi = AncillaState(args.phi).phi
-    sw = kernel.switched(h.delta, phi, temps, args.basis)
-    return temps / h.delta, sw
+    return t, kernel.switched(h.delta, phi, temps, args.basis)
 
 
 def _cmd_probs(args) -> None:

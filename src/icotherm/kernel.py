@@ -22,10 +22,10 @@ each printed 12-digit cell is within one unit in its 12th digit;
 verification path computes the same numbers independently:
 ``switch_closed_form`` -> ``post_select`` subtracts nearly equal numbers and
 agrees within about eps / gap, the 16-Kraus switch within ``linalg.TOL``.
-The gate circuit's check (``circuit.verify_grid``) takes its thermal
-populations from :func:`_thermal_excited` and its reference from
-:func:`_switch_blocks`, whose entries equal ``switch_closed_form``'s bit for
-bit, and runs every gate itself.
+The gate circuit's check (``circuit.verify_grid``) takes only its thermal
+populations from :func:`_thermal_excited`; ``circuit._reference`` writes the
+four ancilla blocks from them, equal to ``switch_closed_form``'s entries bit
+for bit, and the circuit runs every gate itself.
 
 The kernel does not check its arguments; only :func:`absolute` and the
 degenerate verdict of :func:`cycles` raise ``ValueError``.  ``exp``, ``expm1``
@@ -118,20 +118,6 @@ def _thermal_excited(delta: float, temps) -> np.ndarray:
     with np.errstate(over="ignore"):
         x = _each(math.exp, -delta / np.asarray(temps, dtype=float))
     return x / (1.0 + x)
-
-
-def _switch_blocks(p_e: np.ndarray, phi: float) -> list:
-    """Per population (g, e) of the thermal state with excited population
-    ``p_e``, the diagonals of the switch output's ancilla blocks 00, 01, 10,
-    11."""
-    c2 = math.cos(phi / 2) ** 2
-    s2 = math.sin(phi / 2) ** 2
-    half_sin = math.sin(phi) / 2.0
-    blocks = []
-    for p in (1.0 - p_e, p_e):
-        cross = half_sin * (p * p * p)
-        blocks.append((c2 * p, cross, cross, s2 * p))
-    return blocks
 
 
 def _branch(outcome: str, prob: np.ndarray, p_g: np.ndarray, p_e: np.ndarray,

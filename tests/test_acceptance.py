@@ -4,11 +4,13 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS line per
 criterion; a failed assert marks the criterion FAILED in pytest's own output.
 """
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from icotherm import circuit, kernel
 from icotherm.channels import (
     AncillaState,
     apply_channel,
@@ -17,12 +19,19 @@ from icotherm.channels import (
     switch_closed_form,
     validate_cptp,
 )
-from icotherm.circuit import verify_against_kraus
+from icotherm.circuit import crush, ry, thermal_prep_angle, verify_against_kraus
 from icotherm.fridge import CycleParams, ico_sweep, monte_carlo, sweep
-from icotherm.linalg import DensityMatrix, kron, random_density_matrix
+from icotherm.linalg import (
+    TOL,
+    DensityMatrix,
+    kron,
+    partial_trace,
+    random_density_matrix,
+)
 from icotherm.thermo import (
     TwoLevelHamiltonian,
     effective_temperature,
+    internal_energy,
     post_select,
     thermal_state,
 )
@@ -203,3 +212,76 @@ def test_10_property_suites():
     _passed("10 property-suites",
             "CPTP, trace/positivity on 100 random states per channel, "
             "completeness, round trip, heating/cooling ordering")
+
+
+def _dephased_kraus(h, temp, phi, v):
+    """Switch output for a control with coherence v, by the 16 Kraus operators."""
+    c, s = math.cos(phi / 2), math.sin(phi / 2)
+    rho_c = np.array([[c * c, v * c * s], [v * c * s, s * s]])
+    ch = make_thermalizing_channel(h, temp)
+    return apply_channel(make_quantum_switch(ch, ch),
+                         DensityMatrix(kron(rho_c, thermal_state(h, temp).mat),
+                                       dims=(2, 2)))
+
+
+def _dephased_gates(h, temp, phi, v):
+    """Ancilla + substance marginal of v (pure run) + (1 - v) (the same run
+    with the ancilla crushed after its rotation), every gate by ``_step``."""
+    theta = thermal_prep_angle(thermal_state(h, temp))
+    runs = []
+    for crushed in ([], [crush(0)]):
+        gates = [g for q in (1, 2, 3) for g in (ry(q, theta), crush(q))]
+        gates += [ry(0, phi), *crushed, *circuit._routing_gates(False)]
+        rho = np.zeros((16, 16))
+        rho[0, 0] = 1.0
+        for g in gates:
+            rho = circuit._step(rho, g, 4)
+        runs.append(rho)
+    mixed = DensityMatrix(v * runs[0] + (1.0 - v) * runs[1], dims=(2,) * 4)
+    return partial_trace(mixed, keep=(0, 1))
+
+
+def _pm_outcomes(joint, h, temp, t_hot):
+    """(P, p_g, p_e, dQ) per pm outcome of a switch output at ``temp``, and
+    q_c = E(rho_-) - E(rho_hot) for the hot reservoir at ``t_hot``."""
+    e_cold = internal_energy(thermal_state(h, temp), h)
+    out = []
+    for outcome in kernel.BASES["pm"]:
+        ps = post_select(joint, outcome)
+        e = internal_energy(ps.state, h)
+        out.append((ps.probability, ps.state.mat[0, 0].real,
+                    ps.state.mat[1, 1].real, ps.probability * (e - e_cold)))
+    # BASES["pm"] ends with "minus", so e is E(rho_-).
+    return out, e - internal_energy(thermal_state(h, t_hot), h)
+
+
+def test_11_heat_exchange_needs_coherence():
+    # A control dephased to coherence v acts as one of angle asin(v sin phi):
+    # in the pm basis P-+, the conditional populations and dQ-+ depend on
+    # sin(phi) alone.  The Kraus and gate paths hold the kernel at that angle
+    # within linalg.TOL, and at v = 0 no heat moves.
+    worst = 0.0
+    points = 0
+    for delta in (1.0, 2.5):
+        h = TwoLevelHamiltonian(delta)
+        for t, phi, v, ratio in itertools.product(
+                (0.2, 1.0, 3.0), (0.4, math.pi / 2, 2.3, math.pi),
+                (0.0, 0.3, 0.9, 1.0), (1.0, 2.0)):
+            phi_v = math.asin(v * math.sin(phi))
+            sw = kernel.switched(delta, phi_v, [t * delta])
+            c = kernel.cycles(delta, phi_v, [t], ratio * t, 1.0)
+            want = [(b.prob[0], b.p_g[0], b.p_e[0], b.dq[0]) for b in sw]
+            if v == 0.0:
+                assert sw.plus.dq[0] == sw.minus.dq[0] == 0.0
+                assert ratio != 1.0 or c.q_c[0] == 0.0
+            for joint in (_dephased_kraus(h, t * delta, phi, v),
+                          _dephased_gates(h, t * delta, phi, v)):
+                got, q_c = _pm_outcomes(joint, h, t * delta, ratio * t * delta)
+                worst = max(worst, abs(q_c - c.q_c[0]),
+                            *(abs(a - b) for g, w in zip(got, want)
+                              for a, b in zip(g, w)))
+            points += 1
+    assert worst <= TOL
+    _passed("11 coherence-heat-exchange",
+            f"Kraus and gate paths within {worst:.2e} of the kernel at "
+            f"asin(v sin phi) over {points} points, no heat at v = 0")

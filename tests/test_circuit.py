@@ -477,22 +477,24 @@ def test_thermal_check_names_the_bad_state(monkeypatch):
 
 
 def test_reference_check_names_the_bad_state(monkeypatch):
-    # A negative population in the kernel's blocks fails the reference's
-    # check with the message DensityMatrix gives that state.
-    blocks = circuit._switch_blocks
-
-    def negative(p_e, phi):
-        (g00, g01, g10, g11), (e00, e01, e10, e11) = blocks(p_e, phi)
-        return [(g00 + 0.05, g01, g10, g11), (e00, e01, e10, e11 - 0.05)]
-
-    monkeypatch.setattr(circuit, "_switch_blocks", negative)
+    # A negative population given to the reference (p_g = 1 - (p_e + 1) < 0,
+    # trace still 1) fails the reference's check with the message
+    # DensityMatrix gives that state.
+    reference = circuit._reference
+    monkeypatch.setattr(circuit, "_reference",
+                        lambda phis, p_e: reference(phis, p_e + 1.0))
     with pytest.raises(ValidationError) as got:
         verify_grid(H, [0.9], [0.7])
-    rho_t = thermal_state(H, 0.9)
-    bad = switch_closed_form(AncillaState(0.7), rho_t, rho_t).mat.real.copy()
-    bad[0, 0] += 0.05
-    bad[3, 3] -= 0.05
-    assert bad[3, 3] < 0.0
+    p_e = circuit._thermal_excited(H.delta, [0.9])[0] + 1.0
+    c2 = math.cos(0.7 / 2) ** 2
+    s2 = math.sin(0.7 / 2) ** 2
+    half_sin = math.sin(0.7) / 2.0
+    bad = np.zeros((4, 4))
+    for k, p in enumerate((1.0 - p_e, p_e)):
+        bad[k, k] = c2 * p
+        bad[k, k + 2] = bad[k + 2, k] = half_sin * (p * p * p)
+        bad[k + 2, k + 2] = s2 * p
+    assert bad[0, 0] < 0.0
     with pytest.raises(ValidationError) as want:
         DensityMatrix(bad)
     assert str(got.value) == str(want.value)
@@ -541,12 +543,12 @@ def test_grid_equals_complex_grid(monkeypatch, decompose):
 
 @pytest.mark.parametrize("delta", [1e-3, 1.0, 7.5])
 def test_reference_equals_switch_closed_form(delta):
-    # The kernel's reference is switch_closed_form's matrix bit for bit, from
+    # The circuit's reference is switch_closed_form's matrix bit for bit, from
     # p_e = 0 (exp(-delta / T) underflows) up to p_e = 1/2 (T = inf).
     h = TwoLevelHamiltonian(delta)
     points = [(t, phi) for t in _REAL_TEMPS for phi in _REAL_PHIS]
     temps, phis = zip(*points)
-    ref = circuit._reference(delta, temps, phis)
+    ref = circuit._reference(phis, circuit._thermal_excited(delta, temps))
     assert ref.dtype == np.float64 and ref.shape == (len(points), 4, 4)
     for got, (t, phi) in zip(ref, points):
         rho_t = thermal_state(h, t)

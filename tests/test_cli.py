@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -122,6 +123,34 @@ class TestFridge:
         w_nat = float(parse_csv(nat)[1][0]["w"])
         w_two = float(parse_csv(two)[1][0]["w"])
         assert w_two == pytest.approx(w_nat / math.log(2), rel=1e-9)
+
+
+def _t_cells(text, fmt):
+    """The first column's cells of a CSV or JSON table, as spelled."""
+    if fmt == "csv":
+        return [line.split(",")[0] for line in text.splitlines()[1:]]
+    return re.findall(r'^    "t(?:_cold)?": ([^,\n]*)', text, re.M)
+
+
+class TestGridTemperatures:
+    # probs and heat print the grid's t, as fridge does.  Taking it back from
+    # T = t * delta as T / delta leaves some cells one ulp off, and row 1206
+    # of this grid then prints 7.60183829265 for the grid's 7.60183829266.
+    BOUNDS = (0.2781548776219206, 7.772015168688964, 1234)
+    DELTA = "1.386730152501956"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_t_column_is_the_grid(self, capsys, fmt):
+        t_min, t_max, steps = self.BOUNDS
+        argv = ["--t-min", repr(t_min), "--t-max", repr(t_max), "--steps",
+                str(steps), "--delta", self.DELTA, "--format", fmt]
+        want = _t_cells(_text._table_text(
+            ["t"], [np.linspace(t_min, t_max, steps)], fmt), fmt)
+        assert len(want) == steps and want[1205] == "7.60183829266"
+        for cmd in ("fridge", "probs", "heat"):
+            code, out, _ = run_capture(capsys, [cmd, *argv])
+            assert code == 0
+            assert _t_cells(out, fmt) == want, cmd
 
 
 class TestCircuitVerify:
