@@ -259,8 +259,10 @@ def _json_text(text: str) -> str:
 
 
 def _table_text(header: list[str], columns: Sequence[Sequence], fmt: str,
-                extra_json_fields: dict | None = None) -> str:
-    """The whole table as CSV or ``indent=2`` JSON text.
+                extra_json_fields: dict | None = None) -> list[str]:
+    """The table as CSV or ``indent=2`` JSON text, in pieces to be written in
+    order: the header, one text per chunk and the tail.  A table the
+    template spells, and an empty JSON table, is one piece.
 
     ``columns`` holds one sequence per header key, all of one length: float
     columns (float64 arrays) are written with 12 significant digits
@@ -335,7 +337,7 @@ def _table_text(header: list[str], columns: Sequence[Sequence], fmt: str,
     json_cells = fmt == "json"
     if json_cells:
         if not n:
-            return "[]\n"
+            return ["[]\n"]
         # Every object starts with the ",\n" that joins it to the one before;
         # the first one's is cut.
         head, cut, tail = "[\n", 2, "\n]\n"
@@ -349,7 +351,7 @@ def _table_text(header: list[str], columns: Sequence[Sequence], fmt: str,
         head, cut, tail = ",".join(header) + "\n", 0, ""
         consts = [""] + [","] * (len(header) - 1) + ["\n"]
     if any(ints) or n * len(cols) < _DIGIT_MIN_CELLS:
-        return head + _template_text(consts, cols, ints, json_cells)[cut:] + tail
+        return [head + _template_text(consts, cols, ints, json_cells)[cut:] + tail]
     consts = tuple(c.encode("ascii") for c in consts)
     pieces = [head]
     for start in range(0, n, _CHUNK_ROWS):
@@ -357,7 +359,7 @@ def _table_text(header: list[str], columns: Sequence[Sequence], fmt: str,
             consts, [c[start:start + _CHUNK_ROWS] for c in cols], json_cells,
             0 if start else cut))
     pieces.append(tail)
-    return "".join(pieces)
+    return pieces
 
 
 def _template_text(consts: list[str], cols: list, ints: list[bool],

@@ -14,7 +14,7 @@ Thermal preparation uses a y-rotation by theta = arccos(p_g - p_e) followed by
 a coherence crusher (ideal dephasing of the target qubit, modeling a gradient
 field pulse).
 
-Gates act as basis permutations (X, SWAP, CSWAP, Toffoli) and axis updates
+Gates act as basis permutations (X, CSWAP, Toffoli) and axis updates
 (RY mixes the two index halves of its target, the crusher zeroes their
 coherences) on the last two axes of a state or of a stack of states, so
 :func:`verify_grid` runs each gate once for a whole block of grid points.
@@ -24,11 +24,11 @@ The intermediate states of a run are validated in batched passes.
 it compares the circuit with from them and each point's phi.  Both are
 validated as stacks; the kernel runs none of the gates.
 
-The circuit runs in real arithmetic.  Every unitary kind (RY, X, SWAP,
-CSWAP, Toffoli) is a real orthogonal matrix, the crusher only zeroes
-entries, and the start state |0000><0000| and both angles (theta and phi)
-are real, so every state of a run is a real symmetric matrix: its states,
-gates and checks are float64, and U rho U^T is U rho U†.
+The circuit runs in real arithmetic.  Every unitary kind (RY, X, CSWAP,
+Toffoli) is a real orthogonal matrix, the crusher only zeroes entries, and
+the start state |0000><0000| and both angles (theta and phi) are real, so
+every state of a run is a real symmetric matrix: its states, gates and
+checks are float64, and U rho U^T is U rho U†.
 :func:`build_switch_circuit` still returns its final state as a complex
 :class:`DensityMatrix`.
 """
@@ -59,13 +59,11 @@ __all__ = [
     "QubitRegister",
     "ry",
     "x_gate",
-    "swap",
     "cswap",
     "toffoli",
     "crush",
     "gate_unitary",
     "embed_unitary",
-    "fresh_register",
     "apply_gate",
     "cswap_to_toffoli",
     "thermal_prep_angle",
@@ -94,7 +92,7 @@ _CHUNK = 64
 
 @dataclass(frozen=True)
 class Gate:
-    """One circuit element.  ``kind`` is one of ry/x/swap/cswap/toffoli/crush.
+    """One circuit element.  ``kind`` is one of ry/x/cswap/toffoli/crush.
 
     ``targets`` are register qubit indices; for cswap the first target is the
     control and ``control_value`` selects which control state activates the
@@ -127,10 +125,6 @@ def ry(target: int, angle: float | tuple[float, ...]) -> Gate:
 
 def x_gate(target: int) -> Gate:
     return Gate(kind="x", targets=(target,))
-
-
-def swap(a: int, b: int) -> Gate:
-    return Gate(kind="swap", targets=(a, b))
 
 
 def cswap(control: int, a: int, b: int, control_value: int = 1) -> Gate:
@@ -186,8 +180,6 @@ def gate_unitary(g: Gate) -> np.ndarray:
         return _ry_unitary(g.angle)
     if g.kind == "x":
         u = np.array([[0.0, 1.0], [1.0, 0.0]])
-    elif g.kind == "swap":
-        u = np.eye(4)[[0, 2, 1, 3]]
     elif g.kind == "cswap":
         u = np.eye(8)
         # local order (control, a, b); swap the a/b bits on the active branch
@@ -233,13 +225,6 @@ class QubitRegister:
     @property
     def n(self) -> int:
         return len(self.state.dims)
-
-
-def fresh_register(n: int = 4) -> QubitRegister:
-    """All-|0> register."""
-    m = np.zeros((1 << n, 1 << n), dtype=complex)
-    m[0, 0] = 1.0
-    return QubitRegister(state=DensityMatrix(m, dims=(2,) * n))
 
 
 @functools.cache

@@ -48,15 +48,16 @@ _ENTROPY_BASES = {"e": math.e, "2": 2.0}
 
 def _emit(header: list[str], columns: Sequence[Sequence], args,
           extra_json_fields: dict | None = None) -> None:
-    """Write the table of ``columns`` to ``--out`` or stdout in one write.
+    """Write the table of ``columns`` to ``--out`` or stdout.
 
-    The text is built before the file is opened, so a failure leaves no file.
+    Every piece of the text is built before the file is opened, so a failure
+    leaves no file; the pieces are written as they are, not joined first.
     """
-    text = _table_text(header, columns, args.format, extra_json_fields)
+    pieces = _table_text(header, columns, args.format, extra_json_fields)
     newline = "" if args.format == "csv" else None
     with (contextlib.nullcontext(sys.stdout) if args.out == "-"
           else open(args.out, "w", newline=newline)) as f:
-        f.write(text)
+        f.writelines(pieces)
 
 
 def _add_output_flags(p: argparse.ArgumentParser) -> None:

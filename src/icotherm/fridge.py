@@ -237,17 +237,18 @@ def _selections(br: kernel.Branch) -> list[PostSelection]:
                                               br.degenerate.tolist())]
 
 
-def _ico_points(h: TwoLevelHamiltonian, phi: float, temps,
+def _ico_points(h: TwoLevelHamiltonian, phi: float, t: list[float], temps,
                 basis: str) -> list[IcoPoint]:
+    """Records at absolute temperatures ``temps``, reported as ``t``."""
     if basis not in kernel.BASES:
         raise ValueError(f"basis must be 'pm' or 'computational', got {basis!r}")
     _check_phi(phi)
-    temps = np.asarray(temps, dtype=float)
-    plus, minus = kernel.switched(h.delta, phi, temps, basis)
-    return [IcoPoint(t=temp / h.delta, phi=phi, basis=basis, plus=ps, minus=ms,
+    plus, minus = kernel.switched(h.delta, phi, np.asarray(temps, dtype=float),
+                                  basis)
+    return [IcoPoint(t=t_k, phi=phi, basis=basis, plus=ps, minus=ms,
                      dq_plus=dq_p, dq_minus=dq_m)
-            for temp, ps, ms, dq_p, dq_m in zip(
-                temps.tolist(), _selections(plus), _selections(minus),
+            for t_k, ps, ms, dq_p, dq_m in zip(
+                t, _selections(plus), _selections(minus),
                 plus.dq.tolist(), minus.dq.tolist())]
 
 
@@ -259,7 +260,8 @@ def ico_point(h: TwoLevelHamiltonian, temperature: float, phi: float,
     two reservoirs, and the ancilla is projected in the requested basis.
     """
     _check_positive("temperature", float(temperature))
-    return _ico_points(h, phi, [temperature], basis)[0]
+    return _ico_points(h, phi, [float(temperature) / h.delta], [temperature],
+                       basis)[0]
 
 
 def ico_sweep(h: TwoLevelHamiltonian, phi: float, t_min: float, t_max: float,
@@ -269,8 +271,8 @@ def ico_sweep(h: TwoLevelHamiltonian, phi: float, t_min: float, t_max: float,
     Temperatures are in delta/k_B units.  A single-point grid (steps == 1)
     requires t_min == t_max.
     """
-    _, temps = grid(t_min, t_max, steps, h.delta)
-    return _ico_points(h, phi, temps, basis)
+    t, temps = grid(t_min, t_max, steps, h.delta)
+    return _ico_points(h, phi, t.tolist(), temps, basis)
 
 
 def grid(t_min: float, t_max: float, steps: int, delta: float, min_steps: int = 1,

@@ -59,12 +59,9 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().swapaxes(-1, -2)) / 2.0
 
 
-def kron(a: np.ndarray, b: np.ndarray, *rest: np.ndarray) -> np.ndarray:
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Tensor product with the standard row-major layout (left factor on high bits)."""
-    out = np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-    for m in rest:
-        out = np.kron(out, np.asarray(m, dtype=complex))
-    return out
+    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
 def validate_states(states: np.ndarray) -> np.ndarray:

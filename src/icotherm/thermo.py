@@ -78,9 +78,6 @@ class TwoLevelHamiltonian:
         if not (self.delta > 0.0 and math.isfinite(self.delta)):
             raise ValueError(f"delta must be positive and finite, got {self.delta}")
 
-    def matrix(self) -> np.ndarray:
-        return np.diag([0.0, self.delta]).astype(complex)
-
 
 @dataclass(frozen=True)
 class PostSelection:

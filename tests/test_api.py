@@ -30,7 +30,7 @@ MODULE_ONLY = {
     "thermo": "OUTCOMES internal_energy post_select shannon_entropy",
     "channels": "CptpReport QuantumChannel",
     "circuit": "Gate QubitRegister apply_gate crush embed_unitary "
-               "fresh_register gate_unitary ry swap toffoli x_gate",
+               "gate_unitary ry toffoli x_gate",
     "fridge": "RNG_ALGORITHM work_of_erasure",
 }
 

@@ -144,8 +144,8 @@ class TestGridTemperatures:
         t_min, t_max, steps = self.BOUNDS
         argv = ["--t-min", repr(t_min), "--t-max", repr(t_max), "--steps",
                 str(steps), "--delta", self.DELTA, "--format", fmt]
-        want = _t_cells(_text._table_text(
-            ["t"], [np.linspace(t_min, t_max, steps)], fmt), fmt)
+        want = _t_cells("".join(_text._table_text(
+            ["t"], [np.linspace(t_min, t_max, steps)], fmt)), fmt)
         assert len(want) == steps and want[1205] == "7.60183829266"
         for cmd in ("fridge", "probs", "heat"):
             code, out, _ = run_capture(capsys, [cmd, *argv])
@@ -614,7 +614,7 @@ MC_SEEDED = {
 # SHA-256 of tables large enough for the digit pass (the default 57-row
 # tables fall under its cutoff), one "<sha256>  <argv>" line each, also read
 # by CI: zeros (computational-basis heats), e+12 cells and whole-number JSON
-# respells (--delta 1e13), and heats from 1e-10 up.
+# respells (--delta 1e13), heats from 1e-10 up, and a table of two chunks.
 LARGE_DIGESTS = {
     tuple(argv.split()): digest
     for digest, argv in (line.split("  ", 1) for line in
@@ -781,7 +781,8 @@ class TestTableWriter:
 def _spelled(x):
     """The CSV writer's text of one float column, one cell per item."""
     assert len(x) >= _text._DIGIT_MIN_CELLS  # the digit pass runs
-    return _text._table_text(["x"], [np.asarray(x, dtype=float)], "csv").split("\n")[1:-1]
+    text = "".join(_text._table_text(["x"], [np.asarray(x, dtype=float)], "csv"))
+    return text.split("\n")[1:-1]
 
 
 def _printf(x):
@@ -886,7 +887,7 @@ class TestThreeWordCells:
         header = ["a", "b%", "c", "d"]
         rows = [cells[i:i + 4] for i in range(0, len(cells), 4)]
         expected = oracles.emit_text(header, rows, fmt)
-        assert _text._table_text(header, _columns(header, rows), fmt) == expected
+        assert "".join(_text._table_text(header, _columns(header, rows), fmt)) == expected
         assert chunk_rows == [len(rows)]
 
 
@@ -932,7 +933,8 @@ class TestTableWriterDigitPass:
         header, rows, extra = table
         expected = oracles.emit_text(header, rows, fmt, extra)
         with mock.patch.object(_text, "_chunk_text", wraps=_text._chunk_text) as chunk:
-            assert _text._table_text(header, _columns(header, rows), fmt, extra) == expected
+            assert "".join(_text._table_text(
+                header, _columns(header, rows), fmt, extra)) == expected
         assert chunk.called
 
 
@@ -970,7 +972,7 @@ def test_route_boundary_matches_oracle(chunk_rows, fmt, float_cols, n, digit_pas
     assert float_cols * n == _text._DIGIT_MIN_CELLS - (not digit_pass)
     header, rows, extra = _boundary_table(float_cols, n, seed=float_cols)
     expected = oracles.emit_text(header, rows, fmt, extra)
-    assert _text._table_text(header, _columns(header, rows), fmt, extra) == expected
+    assert "".join(_text._table_text(header, _columns(header, rows), fmt, extra)) == expected
     assert chunk_rows == ([n] if digit_pass else [])
 
 
@@ -983,7 +985,7 @@ def test_route_int_column_takes_the_template(chunk_rows, fmt):
     header.insert(1, "seed")
     rows = [[row[0], i, *row[1:]] for row, i in zip(rows, ints)]
     expected = oracles.emit_text(header, rows, fmt, extra)
-    assert _text._table_text(header, _columns(header, rows), fmt, extra) == expected
+    assert "".join(_text._table_text(header, _columns(header, rows), fmt, extra)) == expected
     assert chunk_rows == []
 
 
@@ -996,5 +998,40 @@ def test_json_longer_than_a_chunk(chunk_rows, scale):
     rows = [[i, -7919 * i] if scale is None else [i * scale, -7919 * i * scale]
             for i in range(_text._CHUNK_ROWS + 5)]
     expected = oracles.emit_text(header, rows, "json", {"rng": "%s"})
-    assert _text._table_text(header, _columns(header, rows), "json", {"rng": "%s"}) == expected
+    assert "".join(_text._table_text(
+        header, _columns(header, rows), "json", {"rng": "%s"})) == expected
     assert chunk_rows == ([] if scale is None else [_text._CHUNK_ROWS, 5])
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_emit_writes_the_chunks_as_they_are(chunk_rows, tmp_path, fmt):
+    # A float table longer than a chunk is four pieces: the header, two
+    # chunks and the tail.  _emit writes them unjoined, to stdout and to
+    # --out, and opens no file until every piece exists.
+    header, rows, extra = _boundary_table(4, _text._CHUNK_ROWS + 5, seed=7)
+    columns = _columns(header, rows)
+    expected = oracles.emit_text(header, rows, fmt, extra)
+    pieces = _text._table_text(header, columns, fmt, extra)
+    head, tail = {"csv": (",".join(header) + "\n", ""), "json": ("[\n", "\n]\n")}[fmt]
+    assert len(pieces) == 4 and (pieces[0], pieces[3]) == (head, tail)
+    assert "".join(pieces) == expected and chunk_rows == [_text._CHUNK_ROWS, 5]
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        cli._emit(header, columns, argparse.Namespace(format=fmt, out="-"), extra)
+    assert stdout.getvalue() == expected
+    path = tmp_path / f"rows.{fmt}"
+    cli._emit(header, columns, argparse.Namespace(format=fmt, out=str(path)), extra)
+    assert path.read_bytes() == expected.encode()
+    path.unlink()
+    chunk_text = _text._chunk_text
+
+    def fail_second(consts, cols, *args):
+        if len(cols[0]) == 5:
+            raise ValidationError("second chunk")
+        return chunk_text(consts, cols, *args)
+
+    with mock.patch.object(_text, "_chunk_text", fail_second):
+        with pytest.raises(ValidationError):
+            cli._emit(header, columns, argparse.Namespace(format=fmt, out=str(path)),
+                      extra)
+    assert not path.exists()

@@ -238,6 +238,17 @@ class TestIcoSweep:
             assert p.plus.probability + p.minus.probability == pytest.approx(
                 1.0, abs=1e-10)
 
+    def test_t_is_the_grid(self):
+        # Each record's t is the grid point, as sweep's t_cold is.  Taking it
+        # back from T = t * delta as T / delta leaves 210 of these 1 234
+        # values one ulp off.
+        h = TwoLevelHamiltonian(1.386730152501956)
+        bounds = (0.2781548776219206, 7.772015168688964, 1234)
+        want = np.linspace(*bounds).tolist()
+        assert [p.t for p in ico_sweep(h, 1.0, *bounds)] == want
+        assert [r.t_cold for r in sweep(CycleParams(delta=h.delta, phi=1.0),
+                                         *bounds)] == want
+
     def test_single_point_grid(self):
         points = ico_sweep(H, 0.0, 1.0, 1.0, 1)
         assert len(points) == 1

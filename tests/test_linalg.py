@@ -45,10 +45,6 @@ class TestKron:
         np.testing.assert_allclose(kron(a, b), oracles.kron_by_indices(a, b),
                                    atol=1e-15)
 
-    def test_variadic(self):
-        a, b, c = np.diag([1.0, 2.0]), np.diag([3.0, 4.0]), np.diag([5.0, 6.0])
-        np.testing.assert_allclose(kron(a, b, c), np.kron(np.kron(a, b), c))
-
     def test_trace_multiplicative(self):
         rng = np.random.default_rng(11)
         for _ in range(20):

@@ -302,10 +302,6 @@ class TestShannonEntropy:
 
 
 class TestTwoLevelHamiltonian:
-    def test_matrix_form(self):
-        np.testing.assert_array_equal(TwoLevelHamiltonian(2.0).matrix(),
-                                      np.diag([0.0, 2.0]))
-
     def test_rejects_bad_gap(self):
         for delta in (0.0, -1.0, math.inf):
             with pytest.raises(ValueError):
