@@ -327,10 +327,7 @@ def _table_text(header: list[str], columns: Sequence[Sequence], fmt: str,
       1e16), but every ``|x| >= 5e10`` is within 0.5 of a whole number and
       is selected.
     """
-    ints = [isinstance(c, np.ndarray) and c.dtype.kind in "iub"
-            or (not isinstance(c, np.ndarray) and len(c) > 0
-                and isinstance(c[0], (int, np.integer)))
-            for c in columns]
+    ints = [len(c) > 0 and isinstance(c[0], (int, np.integer)) for c in columns]
     cols = [c if is_int else np.asarray(c, dtype=float)
             for c, is_int in zip(columns, ints)]
     n = len(cols[0])

@@ -17,12 +17,13 @@ field pulse).
 Gates act as basis permutations (X, CSWAP, Toffoli) and axis updates
 (RY mixes the two index halves of its target, the crusher zeroes their
 coherences) on the last two axes of a state or of a stack of states, so
-:func:`verify_grid` runs each gate once for a whole block of grid points.
-The intermediate states of a run are validated in batched passes.
-:func:`verify_grid` takes only the thermal populations from
-:mod:`icotherm.kernel`; :func:`_reference` writes the closed-form reference
-it compares the circuit with from them and each point's phi.  Both are
-validated as stacks; the kernel runs none of the gates.
+each gate runs once for a whole block of points.  :func:`_blocks` is the
+one run path: :func:`verify_grid` runs it over a grid and
+:func:`build_switch_circuit` at one point, and it takes only the thermal
+populations from :mod:`icotherm.kernel`.  The intermediate states of a run
+are validated in batched passes.  :func:`_reference` writes the closed-form
+reference from those populations and each point's phi; both are validated
+as stacks, and the kernel runs none of the gates.
 
 The circuit runs in real arithmetic.  Every unitary kind (RY, X, CSWAP,
 Toffoli) is a real orthogonal matrix, the crusher only zeroes entries, and
@@ -38,7 +39,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -51,8 +52,7 @@ from .linalg import (
 )
 from .channels import AncillaState
 from .kernel import _thermal_excited
-from .thermo import (TwoLevelHamiltonian, _check_positive, _check_qubit,
-                     thermal_state)
+from .thermo import TwoLevelHamiltonian, _check_positive, _check_qubit
 
 __all__ = [
     "Gate",
@@ -312,35 +312,73 @@ def _routing_gates(decompose_cswap: bool) -> tuple[Gate, ...]:
     return tuple(part for g in seq for part in cswap_to_toffoli(g))
 
 
-def _run_gates(theta: float | tuple[float, ...], phi: float | tuple[float, ...],
+def _run_gates(theta: tuple[float, ...], phi: tuple[float, ...],
                decompose_cswap: bool) -> np.ndarray:
     """Raw output of the 4-qubit realization, not yet validated.
 
-    Float angles run one point on a 16x16 state; tuples (one thermal
-    preparation angle and one ancilla angle per point) run a ``(points, 16,
-    16)`` stack.  The run starts from a float64 state, and the states keep
-    the dtype the steps give them: a step that returns a complex array makes
-    the stack complex, so no imaginary part is dropped.  Every intermediate
-    state is validated before the last gate, in chunks of whole points: each
-    chunk stacks the states of ``max(1, _CHUNK // states per point)`` points
-    from the steps' own arrays, point by point, so no state is copied into
-    more than its own chunk, and the state-by-state re-check of a failing
-    chunk names the first bad state of the first bad point.
+    ``theta`` and ``phi`` hold one thermal preparation angle and one ancilla
+    angle per point, and the points run as one ``(points, 16, 16)`` stack.
+    The run starts from a float64 stack, and the states keep the dtype the
+    steps give them: a step that returns a complex array makes the stack
+    complex, so no imaginary part is dropped.  Every intermediate state is
+    validated before the last gate, in chunks of whole points: each chunk
+    stacks the states of ``max(1, _CHUNK // states per point)`` points from
+    the steps' own arrays, point by point, so no state is copied into more
+    than its own chunk, and the state-by-state re-check of a failing chunk
+    names the first bad state of the first bad point.
     """
-    lead = (len(phi),) if isinstance(phi, tuple) else ()
-    rho = np.zeros((*lead, 16, 16))
-    rho[..., 0, 0] = 1.0
+    rho = np.zeros((len(phi), 16, 16))
+    rho[:, 0, 0] = 1.0
     gates = [g for q in (1, 2, 3) for g in (ry(q, theta), crush(q))]
     gates += [ry(0, phi), *_routing_gates(decompose_cswap)]
     steps = []
     for g in gates[:-1]:
         rho = _step(rho, g, 4)
-        steps.append(rho if lead else rho[None])
+        steps.append(rho)
     k = max(1, _CHUNK // len(steps))
     for p in range(0, len(steps[0]), k):
         validate_states(np.stack([s[p:p + k] for s in steps], axis=-3)
                         .reshape(-1, 16, 16))
     return _step(rho, gates[-1], 4)
+
+
+def _blocks(h: TwoLevelHamiltonian, temps: Sequence[float],
+            phis: Sequence[float], decompose_cswap: bool
+            ) -> Iterator[tuple[tuple[float, ...], np.ndarray, np.ndarray]]:
+    """Run the circuit at every (temperature, phi) pair, ``_BLOCK`` points at
+    a time; yield each block's phis, thermal p_e and validated final states.
+
+    Points run with temperatures outer and phis inner.  Every phi is checked
+    first, then every temperature in order, with the rules and messages of
+    :class:`AncillaState` and :func:`thermal_state`.  The thermal states
+    diag(p_g, p_e) come from one :func:`kernel._thermal_excited` call and are
+    validated as one stack; each temperature's preparation angle is taken
+    from that stack as :func:`thermal_prep_angle` takes it, and so is the
+    p_e yielded with each point's phi.  A block's final states are validated
+    as one stack before it is yielded, and the next block runs only when the
+    consumer asks for it, so memory does not grow with the grid.
+    """
+    ancillas = [AncillaState(ph) for ph in phis]
+    temps = list(temps)
+    for temp in temps:
+        _check_positive("temperature", temp)
+    if not temps:
+        return
+    p_e = _thermal_excited(h.delta, temps)
+    rho_ts = np.zeros((len(temps), 2, 2))
+    rho_ts[:, 0, 0] = 1.0 - p_e
+    rho_ts[:, 1, 1] = p_e
+    rho_ts = validate_states(rho_ts)
+    thetas = [math.acos(min(max(g - e, -1.0), 1.0))
+              for g, e in zip(rho_ts[:, 0, 0].tolist(), rho_ts[:, 1, 1].tolist())]
+    m = len(ancillas)
+    points = len(temps) * m
+    for start in range(0, points, _BLOCK):
+        block = [divmod(k, m) for k in range(start, min(start + _BLOCK, points))]
+        phi = tuple([ancillas[j].phi for _, j in block])
+        rho = _run_gates(tuple([thetas[i] for i, _ in block]), phi,
+                         decompose_cswap)
+        yield phi, rho_ts[[i for i, _ in block], 1, 1], validate_states(rho)
 
 
 def build_switch_circuit(h: TwoLevelHamiltonian, temperature: float,
@@ -349,14 +387,12 @@ def build_switch_circuit(h: TwoLevelHamiltonian, temperature: float,
 
     Pipeline: thermal preparation of substance and both reservoirs (ry(theta)
     + crusher each), ancilla rotation ry(phi), then the controlled-SWAP
-    routing sequence (optionally expanded into Toffoli gates).  Every
-    intermediate state is checked like a :class:`DensityMatrix`, in one
-    batched pass before the last gate.
+    routing sequence (optionally expanded into Toffoli gates).  This is
+    :func:`verify_grid`'s run (:func:`_blocks`) at one point, with its
+    checks and messages.
     """
-    a = AncillaState(phi)
-    rho = _run_gates(thermal_prep_angle(thermal_state(h, temperature)), a.phi,
-                     decompose_cswap)
-    return QubitRegister(DensityMatrix(rho, (2,) * 4))
+    (_, _, rho), = _blocks(h, [temperature], [phi], decompose_cswap)
+    return QubitRegister(DensityMatrix(rho[0], (2,) * 4))
 
 
 def verify_against_kraus(h: TwoLevelHamiltonian, temperature: float,
@@ -401,45 +437,17 @@ def verify_grid(h: TwoLevelHamiltonian, temps: Sequence[float],
                 phis: Sequence[float], decompose_cswap: bool = False) -> list[float]:
     """:func:`verify_against_kraus` at every (temperature, phi) pair.
 
-    Returns the distances with temperatures outer and phis inner.  Every phi
-    is checked first, then every temperature in order, with the rules and
-    messages of :class:`AncillaState` and :func:`thermal_state`.  The thermal
-    states diag(p_g, p_e) come from one :func:`kernel._thermal_excited` call
-    and are validated as one stack; each temperature's preparation angle is
-    taken from that stack as :func:`thermal_prep_angle` takes it, and so is
-    the p_e that :func:`_reference` is given with each point's phi.
-    The circuit runs ``_BLOCK`` points at a time on one stack, and each block
-    is reduced to its distances before the next one starts, so memory does
-    not grow with the grid.  The final states, the ancilla + substance
-    marginals and the block's closed-form reference (:func:`_reference`) are
-    validated as stacks.
+    Returns the distances with temperatures outer and phis inner, with the
+    checks and messages of :func:`_blocks`, which runs the circuit.  Each
+    block is reduced to its distances before the next one runs; its ancilla
+    + substance marginals and its closed-form reference
+    (:func:`_reference`) are validated as stacks.
     """
-    ancillas = [AncillaState(ph) for ph in phis]
-    temps = list(temps)
-    for temp in temps:
-        _check_positive("temperature", temp)
-    if not temps:
-        return []
-    p_e = _thermal_excited(h.delta, temps)
-    rho_ts = np.zeros((len(temps), 2, 2))
-    rho_ts[:, 0, 0] = 1.0 - p_e
-    rho_ts[:, 1, 1] = p_e
-    rho_ts = validate_states(rho_ts)
-    thetas = [math.acos(min(max(g - e, -1.0), 1.0))
-              for g, e in zip(rho_ts[:, 0, 0].tolist(), rho_ts[:, 1, 1].tolist())]
-    m = len(ancillas)
-    points = len(temps) * m
     out: list[float] = []
-    for start in range(0, points, _BLOCK):
-        block = [divmod(k, m) for k in range(start, min(start + _BLOCK, points))]
-        phi = tuple([ancillas[j].phi for _, j in block])
-        rho = _run_gates(tuple([thetas[i] for i, _ in block]), phi,
-                         decompose_cswap)
+    for phi, p_e, rho in _blocks(h, temps, phis, decompose_cswap):
         # partial_trace's order: reservoir 2 (qubit 3) first, then reservoir 1.
-        a = validate_states(rho).reshape(-1, *(2,) * 8)
+        a = rho.reshape(-1, *(2,) * 8)
         a = np.trace(np.trace(a, axis1=4, axis2=8), axis1=3, axis2=6)
         marginals = validate_states(a.reshape(-1, 4, 4))
-        points_t = [i for i, _ in block]
-        expected = _reference(phi, rho_ts[points_t, 1, 1])
-        out += np.abs(marginals - expected).max(axis=(1, 2)).tolist()
+        out += np.abs(marginals - _reference(phi, p_e)).max(axis=(1, 2)).tolist()
     return out

@@ -83,9 +83,8 @@ import numpy as np
 from . import kernel
 from .kernel import DegenerateCycleError
 from .linalg import DensityMatrix
-from .thermo import (PROB_FLOOR, PostSelection, TwoLevelHamiltonian, _check_phi,
-                     _check_entropy_base, _check_positive, _effective_temperature,
-                     shannon_entropy)
+from .thermo import (PostSelection, TwoLevelHamiltonian, _check_phi,
+                     _check_entropy_base, _check_positive, _effective_temperature)
 
 __all__ = [
     "CycleParams",
@@ -94,7 +93,6 @@ __all__ = [
     "MonteCarloStats",
     "DegenerateCycleError",
     "RNG_ALGORITHM",
-    "work_of_erasure",
     "ico_point",
     "ico_sweep",
     "run_cycle",
@@ -200,21 +198,7 @@ class MonteCarloStats:
     rng: str = RNG_ALGORITHM
 
 
-def work_of_erasure(p_minus: float, t_reset: float,
-                    base: float = math.e) -> float:
-    """Landauer cost T_R * S(p, 1-p) of resetting the demon's one-bit memory.
-
-    ``t_reset`` is an absolute temperature (k_B = 1), so the result is an
-    energy.  Zero exactly when p_minus is 0 or 1.
-    """
-    if not (-PROB_FLOOR <= p_minus <= 1.0 + PROB_FLOOR):
-        raise ValueError(f"p_minus must lie in [0, 1], got {p_minus}")
-    _check_t_reset(t_reset)
-    p = min(max(p_minus, 0.0), 1.0)
-    return t_reset * shannon_entropy((p, 1.0 - p), base=base)
-
-
-def _check_t_reset(t_reset: float, delta: float = 1.0) -> None:
+def _check_t_reset(t_reset: float, delta: float) -> None:
     if not (t_reset > 0.0 and math.isfinite(t_reset)):
         raise ValueError(f"t_reset must be positive and finite, got {t_reset}")
     _finite_product("t_reset", t_reset, "delta", delta)

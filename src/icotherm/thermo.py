@@ -126,6 +126,11 @@ def effective_temperature(rho: DensityMatrix, h: TwoLevelHamiltonian) -> float:
     (p_e > p_g) give a negative temperature; this is intentional, so that
     parameter sweeps never abort on strongly heated conditional states.
 
+    T_eff is exact for the stored populations.  Below T/delta of about
+    1/708 a thermal p_e is subnormal and carries fewer than 53 bits, so
+    T_eff is off by p_e's own rounding: within (ulp(p_e)/p_e) /
+    (ln p_g - ln p_e) + 8 eps relative, 3.4e-4 at T/delta = 1/744.
+
     Raises
     ------
     ValidationError

@@ -31,7 +31,7 @@ MODULE_ONLY = {
     "channels": "CptpReport QuantumChannel",
     "circuit": "Gate QubitRegister apply_gate crush embed_unitary "
                "gate_unitary ry toffoli x_gate",
-    "fridge": "RNG_ALGORITHM work_of_erasure",
+    "fridge": "RNG_ALGORITHM",
 }
 
 

@@ -340,8 +340,10 @@ def test_every_intermediate_state_is_validated(monkeypatch, decompose, kind, whe
     def corrupting(rho, g, n):
         out = step(rho, g, n)
         if len(calls) == at:
-            out = _corrupt(kind, out)
-            seen.append(out)
+            bad = _corrupt(kind, out[0])
+            out = out.astype(bad.dtype)
+            out[0] = bad
+            seen.append(bad)
         calls.append(g)
         return out
 
@@ -381,6 +383,38 @@ def test_grid_equals_one_point_calls(temps, phis, decompose):
             expected = switch_closed_form(AncillaState(phi), rho_t, rho_t)
             want.append(float(np.max(np.abs(marginal.mat - expected.mat))))
     assert verify_grid(H, temps, phis, decompose_cswap=decompose) == want
+
+
+@pytest.mark.parametrize("decompose", [False, True])
+@pytest.mark.parametrize("delta", [1.0, 7.5])
+def test_one_point_run_is_its_state_in_a_grid_stack(delta, decompose):
+    # build_switch_circuit's state is the complex copy of its point's state
+    # in one stack over all the points, bit for bit.
+    h = TwoLevelHamiltonian(delta)
+    temps = [1e-3, 0.2, 0.9, 3.0, 1e3, math.inf]
+    phis = [0.0, 0.7, math.pi / 2, 2.3, math.pi]
+    points = [(t, phi) for t in temps for phi in phis]
+    thetas = {t: thermal_prep_angle(thermal_state(h, t)) for t in temps}
+    stack = circuit._run_gates(tuple([thetas[t] for t, _ in points]),
+                               tuple([phi for _, phi in points]), decompose)
+    for (t, phi), want in zip(points, stack):
+        got = build_switch_circuit(h, t, phi, decompose_cswap=decompose).state.mat
+        assert got.dtype == np.complex128
+        assert np.array_equal(got, want.astype(complex))
+
+
+@pytest.mark.parametrize("temp, phi", [
+    *((t, 0.5) for t in (0.0, -1.0, math.nan)),
+    *((1.0, phi) for phi in (-0.1, math.nan)),
+    (math.nan, -0.1),
+])
+def test_one_point_run_raises_as_the_grid(temp, phi):
+    with pytest.raises(ValueError) as want:
+        verify_grid(H, [temp], [phi])
+    with pytest.raises(type(want.value)) as got:
+        build_switch_circuit(H, temp, phi)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("decompose", [False, True])
@@ -508,7 +542,7 @@ def test_real_run_equals_complex_run(monkeypatch, decompose):
     points = [(th, ph) for th in thetas for ph in _REAL_PHIS]
     step = circuit._step
     # One point at a time, and all of them as one stack.
-    runs = [*points, tuple(zip(*points))]
+    runs = [*(((th,), (ph,)) for th, ph in points), tuple(zip(*points))]
     for theta, phi in runs:
         gates = []
 

@@ -976,16 +976,21 @@ def test_route_boundary_matches_oracle(chunk_rows, fmt, float_cols, n, digit_pas
     assert chunk_rows == ([n] if digit_pass else [])
 
 
+@pytest.mark.parametrize("as_array", [False, True], ids=["list", "int64_array"])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_route_int_column_takes_the_template(chunk_rows, fmt):
-    # A table with an int column takes the % template whatever its size.
+def test_route_int_column_takes_the_template(chunk_rows, fmt, as_array):
+    # A table with an int column takes the % template whatever its size,
+    # whether the column is a list or an int ndarray.
     n = _text._CHUNK_ROWS + 5
     header, rows, extra = _boundary_table(4, n, seed=5)
     ints = np.random.default_rng(6).integers(-2 ** 62, 2 ** 62, n).tolist()
     header.insert(1, "seed")
     rows = [[row[0], i, *row[1:]] for row, i in zip(rows, ints)]
     expected = oracles.emit_text(header, rows, fmt, extra)
-    assert "".join(_text._table_text(header, _columns(header, rows), fmt, extra)) == expected
+    columns = _columns(header, rows)
+    if as_array:
+        columns[1] = np.array(columns[1], dtype=np.int64)
+    assert "".join(_text._table_text(header, columns, fmt, extra)) == expected
     assert chunk_rows == []
 
 

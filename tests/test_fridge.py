@@ -16,7 +16,6 @@ from icotherm.fridge import (
     monte_carlo,
     run_cycle,
     sweep,
-    work_of_erasure,
 )
 from icotherm.thermo import TwoLevelHamiltonian, shannon_entropy
 
@@ -41,34 +40,6 @@ ETA_T_R_SUP = 0.091907
 # Cold grids up to 1e9, the default grid, the peak region and the mixed state.
 ETA_GRIDS = (np.geomspace(0.05, 1e9, 300), GRID, np.linspace(0.4, 0.7, 301),
              np.array([0.5, math.inf]))
-
-
-class TestWorkOfErasure:
-    def test_balanced_memory(self):
-        assert work_of_erasure(0.5, 1.0) == pytest.approx(math.log(2),
-                                                          abs=1e-15)
-
-    def test_deterministic_memory_is_free(self):
-        assert work_of_erasure(0.0, 3.7) == 0.0
-        assert work_of_erasure(1.0, 3.7) == 0.0
-
-    def test_cycle_outcome_distribution(self):
-        assert work_of_erasure(P_MINUS, 1.0) == pytest.approx(W_UNIT,
-                                                              abs=1e-14)
-
-    def test_scales_with_reset_temperature(self):
-        assert work_of_erasure(0.3, 2.0) == pytest.approx(
-            2.0 * work_of_erasure(0.3, 1.0), abs=1e-12)
-
-    def test_base_two_rescales(self):
-        assert work_of_erasure(0.3, 1.0, base=2.0) == pytest.approx(
-            work_of_erasure(0.3, 1.0) / math.log(2), abs=1e-12)
-
-    def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            work_of_erasure(1.2, 1.0)
-        with pytest.raises(ValueError):
-            work_of_erasure(0.4, 0.0)
 
 
 class TestRunCycle:
@@ -358,14 +329,11 @@ class TestCycleParams:
         msg = "t_reset must be positive and finite"
         with pytest.raises(ValueError, match=msg):
             CycleParams(t_reset=t_reset)
-        with pytest.raises(ValueError, match=msg):
-            work_of_erasure(0.4, t_reset)
 
     @pytest.mark.parametrize("entry", [
         lambda base: CycleParams(entropy_base=base),
         lambda base: shannon_entropy((0.3, 0.7), base=base),
-        lambda base: work_of_erasure(0.3, 1.0, base=base),
-    ], ids=["CycleParams", "shannon_entropy", "work_of_erasure"])
+    ], ids=["CycleParams", "shannon_entropy"])
     @pytest.mark.parametrize("base", [1.0, 0.5, -1.0, math.nan, math.inf])
     def test_entropy_base_finite_and_above_one(self, entry, base):
         rule = "be finite" if base == math.inf else "exceed 1"

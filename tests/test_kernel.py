@@ -6,7 +6,7 @@ the last place of the 50-digit closed form of ``oracles.switch_exact`` /
 thermal populations under the rounding of t * delta and delta / T.  So every
 12-digit table cell is within one unit in its 12th digit.  The matrix
 path ``switch_closed_form`` -> ``post_select`` -> ``internal_energy`` /
-``work_of_erasure`` subtracts nearly equal numbers; it is held within
+``shannon_entropy`` subtracts nearly equal numbers; it is held within
 ``MATRIX_ULPS`` of the size of what it subtracts (about eps / gap relative
 for the heats), and the kernel within the sum of both bounds of it.  The
 brute-force 16-Kraus switch, which sums its operators in another order,
@@ -31,13 +31,14 @@ from icotherm.channels import (
     make_thermalizing_channel,
     switch_closed_form,
 )
-from icotherm.fridge import CycleParams, DegenerateCycleError, sweep, work_of_erasure
+from icotherm.fridge import CycleParams, DegenerateCycleError, sweep
 from icotherm.linalg import TOL, DensityMatrix, kron
 from icotherm.thermo import (
     TwoLevelHamiltonian,
     effective_temperature,
     internal_energy,
     post_select,
+    shannon_entropy,
     thermal_state,
 )
 
@@ -143,7 +144,8 @@ def test_cycles_equal_matrix_path(phi, delta, t_hot, base):
         ps = post_select(switch_closed_form(AncillaState(phi), rho_t, rho_t), "minus")
         e_minus = internal_energy(ps.state, h)
         e_hot = internal_energy(thermal_state(h, th * delta), h)
-        m_w = work_of_erasure(ps.probability, t_reset * delta, base=base)
+        p = ps.probability
+        m_w = (t_reset * delta) * shannon_entropy((p, 1.0 - p), base=base)
         m_q_c = e_minus - e_hot
         # What the matrix path subtracts: e_minus's and e_hot's sizes for
         # q_c, P's entropy slope (and its rounding of 1 - P) for W.

@@ -139,6 +139,32 @@ class TestEffectiveTemperature:
         rho = thermal_state(h, 4.5)
         assert effective_temperature(rho, h) == pytest.approx(4.5, abs=1e-9)
 
+    @pytest.mark.parametrize("delta", [0.37, 1.0, 2.5, 7.5])
+    def test_subnormal_excited_population_limit(self, delta):
+        # Below t = T / delta of about 1/708, p_e = 1 / (1 + e^(1/t)) is
+        # subnormal and carries fewer than 53 bits.  T_eff is exact for the
+        # stored populations, so its error is p_e's own relative rounding,
+        # spread over ln p_g - ln p_e, plus a few ulps.  The relative ulp is
+        # taken before any scaling (0.5 * 5e-324 rounds to 0), and the log
+        # gap as a difference (p_g / p_e overflows).
+        h = TwoLevelHamiltonian(delta)
+        checked = 0
+        for k in np.linspace(600.0, 745.9, 750).tolist():
+            t = 1.0 / k
+            rho = thermal_state(h, t * delta)
+            p_g, p_e = rho.mat[0, 0].real, rho.mat[1, 1].real
+            if p_e == 0.0:
+                continue
+            bound = ((np.spacing(p_e) / p_e) / (math.log(p_g) - math.log(p_e))
+                     + 8 * np.finfo(float).eps)
+            assert abs(effective_temperature(rho, h) / delta - t) <= bound * t
+            checked += 1
+        assert checked >= 740
+        # The limit is real: at t = 1/744 T_eff is 3.4e-4 off.
+        t = 1.0 / 744
+        err = abs(effective_temperature(thermal_state(h, t * delta), h) / delta - t) / t
+        assert 3e-4 < err < 4e-4
+
 
 class TestPostSelect:
     def test_minus_outcome_frozen_values(self):
