@@ -20,7 +20,7 @@ coherences) on the last two axes of a state or of a stack of states, so
 each gate runs once for a whole block of points.  :func:`_blocks` is the
 one run path: :func:`verify_grid` runs it over a grid and
 :func:`build_switch_circuit` at one point, and it takes only the thermal
-populations from :mod:`icotherm.kernel`.  The intermediate states of a run
+populations from :mod:`icotherm.thermo`.  The intermediate states of a run
 are validated in batched passes.  :func:`_reference` writes the closed-form
 reference from those populations and each point's phi; both are validated
 as stacks, and the kernel runs none of the gates.
@@ -50,9 +50,8 @@ from .linalg import (
     symmetrize,
     validate_states,
 )
-from .channels import AncillaState
-from .kernel import _thermal_excited
-from .thermo import TwoLevelHamiltonian, _check_positive, _check_qubit
+from .thermo import (TwoLevelHamiltonian, _check_phi, _check_positive,
+                     _check_qubit, _thermal_excited)
 
 __all__ = [
     "Gate",
@@ -350,15 +349,15 @@ def _blocks(h: TwoLevelHamiltonian, temps: Sequence[float],
 
     Points run with temperatures outer and phis inner.  Every phi is checked
     first, then every temperature in order, with the rules and messages of
-    :class:`AncillaState` and :func:`thermal_state`.  The thermal states
-    diag(p_g, p_e) come from one :func:`kernel._thermal_excited` call and are
+    :func:`thermo._check_phi` and :func:`thermal_state`.  The thermal states
+    diag(p_g, p_e) come from one :func:`thermo._thermal_excited` call and are
     validated as one stack; each temperature's preparation angle is taken
     from that stack as :func:`thermal_prep_angle` takes it, and so is the
     p_e yielded with each point's phi.  A block's final states are validated
     as one stack before it is yielded, and the next block runs only when the
     consumer asks for it, so memory does not grow with the grid.
     """
-    ancillas = [AncillaState(ph) for ph in phis]
+    phis = [_check_phi(ph) for ph in phis]
     temps = list(temps)
     for temp in temps:
         _check_positive("temperature", temp)
@@ -371,11 +370,11 @@ def _blocks(h: TwoLevelHamiltonian, temps: Sequence[float],
     rho_ts = validate_states(rho_ts)
     thetas = [math.acos(min(max(g - e, -1.0), 1.0))
               for g, e in zip(rho_ts[:, 0, 0].tolist(), rho_ts[:, 1, 1].tolist())]
-    m = len(ancillas)
+    m = len(phis)
     points = len(temps) * m
     for start in range(0, points, _BLOCK):
         block = [divmod(k, m) for k in range(start, min(start + _BLOCK, points))]
-        phi = tuple([ancillas[j].phi for _, j in block])
+        phi = tuple([phis[j] for _, j in block])
         rho = _run_gates(tuple([thetas[i] for i, _ in block]), phi,
                          decompose_cswap)
         yield phi, rho_ts[[i for i, _ in block], 1, 1], validate_states(rho)
@@ -403,7 +402,7 @@ def verify_against_kraus(h: TwoLevelHamiltonian, temperature: float,
     ancilla + substance state against the closed form for the same
     temperature and control angle.  The reference (:func:`_reference`)
     equals :func:`switch_closed_form`'s entries bit for bit; only the thermal
-    populations come from :mod:`icotherm.kernel`, and the circuit runs every
+    populations come from :mod:`icotherm.thermo`, and the circuit runs every
     gate itself.  One point of :func:`verify_grid`.
     """
     return verify_grid(h, [temperature], [phi], decompose_cswap)[0]

@@ -36,8 +36,7 @@ import numpy as np
 from . import kernel
 from ._text import _table_text
 from .linalg import ValidationError
-from .thermo import TwoLevelHamiltonian
-from .channels import AncillaState
+from .thermo import TwoLevelHamiltonian, _check_phi
 from .circuit import verify_grid
 from .fridge import CycleParams, grid, monte_carlo
 
@@ -79,6 +78,15 @@ def _add_grid_flags(p: argparse.ArgumentParser, t_min: float, t_max: float,
                    help=f"grid size; 1 requires t-min == t-max (default {steps})")
 
 
+def _add_cycle_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--phi", type=float, default=math.pi / 2,
+                   help="ancilla angle in radians (default pi/2)")
+    p.add_argument("--t-reset", type=float, default=1.0,
+                   help="resetting reservoir temperature in delta/k_B (default 1.0)")
+    p.add_argument("--entropy-base", choices=tuple(_ENTROPY_BASES), default="e",
+                   help="erasure entropy log base (default e)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="icotherm",
@@ -87,28 +95,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("probs", help="outcome probabilities vs temperature")
-    _add_output_flags(p)
-    _add_grid_flags(p, 0.2, 3.0, 57)
-    p.add_argument("--phi", type=float, default=math.pi / 2,
-                   help="ancilla angle in radians (default pi/2)")
-    p.add_argument("--basis", choices=("pm", "computational"), default="pm",
-                   help="ancilla measurement basis (default pm)")
-
-    p = sub.add_parser("heat", help="conditional heats vs temperature")
-    _add_output_flags(p)
-    _add_grid_flags(p, 0.2, 3.0, 57)
-    p.add_argument("--phi", type=float, default=math.pi / 2)
-    p.add_argument("--basis", choices=("pm", "computational"), default="pm")
+    for name, text in (("probs", "outcome probabilities vs temperature"),
+                       ("heat", "conditional heats vs temperature")):
+        p = sub.add_parser(name, help=text)
+        _add_output_flags(p)
+        _add_grid_flags(p, 0.2, 3.0, 57)
+        p.add_argument("--phi", type=float, default=math.pi / 2,
+                       help="ancilla angle in radians (default pi/2)")
+        p.add_argument("--basis", choices=tuple(kernel.BASES), default="pm",
+                       help="ancilla measurement basis (default pm)")
 
     p = sub.add_parser("fridge", help="refrigerator sweep at t_hot = t_cold")
     _add_output_flags(p)
     _add_grid_flags(p, 0.2, 3.0, 57)
-    p.add_argument("--phi", type=float, default=math.pi / 2)
-    p.add_argument("--t-reset", type=float, default=1.0,
-                   help="resetting reservoir temperature in delta/k_B (default 1.0)")
-    p.add_argument("--entropy-base", choices=tuple(_ENTROPY_BASES), default="e",
-                   help="erasure entropy log base (default e)")
+    _add_cycle_flags(p)
 
     p = sub.add_parser("circuit-verify",
                        help="circuit marginal vs closed form, max entry distance")
@@ -125,11 +125,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cold/hot temperature of the run (default 1.0)")
     p.add_argument("--t-max", type=float, default=None,
                    help="hot temperature if different from --t-min")
-    p.add_argument("--phi", type=float, default=math.pi / 2)
-    p.add_argument("--t-reset", type=float, default=1.0)
-    p.add_argument("--entropy-base", choices=tuple(_ENTROPY_BASES), default="e")
-    p.add_argument("--trials", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
+    _add_cycle_flags(p)
+    p.add_argument("--trials", type=int, default=10000, help="cycles (default 10000)")
+    p.add_argument("--seed", type=int, default=0, help="PCG64 RNG seed (default 0)")
 
     return parser
 
@@ -145,9 +143,9 @@ def _check_out(path: str) -> None:
 
     Raises the error ``open(path, "w")`` would raise after the compute: its
     directory cannot be reached (``[Errno 2]``, or ``[Errno 20]`` for a file
-    in the path), or the path is a directory or ends in a separator
-    (``[Errno 21]``).  The file itself is still opened only once the table
-    exists.
+    in the path), the path is a directory or ends in a separator
+    (``[Errno 21]``), or the OS refuses the name: too long, or a symlink loop.
+    The file itself is still opened only once the table exists.
     """
     name = path.rstrip(os.sep + (os.altsep or ""))
     # Stat the directory with a trailing separator, so a file there fails;
@@ -159,13 +157,15 @@ def _check_out(path: str) -> None:
         raise type(e)(e.errno, e.strerror, path) from None
     if name != path or os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    with contextlib.suppress(FileNotFoundError):
+        os.stat(path)
 
 
 def _switched(args) -> tuple[np.ndarray, kernel.Switched]:
     """Reported temperatures and both outcomes over the requested grid."""
     h = TwoLevelHamiltonian(args.delta)
     t, temps = grid(args.t_min, args.t_max, args.steps, h.delta)
-    phi = AncillaState(args.phi).phi
+    phi = _check_phi(args.phi)
     return t, kernel.switched(h.delta, phi, temps, args.basis)
 
 
@@ -192,7 +192,7 @@ def _cmd_fridge(args) -> None:
 def _cmd_circuit_verify(args) -> None:
     h = TwoLevelHamiltonian(args.delta)
     t, temps = grid(args.t_min, args.t_max, args.steps, h.delta, distinct=False)
-    phis = ([AncillaState(args.phi).phi] if args.phi is not None
+    phis = ([_check_phi(args.phi)] if args.phi is not None
             else np.linspace(0.0, math.pi, args.steps).tolist())
     d = verify_grid(h, temps.tolist(), phis,
                     decompose_cswap=args.decompose_cswap)

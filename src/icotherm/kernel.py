@@ -22,10 +22,10 @@ each printed 12-digit cell is within one unit in its 12th digit;
 verification path computes the same numbers independently:
 ``switch_closed_form`` -> ``post_select`` subtracts nearly equal numbers and
 agrees within about eps / gap, the 16-Kraus switch within ``linalg.TOL``.
-The gate circuit's check (``circuit.verify_grid``) takes only its thermal
-populations from :func:`_thermal_excited`; ``circuit._reference`` writes the
-four ancilla blocks from them, equal to ``switch_closed_form``'s entries bit
-for bit, and the circuit runs every gate itself.
+The gate circuit's check (``circuit.verify_grid``) uses nothing of this
+module: its thermal populations come from ``thermo._thermal_excited``, as the
+kernel's do, ``circuit._reference`` writes the four ancilla blocks from them
+(``switch_closed_form``'s, bit for bit), and the circuit runs every gate.
 
 The kernel does not check its arguments; only :func:`absolute` and the
 degenerate verdict of :func:`cycles` raise ``ValueError``.  ``exp``, ``expm1``
@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .thermo import PROB_FLOOR
+from .thermo import PROB_FLOOR, _each, _thermal_excited
 
 __all__ = ["BASES", "Branch", "Switched", "Cycles", "DegenerateCycleError",
            "absolute", "switched", "cycles"]
@@ -86,11 +86,6 @@ class Cycles(NamedTuple):
     e_hot: np.ndarray
 
 
-def _each(f, a: np.ndarray) -> np.ndarray:
-    """``f`` applied per element, for the math functions numpy must not replace."""
-    return np.fromiter(map(f, a.ravel().tolist()), float, a.size).reshape(a.shape)
-
-
 def absolute(t, delta: float) -> np.ndarray:
     """Absolute temperatures T = t * delta of temperatures in delta/k_B units.
 
@@ -107,17 +102,6 @@ def absolute(t, delta: float) -> np.ndarray:
             raise ValueError(f"temperature {float(t[bad][0])} times delta {delta} "
                              f"{verdict}")
     return temps
-
-
-def _thermal_excited(delta: float, temps) -> np.ndarray:
-    """Excited population p_e = x / (1 + x), x = exp(-delta / T), per T.
-
-    ``temps`` are absolute temperatures (k_B = 1); ``math.inf`` gives 1/2.
-    """
-    # delta / T overflows to inf for T -> 0+, and exp(-inf) = 0 is the limit.
-    with np.errstate(over="ignore"):
-        x = _each(math.exp, -delta / np.asarray(temps, dtype=float))
-    return x / (1.0 + x)
 
 
 def _branch(outcome: str, prob: np.ndarray, p_g: np.ndarray, p_e: np.ndarray,

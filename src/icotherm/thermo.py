@@ -2,8 +2,9 @@
 
 Units: k_B = 1 throughout.  The Hamiltonian is H = delta |e><e| with basis
 index 0 = ground |g>, index 1 = excited |e>; the thermal state at temperature
-T is the normalized Boltzmann state diag(p_g, p_e) with
-p_e = exp(-delta/T) / (1 + exp(-delta/T)).
+T is the normalized Boltzmann state diag(p_g, p_e) with p_e = exp(-delta/T) /
+(1 + exp(-delta/T)), computed only by :func:`_thermal_excited`, over whole
+temperature grids: :func:`thermal_state`, ``kernel`` and ``circuit`` call it.
 
 Also provides ancilla post-selection on a joint (ancilla ⊗ system) state.
 """
@@ -51,9 +52,10 @@ def _check_positive(name: str, temperature: float) -> None:
         raise ValueError(f"{name} must be positive, got {temperature}")
 
 
-def _check_phi(phi: float) -> None:
+def _check_phi(phi: float) -> float:
     if not 0.0 <= phi <= math.pi:
         raise ValueError(f"phi must lie in [0, pi], got {phi}")
+    return phi
 
 
 def _check_qubit(rho: DensityMatrix) -> None:
@@ -106,10 +108,24 @@ def thermal_state(h: TwoLevelHamiltonian, temperature: float) -> DensityMatrix:
     maximally mixed state diag(1/2, 1/2).
     """
     _check_positive("temperature", temperature)
-    # exp(-delta/T) never overflows for T > 0; it underflows to 0 near T -> 0+.
-    x = math.exp(-h.delta / temperature)
-    p_e = x / (1.0 + x)
+    p_e = _thermal_excited(h.delta, temperature)
     return DensityMatrix(np.diag([1.0 - p_e, p_e]), dims=(2,))
+
+
+def _each(f, a: np.ndarray) -> np.ndarray:
+    """``f`` applied per element, for the math functions numpy must not replace."""
+    return np.fromiter(map(f, a.ravel().tolist()), float, a.size).reshape(a.shape)
+
+
+def _thermal_excited(delta: float, temps) -> np.ndarray:
+    """Excited population p_e = x / (1 + x), x = exp(-delta / T), per T.
+
+    ``temps`` are absolute temperatures (k_B = 1); ``math.inf`` gives 1/2.
+    """
+    # delta / T overflows to inf for T -> 0+, and exp(-inf) = 0 is the limit.
+    with np.errstate(over="ignore"):
+        x = _each(math.exp, -delta / np.asarray(temps, dtype=float))
+    return x / (1.0 + x)
 
 
 def internal_energy(rho: DensityMatrix, h: TwoLevelHamiltonian) -> float:

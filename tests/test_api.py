@@ -1,5 +1,6 @@
 """The package's top level is its documented API, and the README example runs."""
 
+import ast
 import contextlib
 import importlib
 import inspect
@@ -11,7 +12,8 @@ import pytest
 
 import icotherm
 
-README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+ROOT = Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text()
 
 PUBLIC = sorted("""
     TOL DensityMatrix ValidationError kron partial_trace random_density_matrix
@@ -58,6 +60,34 @@ def test_fridge_keeps_the_names_the_benchmark_reads():
     assert fridge.TwoLevelHamiltonian is icotherm.TwoLevelHamiltonian
     assert fridge.CycleParams is icotherm.CycleParams
     assert fridge.DegenerateCycleError is icotherm.DegenerateCycleError
+
+
+def _package_imports_and_math_exp():
+    """Per module of src/icotherm: the sibling modules it imports, and
+    whether it reads ``math.exp``."""
+    out = {}
+    for path in sorted((ROOT / "src" / "icotherm").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imports = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                imports |= ({node.module} if node.module
+                            else {a.name for a in node.names})
+        exp = any(isinstance(node, ast.Attribute) and node.attr == "exp"
+                  and isinstance(node.value, ast.Name) and node.value.id == "math"
+                  for node in ast.walk(tree))
+        out[path.stem] = imports, exp
+    return out
+
+
+def test_layering_and_one_boltzmann_formula():
+    mods = _package_imports_and_math_exp()
+    assert mods["circuit"][0] == {"linalg", "thermo"}
+    assert "channels" not in mods["cli"][0]
+    assert [m for m, (imports, _) in mods.items() if "channels" in imports] == [
+        "__init__"]
+    # The Boltzmann population is written once, in thermo._thermal_excited.
+    assert [m for m, (_, exp) in mods.items() if exp] == ["thermo"]
 
 
 def test_readme_library_example_prints_its_comments():

@@ -504,6 +504,48 @@ class TestRuntimePath:
         exits_2(*rejected)
 
 
+class TestOptions:
+    # Every option of every subcommand, in --help order: (default, type,
+    # choices), as each stood while the shared flags were declared per command.
+    _OUT = {"--delta": (1.0, float, None), "--format": ("csv", None, ("csv", "json")),
+            "--out": ("-", None, None)}
+    _GRID = {"--t-min": (0.2, float, None), "--t-max": (3.0, float, None),
+             "--steps": (57, int, None)}
+    _PHI = {"--phi": (math.pi / 2, float, None)}
+    _CYCLE = {**_PHI, "--t-reset": (1.0, float, None),
+              "--entropy-base": ("e", None, ("e", "2"))}
+    _ICO = {**_OUT, **_GRID, **_PHI,
+            "--basis": ("pm", None, ("pm", "computational"))}
+    OPTIONS = {
+        "probs": _ICO,
+        "heat": _ICO,
+        "fridge": {**_OUT, **_GRID, **_CYCLE},
+        "circuit-verify": {**_OUT, **_GRID, "--steps": (5, int, None),
+                           "--phi": (None, float, None),
+                           "--decompose-cswap": (False, None, None)},
+        "mc": {**_OUT, "--t-min": (1.0, float, None), "--t-max": (None, float, None),
+               **_CYCLE, "--trials": (10000, int, None), "--seed": (0, int, None)},
+    }
+
+    @staticmethod
+    def _subparsers():
+        sub, = [a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)]
+        return sub.choices
+
+    def test_subcommands(self):
+        assert list(self._subparsers()) == list(self.OPTIONS)
+
+    @pytest.mark.parametrize("command", list(OPTIONS))
+    def test_every_option_has_help_and_its_default(self, command):
+        actions = [a for a in self._subparsers()[command]._actions
+                   if a.dest != "help"]
+        want = [([flag], spec) for flag, spec in self.OPTIONS[command].items()]
+        assert [(a.option_strings, (a.default, a.type, a.choices))
+                for a in actions] == want
+        assert [a.option_strings for a in actions if not a.help] == []
+
+
 class TestParserCache:
     ARGVS = [
         ["circuit-verify", "--phi", "1", "--steps", "2"],
@@ -566,7 +608,7 @@ class TestEarlyOutRejection:
     ])
     @pytest.mark.parametrize("name", [
         "adir", "adir/", "adir/missing/", "missing/", "missing/sub/", "afile/",
-        "afile/x", "afile/.", "",
+        "afile/x", "afile/.", "", pytest.param("a" * 300, id="name_too_long"),
     ])
     def test_unopenable_out_rejected_before_compute(self, capsys, monkeypatch,
                                                     tmp_path, argv, owner,

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -86,6 +87,23 @@ class TestThermalState:
         for t in (0.0, -2.0, math.nan):
             with pytest.raises(ValueError):
                 thermal_state(H, t)
+
+    @pytest.mark.parametrize("delta", [5e-324, 1e-300, 0.37, 1.0,
+                                       1.386730152501956, 7.5, 1e300])
+    def test_populations_are_the_scalar_boltzmann_formula_bit_for_bit(self, delta):
+        # p_e as a scalar math.exp formula gives it: x = exp(-delta/T), x/(1+x).
+        # At delta of order 1, numpy's exp differs from math.exp in the last
+        # bit at about 5 % of the seeded temperatures.
+        h = TwoLevelHamiltonian(delta)
+        seeded = (10.0 ** np.random.default_rng(7).uniform(-3, 3, 200)).tolist()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for t in [5e-324, 1e-320, 1e-310, 1e-300, 1e-3, 0.1, 1 / 744, 1 / 700,
+                      0.5, 1.0, 3.0, 1e3, 1e300, 1.7e308, math.inf, *seeded]:
+                x = math.exp(-delta / t)
+                p_e = x / (1.0 + x)
+                want = np.diag([1.0 - p_e, p_e]).astype(complex)
+                assert thermal_state(h, t).mat.tobytes() == want.tobytes(), t
 
 
 class TestInternalEnergy:
