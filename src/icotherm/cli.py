@@ -144,8 +144,10 @@ def _check_out(path: str) -> None:
     Raises the error ``open(path, "w")`` would raise after the compute: its
     directory cannot be reached (``[Errno 2]``, or ``[Errno 20]`` for a file
     in the path), the path is a directory or ends in a separator
-    (``[Errno 21]``), or the OS refuses the name: too long, or a symlink loop.
-    The file itself is still opened only once the table exists.
+    (``[Errno 21]``), the OS refuses the name: too long, or a symlink loop,
+    or it is a dangling symlink whose target's directory cannot be reached.
+    A symlink into a directory that exists is written through, as ``open``
+    writes it. The file itself is still opened only once the table exists.
     """
     name = path.rstrip(os.sep + (os.altsep or ""))
     # Stat the directory with a trailing separator, so a file there fails;
@@ -153,12 +155,16 @@ def _check_out(path: str) -> None:
     parent = os.path.dirname(name) or ("." if path else "")
     try:
         os.stat(os.path.join(parent, ""))
+        if name != path or os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        try:
+            os.stat(path)
+        except FileNotFoundError:
+            # A new file, or a dangling symlink, whose target open creates.
+            if os.path.islink(path):
+                os.stat(os.path.join(os.path.dirname(os.path.realpath(path)), ""))
     except OSError as e:
         raise type(e)(e.errno, e.strerror, path) from None
-    if name != path or os.path.isdir(path):
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-    with contextlib.suppress(FileNotFoundError):
-        os.stat(path)
 
 
 def _switched(args) -> tuple[np.ndarray, kernel.Switched]:

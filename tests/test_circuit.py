@@ -328,6 +328,7 @@ def _corrupt(kind, rho):
 _KINDS = ["hermiticity", "imaginary", "trace", "eigenvalue"]
 
 
+@pytest.mark.bit_exact
 @pytest.mark.parametrize("decompose", [False, True])
 @pytest.mark.parametrize("kind", _KINDS)
 @pytest.mark.parametrize("where", ["first", "middle", "second_to_last", "last"])
@@ -366,6 +367,7 @@ _PHIS = st.one_of(st.floats(0.0, math.pi), st.sampled_from([0.0, math.pi]))
 _BLOCK_TEMPS = [*np.geomspace(1e-3, 1e3, circuit._BLOCK - 1).tolist(), math.inf]
 
 
+@pytest.mark.bit_exact
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(st.lists(_TEMPS, min_size=1, max_size=5),
        st.lists(_PHIS, min_size=1, max_size=4), st.booleans())
@@ -385,6 +387,7 @@ def test_grid_equals_one_point_calls(temps, phis, decompose):
     assert verify_grid(H, temps, phis, decompose_cswap=decompose) == want
 
 
+@pytest.mark.bit_exact
 @pytest.mark.parametrize("decompose", [False, True])
 @pytest.mark.parametrize("delta", [1.0, 7.5])
 def test_one_point_run_is_its_state_in_a_grid_stack(delta, decompose):
@@ -534,6 +537,7 @@ _REAL_TEMPS = [*(10.0 ** k for k in range(-3, 4)), math.inf]
 _REAL_PHIS = [0.0, 0.7, math.pi / 2, math.pi]
 
 
+@pytest.mark.bit_exact
 @pytest.mark.parametrize("decompose", [False, True])
 def test_real_run_equals_complex_run(monkeypatch, decompose):
     # Every gate is real, so the float64 run is the complex128 run's real
@@ -578,6 +582,7 @@ _REFERENCE_PHIS = [*_REAL_PHIS, *np.random.default_rng(5).uniform(0.0, math.pi, 
                    3.048620531260143, 1.288837122808728]
 
 
+@pytest.mark.bit_exact
 @pytest.mark.parametrize("delta", [1e-3, 1.0, 7.5])
 def test_reference_equals_switch_closed_form(delta):
     # The circuit's reference is switch_closed_form's matrix bit for bit, from

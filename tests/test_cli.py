@@ -609,6 +609,7 @@ class TestEarlyOutRejection:
     @pytest.mark.parametrize("name", [
         "adir", "adir/", "adir/missing/", "missing/", "missing/sub/", "afile/",
         "afile/x", "afile/.", "", pytest.param("a" * 300, id="name_too_long"),
+        pytest.param("link", id="dangling_link"),
     ])
     def test_unopenable_out_rejected_before_compute(self, capsys, monkeypatch,
                                                     tmp_path, argv, owner,
@@ -619,88 +620,74 @@ class TestEarlyOutRejection:
         monkeypatch.setattr(owner, stage, never)
         (tmp_path / "adir").mkdir()
         (tmp_path / "afile").write_text("")
+        (tmp_path / "link").symlink_to(tmp_path / "missing" / "x")
         path = f"{tmp_path}{os.sep}{name}" if name else ""
         with pytest.raises(OSError) as opened:
             open(path, "w")
         code, out, err = run_capture(capsys, [*argv, "--out", path])
         assert (code, out) == (2, "")
         assert err == f"icotherm: error: {opened.value}\n"
-        assert sorted(os.listdir(tmp_path)) == ["adir", "afile"]
+        assert sorted(os.listdir(tmp_path)) == ["adir", "afile", "link"]
         assert os.listdir(tmp_path / "adir") == []
 
+    def test_symlink_into_a_directory_is_written_through(self, capsys, tmp_path):
+        (tmp_path / "adir").mkdir()
+        link = tmp_path / "link.csv"
+        link.symlink_to(Path("adir") / "x.csv")
+        assert run_capture(capsys, ["probs", "--out", str(link)])[:2] == (0, "")
+        assert link.is_symlink()
+        stdout = run_capture(capsys, ["probs"])[1]
+        assert (tmp_path / "adir" / "x.csv").read_text() == stdout
 
-# Default probs/heat/fridge tables, captured before the CLI formatted its
-# tables in one printf-style pass.  circuit-verify.csv (--steps 3, 9 points)
-# was captured before the circuit gates became permutations and axis updates,
-# circuit-verify-toffoli.json before a grid ran its gates block by block.
+
 GOLDEN = Path(__file__).parent / "golden"
 
-# Tables whose JSON float columns hold only whole numbers (phi, P+-, q_c and
-# eta are 0.0 or 1.0), so every cell of them is respelled; captured before
-# the JSON writer formatted its cells in one pass.
-ALL_RESPELLED = {
-    ("probs", "--phi", "0", "--basis", "computational", "--format", "json"):
-        "probs-phi0-computational.json",
-    ("fridge", "--phi", "0", "--format", "json"): "fridge-phi0.json",
-}
 
-# `mc --trials 196615` with these flags, captured before monte_carlo drew its
-# uniforms in blocks.
-MC_SEEDED = {
-    ("--seed", "11"): "mc-seed11.csv",
-    ("--seed", "11", "--format", "json", "--t-min", "0.7", "--t-max", "1.3"):
-        "mc-seed11-hot.json",
-}
+def _manifest(name):
+    """The ``"<first>  <argv>"`` lines of a manifest, keyed by argv."""
+    return {tuple(argv.split()): first
+            for first, argv in (line.split("  ", 1) for line in
+                                (GOLDEN / name).read_text().splitlines())}
 
+
+# One "<file>  <argv>" line per golden table, also read by CI.  Each file was
+# captured before a change it pins:
+# - the default probs/heat/fridge tables, before the CLI formatted its
+#   tables in one printf-style pass;
+# - circuit-verify.csv (--steps 3, 9 points, run with and without Toffoli
+#   expansion), before the circuit gates became permutations and axis
+#   updates; circuit-verify-toffoli.json, before a grid ran its gates block by
+#   block; circuit-verify-extreme.csv (T = 0.001..1000), before the circuit
+#   ran in float64; circuit-verify-delta.json, before circuit-verify built its
+#   closed-form reference from the kernel;
+# - probs-phi0-computational.json and fridge-phi0.json, whose JSON float
+#   columns hold only whole numbers (phi, P+-, q_c and eta are 0.0 or 1.0),
+#   so every cell is respelled, before the JSON writer formatted its cells
+#   in one pass;
+# - mc-seed11.csv and mc-seed11-hot.json (mc --trials 196615), before
+#   monte_carlo drew its uniforms in blocks.
+GOLDEN_TABLES = _manifest("tables.txt")
 
 # SHA-256 of tables large enough for the digit pass (the default 57-row
 # tables fall under its cutoff), one "<sha256>  <argv>" line each, also read
 # by CI: zeros (computational-basis heats), e+12 cells and whole-number JSON
 # respells (--delta 1e13), heats from 1e-10 up, and a table of two chunks.
-LARGE_DIGESTS = {
-    tuple(argv.split()): digest
-    for digest, argv in (line.split("  ", 1) for line in
-                         (GOLDEN / "large-tables.sha256").read_text().splitlines())}
+LARGE_DIGESTS = _manifest("large-tables.sha256")
 
 
+def test_every_golden_table_is_in_the_manifest():
+    # Besides the two manifests, only the demo outputs of test_demos.py.
+    others = {"tables.txt", "large-tables.sha256",
+              "02_heating_cooling.txt", "04_refrigerator.txt"}
+    assert {f.name for f in GOLDEN.iterdir()} - others == set(GOLDEN_TABLES.values())
+
+
+@pytest.mark.bit_exact
 class TestGoldenBytes:
-    @pytest.mark.parametrize("flags", [[], ["--decompose-cswap"]])
-    def test_circuit_verify_steps_3(self, capsys, flags):
-        code, out, _ = run_capture(capsys, ["circuit-verify", "--steps", "3", *flags])
-        assert code == 0 and out == (GOLDEN / "circuit-verify.csv").read_text()
-
-    def test_circuit_verify_toffoli_json(self, capsys):
-        code, out, _ = run_capture(capsys, [
-            "circuit-verify", "--steps", "4", "--decompose-cswap", "--format", "json"])
-        assert code == 0 and out == (GOLDEN / "circuit-verify-toffoli.json").read_text()
-
-    def test_circuit_verify_extreme_temperatures(self, capsys):
-        code, out, _ = run_capture(capsys, [
-            "circuit-verify", "--t-min", "0.001", "--t-max", "1000", "--steps", "12",
-            "--phi", "0.3", "--decompose-cswap"])
-        assert code == 0 and out == (GOLDEN / "circuit-verify-extreme.csv").read_text()
-
-    def test_circuit_verify_phi_sweep_delta(self, capsys):
-        code, out, _ = run_capture(capsys, [
-            "circuit-verify", "--t-min", "0.001", "--t-max", "1000", "--steps", "4",
-            "--delta", "7.5", "--format", "json"])
-        assert code == 0 and out == (GOLDEN / "circuit-verify-delta.json").read_text()
-
-    @pytest.mark.parametrize("flags", list(MC_SEEDED))
-    def test_seeded_mc(self, capsys, flags):
-        code, out, _ = run_capture(capsys, ["mc", "--trials", "196615", *flags])
-        assert code == 0 and out == (GOLDEN / MC_SEEDED[flags]).read_text()
-
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    @pytest.mark.parametrize("cmd", ["probs", "heat", "fridge"])
-    def test_default_sweep_tables(self, capsys, cmd, fmt):
-        code, out, _ = run_capture(capsys, [cmd, "--format", fmt])
-        assert code == 0 and out == (GOLDEN / f"{cmd}.{fmt}").read_text()
-
-    @pytest.mark.parametrize("argv", list(ALL_RESPELLED))
-    def test_all_respelled_json_columns(self, capsys, argv):
+    @pytest.mark.parametrize("argv", list(GOLDEN_TABLES))
+    def test_table(self, capsys, argv):
         code, out, _ = run_capture(capsys, list(argv))
-        assert code == 0 and out == (GOLDEN / ALL_RESPELLED[argv]).read_text()
+        assert code == 0 and out == (GOLDEN / GOLDEN_TABLES[argv]).read_text()
 
     @pytest.mark.parametrize("argv", list(LARGE_DIGESTS))
     def test_large_table_digest(self, capsys, argv):
@@ -772,6 +759,7 @@ def _columns(header, rows):
     return [[row[j] for row in rows] for j in range(len(header))]
 
 
+@pytest.mark.bit_exact
 class TestTableWriter:
     """``_emit`` writes exactly what csv.writer / json.dumps(indent=2) wrote."""
 
@@ -850,6 +838,7 @@ def _halfway(rng, exponents, per_exponent):
                      for m in row.tolist()])
 
 
+@pytest.mark.bit_exact
 class TestDigitPass:
     """The table writer's numpy digits equal ``"%.12g" % x`` cell for cell."""
 
@@ -896,6 +885,7 @@ class TestDigitPass:
         assert _spelled(x) == _printf(x)
 
 
+@pytest.mark.bit_exact
 class TestThreeWordCells:
     """A digit-pass cell is three words, 22 bytes: no float text is longer
     than 19, in ``%.12g`` or in JSON."""
@@ -966,6 +956,7 @@ def big_tables(draw):
     return header, [list(row) for row in zip(*cols)], extra
 
 
+@pytest.mark.bit_exact
 class TestTableWriterDigitPass:
     """Tables large enough for the digit pass, written as the oracle writes them."""
 
@@ -1006,6 +997,7 @@ def chunk_rows(monkeypatch):
     return rows
 
 
+@pytest.mark.bit_exact
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("float_cols, n, digit_pass",
                          [(3, 85, False), (4, 64, True)], ids=["255", "256"])
@@ -1018,6 +1010,7 @@ def test_route_boundary_matches_oracle(chunk_rows, fmt, float_cols, n, digit_pas
     assert chunk_rows == ([n] if digit_pass else [])
 
 
+@pytest.mark.bit_exact
 @pytest.mark.parametrize("as_array", [False, True], ids=["list", "int64_array"])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_route_int_column_takes_the_template(chunk_rows, fmt, as_array):
@@ -1036,6 +1029,7 @@ def test_route_int_column_takes_the_template(chunk_rows, fmt, as_array):
     assert chunk_rows == []
 
 
+@pytest.mark.bit_exact
 @pytest.mark.parametrize("scale", [None, 1 / 7], ids=["int_only", "digit_pass"])
 def test_json_longer_than_a_chunk(chunk_rows, scale):
     # An int-only table takes the % template whatever its length; a float

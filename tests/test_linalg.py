@@ -390,6 +390,7 @@ def _same_outcome(a):
     return got
 
 
+@pytest.mark.bit_exact
 class TestExactlyHermitianFastPath:
     """An exactly Hermitian stack skips symmetrize and keeps every verdict."""
 

@@ -88,6 +88,7 @@ class TestThermalState:
             with pytest.raises(ValueError):
                 thermal_state(H, t)
 
+    @pytest.mark.bit_exact
     @pytest.mark.parametrize("delta", [5e-324, 1e-300, 0.37, 1.0,
                                        1.386730152501956, 7.5, 1e300])
     def test_populations_are_the_scalar_boltzmann_formula_bit_for_bit(self, delta):
