@@ -23,7 +23,7 @@ from icotherm import (
     switch_closed_form,
     thermal_prep_angle,
     thermal_state,
-    verify_against_kraus,
+    verify_grid,
 )
 
 h = TwoLevelHamiltonian(delta=1.0)
@@ -52,11 +52,12 @@ print(f"\nMax entry distance circuit vs closed form: "
 
 print("\nCircuit vs closed form, max entry distance over a (T, phi) grid:")
 print(f"{'T':>5} {'phi':>8} {'direct':>12} {'3-toffoli':>12}")
-for t in np.linspace(0.2, 3.0, 5):
-    for phi in np.linspace(0.0, math.pi, 5):
-        d0 = verify_against_kraus(h, float(t), float(phi))
-        d1 = verify_against_kraus(h, float(t), float(phi),
-                                  decompose_cswap=True)
-        print(f"{t:5.2f} {phi:8.4f} {d0:12.2e} {d1:12.2e}")
+temps = np.linspace(0.2, 3.0, 5).tolist()
+phis = np.linspace(0.0, math.pi, 5).tolist()
+direct = verify_grid(h, temps, phis)
+toffoli = verify_grid(h, temps, phis, decompose_cswap=True)
+points = [(t, phi) for t in temps for phi in phis]
+for (t, phi), d0, d1 in zip(points, direct, toffoli):
+    print(f"{t:5.2f} {phi:8.4f} {d0:12.2e} {d1:12.2e}")
 print("\nEvery distance sits at floating-point noise: the gate pipeline and")
 print("the operator-sum description are the same physical process.")

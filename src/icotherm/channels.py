@@ -36,7 +36,7 @@ from .linalg import (
     kron,
     symmetrize,
 )
-from .thermo import TwoLevelHamiltonian, _check_phi, thermal_state
+from .thermo import TwoLevelHamiltonian, _ancilla_weights, _check_phi, thermal_state
 
 __all__ = [
     "QuantumChannel",
@@ -207,9 +207,7 @@ def switch_closed_form(a: AncillaState, rho: DensityMatrix,
     """
     if rho.dim != 2 or rho_t.dim != 2:
         raise ValueError("closed form is defined for 2x2 states")
-    c2 = math.cos(a.phi / 2) ** 2
-    s2 = math.sin(a.phi / 2) ** 2
-    half_sin = math.sin(a.phi) / 2.0
+    c2, s2, half_sin = _ancilla_weights(a.phi)
     cross = rho_t.mat @ rho.mat @ rho_t.mat
     out = np.zeros((4, 4), dtype=complex)
     out[0:2, 0:2] = c2 * rho_t.mat

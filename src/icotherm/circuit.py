@@ -22,8 +22,9 @@ one run path: :func:`verify_grid` runs it over a grid and
 :func:`build_switch_circuit` at one point, and it takes only the thermal
 populations from :mod:`icotherm.thermo`.  The intermediate states of a run
 are validated in batched passes.  :func:`_reference` writes the closed-form
-reference from those populations and each point's phi; both are validated
-as stacks, and the kernel runs none of the gates.
+reference from those populations and each point's ancilla weights, which
+it also takes from :mod:`icotherm.thermo`; both are validated as stacks,
+and the kernel runs none of the gates.
 
 The circuit runs in real arithmetic.  Every unitary kind (RY, X, CSWAP,
 Toffoli) is a real orthogonal matrix, the crusher only zeroes entries, and
@@ -47,11 +48,12 @@ from .linalg import (
     TOL,
     DensityMatrix,
     ValidationError,
+    _trace_out,
     symmetrize,
     validate_states,
 )
-from .thermo import (TwoLevelHamiltonian, _check_phi, _check_positive,
-                     _check_qubit, _thermal_excited)
+from .thermo import (TwoLevelHamiltonian, _ancilla_weights, _check_phi,
+                     _check_positive, _diagonal, _thermal_excited)
 
 __all__ = [
     "Gate",
@@ -286,14 +288,15 @@ def thermal_prep_angle(rho_t: DensityMatrix) -> float:
     """Rotation angle theta = arccos(p_g - p_e) preparing given populations.
 
     Applying ry(theta) to |0> and then a coherence crusher leaves the qubit in
-    diag(p_g, p_e).  Requires a diagonal 2x2 input state.
+    diag(p_g, p_e).  Requires a 2x2 input state that is diagonal within
+    ``linalg.TOL``.
     """
-    _check_qubit(rho_t)
-    off = abs(rho_t.mat[0, 1])
-    if off > TOL:
-        raise ValidationError(f"state not diagonal: |off-diagonal| = {off:.3e}")
-    gap = float(rho_t.mat[0, 0].real - rho_t.mat[1, 1].real)
-    return math.acos(min(max(gap, -1.0), 1.0))
+    return _prep_angle(*_diagonal(rho_t))
+
+
+def _prep_angle(p_g: float, p_e: float) -> float:
+    """arccos(p_g - p_e), the gap clamped to [-1, 1]."""
+    return math.acos(min(max(p_g - p_e, -1.0), 1.0))
 
 
 @functools.cache
@@ -351,11 +354,12 @@ def _blocks(h: TwoLevelHamiltonian, temps: Sequence[float],
     first, then every temperature in order, with the rules and messages of
     :func:`thermo._check_phi` and :func:`thermal_state`.  The thermal states
     diag(p_g, p_e) come from one :func:`thermo._thermal_excited` call and are
-    validated as one stack; each temperature's preparation angle is taken
-    from that stack as :func:`thermal_prep_angle` takes it, and so is the
-    p_e yielded with each point's phi.  A block's final states are validated
-    as one stack before it is yielded, and the next block runs only when the
-    consumer asks for it, so memory does not grow with the grid.
+    validated as one stack; each temperature's preparation angle is
+    :func:`_prep_angle` of that stack's populations, as in
+    :func:`thermal_prep_angle`, and the p_e yielded with each point's phi is
+    that stack's too.  A block's final states are validated as one stack
+    before it is yielded, and the next block runs only when the consumer asks
+    for it, so memory does not grow with the grid.
     """
     phis = [_check_phi(ph) for ph in phis]
     temps = list(temps)
@@ -368,7 +372,7 @@ def _blocks(h: TwoLevelHamiltonian, temps: Sequence[float],
     rho_ts[:, 0, 0] = 1.0 - p_e
     rho_ts[:, 1, 1] = p_e
     rho_ts = validate_states(rho_ts)
-    thetas = [math.acos(min(max(g - e, -1.0), 1.0))
+    thetas = [_prep_angle(g, e)
               for g, e in zip(rho_ts[:, 0, 0].tolist(), rho_ts[:, 1, 1].tolist())]
     m = len(phis)
     points = len(temps) * m
@@ -402,8 +406,8 @@ def verify_against_kraus(h: TwoLevelHamiltonian, temperature: float,
     ancilla + substance state against the closed form for the same
     temperature and control angle.  The reference (:func:`_reference`)
     equals :func:`switch_closed_form`'s entries bit for bit; only the thermal
-    populations come from :mod:`icotherm.thermo`, and the circuit runs every
-    gate itself.  One point of :func:`verify_grid`.
+    populations and the ancilla weights come from :mod:`icotherm.thermo`,
+    and the circuit runs every gate itself.  One point of :func:`verify_grid`.
     """
     return verify_grid(h, [temperature], [phi], decompose_cswap)[0]
 
@@ -414,15 +418,14 @@ def _reference(phis: Sequence[float], p_e: np.ndarray) -> np.ndarray:
     ``p_e`` holds the thermal excited populations; :func:`verify_grid` passes
     its validated thermal stack's.  For p = p_g, p_e the four ancilla blocks
     hold c² p, (sin(phi)/2) p³ twice and s² p on their diagonals, with c²,
-    s² and sin(phi)/2 from the ``math`` calls of :func:`switch_closed_form`;
-    they are written by slice into one ``(points, 4, 4)`` float64 stack,
-    which is validated as one stack.  Its entries equal the real part of
+    s² and sin(phi)/2 from :func:`thermo._ancilla_weights`, the function
+    :func:`switch_closed_form` takes them from; they are written by slice
+    into one ``(points, 4, 4)`` float64 stack, which is validated as one
+    stack.  Its entries equal the real part of
     ``switch_closed_form(AncillaState(phi), rho_t, rho_t).mat`` bit for bit,
     and that matrix has no imaginary part.
     """
-    c2, s2, half_sin = np.array(
-        [(math.cos(phi / 2) ** 2, math.sin(phi / 2) ** 2, math.sin(phi) / 2.0)
-         for phi in phis]).T
+    c2, s2, half_sin = np.array([_ancilla_weights(phi) for phi in phis]).T
     ref = np.zeros((len(phis), 4, 4))
     for k, p in enumerate((1.0 - p_e, p_e)):
         cross = half_sin * (p * p * p)
@@ -439,14 +442,12 @@ def verify_grid(h: TwoLevelHamiltonian, temps: Sequence[float],
     Returns the distances with temperatures outer and phis inner, with the
     checks and messages of :func:`_blocks`, which runs the circuit.  Each
     block is reduced to its distances before the next one runs; its ancilla
-    + substance marginals and its closed-form reference
-    (:func:`_reference`) are validated as stacks.
+    + substance marginals (the reservoirs traced out as
+    :func:`partial_trace` traces them, by ``linalg._trace_out``) and its
+    closed-form reference (:func:`_reference`) are validated as stacks.
     """
     out: list[float] = []
     for phi, p_e, rho in _blocks(h, temps, phis, decompose_cswap):
-        # partial_trace's order: reservoir 2 (qubit 3) first, then reservoir 1.
-        a = rho.reshape(-1, *(2,) * 8)
-        a = np.trace(np.trace(a, axis1=4, axis2=8), axis1=3, axis2=6)
-        marginals = validate_states(a.reshape(-1, 4, 4))
+        marginals = validate_states(_trace_out(rho, (2,) * 4, (0, 1)))
         out += np.abs(marginals - _reference(phi, p_e)).max(axis=(1, 2)).tolist()
     return out

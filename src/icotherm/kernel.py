@@ -23,9 +23,11 @@ verification path computes the same numbers independently:
 ``switch_closed_form`` -> ``post_select`` subtracts nearly equal numbers and
 agrees within about eps / gap, the 16-Kraus switch within ``linalg.TOL``.
 The gate circuit's check (``circuit.verify_grid``) uses nothing of this
-module: its thermal populations come from ``thermo._thermal_excited``, as the
-kernel's do, ``circuit._reference`` writes the four ancilla blocks from them
-(``switch_closed_form``'s, bit for bit), and the circuit runs every gate.
+module: its thermal populations come from ``thermo._thermal_excited`` and
+its ancilla weights from ``thermo._ancilla_weights``, as the kernel's and
+``switch_closed_form``'s do, ``circuit._reference`` writes the four ancilla
+blocks from them (``switch_closed_form``'s, bit for bit), and the circuit
+runs every gate.
 
 The kernel does not check its arguments; only :func:`absolute` and the
 degenerate verdict of :func:`cycles` raise ``ValueError``.  ``exp``, ``expm1``
@@ -40,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .thermo import PROB_FLOOR, _each, _thermal_excited
+from .thermo import PROB_FLOOR, _ancilla_weights, _each, _thermal_excited
 
 __all__ = ["BASES", "Branch", "Switched", "Cycles", "DegenerateCycleError",
            "absolute", "switched", "cycles"]
@@ -140,7 +142,7 @@ def switched(delta: float, phi: float, temps, basis: str = "pm") -> Switched:
     p_e = _thermal_excited(delta, temps)
     if basis == "pm":
         return Switched(*_pm(delta, phi, temps, p_e))
-    probs = (math.cos(phi / 2) ** 2, math.sin(phi / 2) ** 2)
+    probs = _ancilla_weights(phi)[:2]
     return Switched(*(_branch(outcome, np.full_like(p_e, prob), 1.0 - p_e, p_e,
                               np.zeros_like(p_e))
                       for outcome, prob in zip(BASES[basis], probs)))

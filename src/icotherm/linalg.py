@@ -215,14 +215,21 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
         raise ValueError("keep must be a nonempty set of factor indices")
     if keep_sorted[0] < 0 or keep_sorted[-1] >= n:
         raise ValueError(f"keep {keep_sorted} out of range for {n} factors")
+    return DensityMatrix(_trace_out(rho.mat, rho.dims, keep_sorted),
+                         dims=[rho.dims[k] for k in keep_sorted])
 
-    dims = list(rho.dims)
-    a = rho.mat.reshape(dims + dims)
-    for idx in sorted(set(range(n)) - set(keep_sorted), reverse=True):
-        a = np.trace(a, axis1=idx, axis2=idx + len(dims))
+
+def _trace_out(a: np.ndarray, dims: Sequence[int],
+               keep: Iterable[int]) -> np.ndarray:
+    """The factors of ``dims`` not in ``keep`` traced out of one matrix or of
+    an ``(m, d, d)`` stack, the last factor first; not validated."""
+    lead, dims = a.shape[:-2], list(dims)
+    a = a.reshape(*lead, *dims, *dims)
+    for idx in sorted(set(range(len(dims))) - set(keep), reverse=True):
+        a = np.trace(a, axis1=idx - 2 * len(dims), axis2=idx - len(dims))
         dims.pop(idx)
     d = math.prod(dims)
-    return DensityMatrix(a.reshape(d, d), dims=dims)
+    return a.reshape(*lead, d, d)
 
 
 def random_density_matrix(dim: int, rng: np.random.Generator,

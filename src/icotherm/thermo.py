@@ -5,6 +5,9 @@ index 0 = ground |g>, index 1 = excited |e>; the thermal state at temperature
 T is the normalized Boltzmann state diag(p_g, p_e) with p_e = exp(-delta/T) /
 (1 + exp(-delta/T)), computed only by :func:`_thermal_excited`, over whole
 temperature grids: :func:`thermal_state`, ``kernel`` and ``circuit`` call it.
+The switch output's ancilla weights cos²(phi/2), sin²(phi/2) and sin(phi)/2
+are written once too, in :func:`_ancilla_weights`, and the rule that a qubit
+state is diagonal within ``linalg.TOL`` once, in :func:`_diagonal`.
 
 Also provides ancilla post-selection on a joint (ancilla ⊗ system) state.
 """
@@ -18,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import DensityMatrix, ValidationError
+from .linalg import TOL, DensityMatrix, ValidationError
 
 __all__ = [
     "TwoLevelHamiltonian",
@@ -34,7 +37,6 @@ __all__ = [
 # Probabilities below this floor are treated as zero; the conditional state is
 # then undefined (eigen-noise floor, see PostSelection).
 PROB_FLOOR = 1e-12
-_DIAG_TOL = 1e-8  # largest off-diagonal effective_temperature takes as 0
 
 # Post-selection kets on the ancilla qubit.
 _SQ2 = 1.0 / math.sqrt(2.0)
@@ -61,6 +63,15 @@ def _check_phi(phi: float) -> float:
 def _check_qubit(rho: DensityMatrix) -> None:
     if rho.dim != 2:
         raise ValueError(f"expected a 2x2 state, got dim {rho.dim}")
+
+
+def _diagonal(rho: DensityMatrix) -> tuple[float, float]:
+    """Populations (p_g, p_e) of a 2x2 state whose |off-diagonal| is within TOL."""
+    _check_qubit(rho)
+    off = abs(rho.mat[0, 1])
+    if off > TOL:
+        raise ValidationError(f"state not diagonal: |off-diagonal| = {off:.3e}")
+    return float(rho.mat[0, 0].real), float(rho.mat[1, 1].real)
 
 
 def _check_entropy_base(base: float) -> None:
@@ -128,6 +139,13 @@ def _thermal_excited(delta: float, temps) -> np.ndarray:
     return x / (1.0 + x)
 
 
+def _ancilla_weights(phi: float) -> tuple[float, float, float]:
+    """cos²(phi/2), sin²(phi/2) and sin(phi)/2: the weights of the switch
+    output's ancilla blocks |0><0|, |1><1| and each off-diagonal one, for the
+    control state cos(phi/2)|0> + sin(phi/2)|1>."""
+    return math.cos(phi / 2) ** 2, math.sin(phi / 2) ** 2, math.sin(phi) / 2.0
+
+
 def internal_energy(rho: DensityMatrix, h: TwoLevelHamiltonian) -> float:
     """Tr(rho H) = delta * p_e for a two-level state."""
     _check_qubit(rho)
@@ -150,16 +168,9 @@ def effective_temperature(rho: DensityMatrix, h: TwoLevelHamiltonian) -> float:
     Raises
     ------
     ValidationError
-        If the state has off-diagonal magnitude above 1e-8.
+        If the state has off-diagonal magnitude above ``linalg.TOL`` (1e-10).
     """
-    _check_qubit(rho)
-    off = abs(rho.mat[0, 1])
-    if off > _DIAG_TOL:
-        raise ValidationError(
-            f"state is not diagonal: |off-diagonal| = {off:.3e} > {_DIAG_TOL:g}"
-        )
-    return _effective_temperature(h.delta, float(rho.mat[0, 0].real),
-                                  float(rho.mat[1, 1].real))
+    return _effective_temperature(h.delta, *_diagonal(rho))
 
 
 def _effective_temperature(delta: float, p_g: float, p_e: float) -> float:

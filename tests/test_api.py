@@ -90,6 +90,34 @@ def test_layering_and_one_boltzmann_formula():
     assert [m for m, (_, exp) in mods.items() if exp] == ["thermo"]
 
 
+def _writers(pattern):
+    """(module, innermost enclosing def) of every expression in src/icotherm
+    whose source text, as ``ast.unparse`` spells it, matches ``pattern``."""
+    found = []
+
+    def visit(node, module, where):
+        if (isinstance(node, (ast.BinOp, ast.Call, ast.Attribute))
+                and re.fullmatch(pattern, ast.unparse(node))):
+            found.append((module, where))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, getattr(child, "name", where))
+
+    for path in sorted((ROOT / "src" / "icotherm").glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, None)
+    return found
+
+
+def test_each_verification_rule_has_one_writer():
+    # The switch output's ancilla weights c², s² and sin(phi)/2.
+    weights = (r"math\.(cos|sin)\([\w.]+ / 2\) \*\* 2"
+               r"|math\.sin\([\w.]+\) / 2(\.0)?")
+    assert _writers(weights) == [("thermo", "_ancilla_weights")] * 3
+    # The thermal preparation angle arccos(p_g - p_e).
+    assert _writers(r"math\.acos") == [("circuit", "_prep_angle")]
+    # The partial trace's loop over tensor factors.
+    assert _writers(r"np\.trace\(.*axis1=.*\)") == [("linalg", "_trace_out")]
+
+
 def test_readme_library_example_prints_its_comments():
     code = re.search(r"```python\n(.*?)```", _section("Library example"), re.S).group(1)
     out = io.StringIO()

@@ -362,3 +362,17 @@ def test_qubit_only_message(check):
     with pytest.raises(ValueError) as err:
         check(DensityMatrix(np.eye(4) / 4, dims=(2, 2)))
     assert str(err.value) == "expected a 2x2 state, got dim 4"
+
+
+@pytest.mark.parametrize("check", [lambda rho: effective_temperature(rho, H),
+                                   thermal_prep_angle],
+                         ids=["effective_temperature", "thermal_prep_angle"])
+def test_one_diagonal_rule(check):
+    # Both read populations through one rule: |off-diagonal| within linalg.TOL.
+    def state(off):
+        return DensityMatrix(np.array([[P_G, off], [off, P_E]]))
+
+    with pytest.raises(ValidationError) as err:
+        check(state(2e-10))
+    assert str(err.value) == "state not diagonal: |off-diagonal| = 2.000e-10"
+    assert check(state(5e-11)) == check(DensityMatrix(np.diag([P_G, P_E])))
