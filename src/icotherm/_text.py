@@ -1,9 +1,12 @@
 """The CLI's table writer: float and int columns as CSV or JSON text.
 
 :func:`_table_text` frames a table (CSV header and rows, or the JSON array of
-objects) and picks its route per table.  A table with an int column, or
-with fewer than ``_DIGIT_MIN_CELLS`` cells, is spelled by one ``%`` pass over
-a row template.  A larger float table is cut into chunks of ``_CHUNK_ROWS``
+objects), folds its constant columns and picks its route per table.  A
+float column whose cells all hold one bit pattern is spelled once and
+joined into the constant pieces around it (:func:`_folded`), so neither
+route sees it.  A table with an int column, or with fewer than
+``_DIGIT_MIN_CELLS`` cells left, is spelled by one ``%`` pass over a row
+template.  A larger float table is cut into chunks of ``_CHUNK_ROWS``
 rows; :func:`_chunk_text` writes a chunk's cells and constant pieces into a
 ``(rows, words)`` buffer of little-endian uint64 words, NUL-padded, and drops
 the NULs with one ``bytes.translate``.  There :func:`_digit_words` spells
@@ -27,10 +30,11 @@ import numpy as np
 # 3-5 columns stay below that.  A chunk's arrays take a few MB, so the
 # memory of a large --steps table follows its text.
 _CHUNK_ROWS = 4096
-# Float tables with fewer cells than this skip the digit pass and are
-# spelled by one % pass over a row template.  Measured in-process on the
-# default probs, heat and fridge columns cut to 20-200 rows, the template
-# wins up to 500-700 cells in CSV and the digit pass from 120-180 in JSON.
+# Float tables with fewer cells than this, once constant columns are
+# folded, skip the digit pass and are spelled by one % pass over a row
+# template.  Measured in-process on the default probs, heat and fridge
+# columns cut to 20-200 rows, the template wins up to 500-700 cells in CSV
+# and the digit pass from 120-180 in JSON.
 _DIGIT_MIN_CELLS = 256
 
 # How json.dumps spells the floats that have no JSON number.
@@ -230,7 +234,9 @@ def _layout(consts: tuple[bytes, ...]) -> tuple[np.ndarray, list[int], list[int]
     ``-2.22507385851e-308`` and ``-1234567890120000.0``).  The byte just
     before a cell's first word (byte 7) is free for its '-'.  Returns the
     read-only template and, per cell, its first word and the word of its
-    sign byte.  A table's chunks, and tables of one shape, share a layout.
+    sign byte.  A table's chunks, and tables of one shape, share a layout;
+    the key holds the text of the folded constant cells too, so tables of
+    one shape whose constant columns differ have layouts of their own.
     """
     words: list[int] = []
     starts, signs = [], []
@@ -272,8 +278,19 @@ def _table_text(header: list[str], columns: Sequence[Sequence], fmt: str,
     ``extra_json_fields``.  ``%d`` and ``%.12g`` text holds no comma, quote
     or newline, so no cell needs CSV quoting.
 
-    A table of floats only with at least ``_DIGIT_MIN_CELLS`` cells is written
-    ``_CHUNK_ROWS`` rows at a time into a ``(rows, words)`` buffer of
+    *Constant columns.*  In a table of two rows or more, a float column
+    whose cells all hold the first cell's bit pattern (0.0 and -0.0 differ,
+    and so do NaNs of other payloads) is folded: its text, ``%.12g`` or in
+    JSON :func:`_json_text` of it, as every cell of it would be spelled, is
+    joined into the constant pieces on either side of it before the route
+    is chosen.  Both routes then see one column fewer, and the cell count
+    that picks the route is that of the columns left.  An int column is
+    never folded, and a one-row table (``mc``'s) folds nothing: each cell
+    is spelled once either way.  A table whose columns all fold has no
+    cells left; it takes the template, and each row is the constant pieces.
+
+    A table of floats only with at least ``_DIGIT_MIN_CELLS`` cells left is
+    written ``_CHUNK_ROWS`` rows at a time into a ``(rows, words)`` buffer of
     little-endian uint64 words that holds the constant pieces (CSV's ``,``
     and newline; JSON's object template with its keys and
     ``extra_json_fields``) and the cells, all padded with NUL bytes, which
@@ -303,7 +320,7 @@ def _table_text(header: list[str], columns: Sequence[Sequence], fmt: str,
     spelled as the repr of the float it parses to, which, for a cell the
     respelling does not select, is its text already; the texts go into the
     buffer with one fancy index.  A table with an int column, or with fewer
-    than ``_DIGIT_MIN_CELLS`` cells, skips the digit pass and the buffer:
+    than ``_DIGIT_MIN_CELLS`` cells left, skips the digit pass and the buffer:
     its rows are one ``%`` pass over a row template of the constant pieces
     (``%`` escaped as ``%%``) and the cells, ``%.12g`` or ``%d`` in CSV,
     and in JSON the repr text of each float cell's ``%.12g``.  The only int
@@ -347,8 +364,10 @@ def _table_text(header: list[str], columns: Sequence[Sequence], fmt: str,
     else:
         head, cut, tail = ",".join(header) + "\n", 0, ""
         consts = [""] + [","] * (len(header) - 1) + ["\n"]
+    if n > 1:
+        consts, cols, ints = _folded(consts, cols, ints, json_cells)
     if any(ints) or n * len(cols) < _DIGIT_MIN_CELLS:
-        return [head + _template_text(consts, cols, ints, json_cells)[cut:] + tail]
+        return [head + _template_text(consts, cols, ints, n, json_cells)[cut:] + tail]
     consts = tuple(c.encode("ascii") for c in consts)
     pieces = [head]
     for start in range(0, n, _CHUNK_ROWS):
@@ -359,11 +378,29 @@ def _table_text(header: list[str], columns: Sequence[Sequence], fmt: str,
     return pieces
 
 
-def _template_text(consts: list[str], cols: list, ints: list[bool],
+def _folded(consts: list[str], cols: list, ints: list[bool],
+            json_cells: bool) -> tuple[list[str], list, list[bool]]:
+    """``consts``, ``cols`` and ``ints`` with each constant float column
+    folded into the constant pieces on either side, by the rule that
+    :func:`_table_text`'s docstring gives."""
+    kept_consts, kept_cols, kept_ints = [consts[0]], [], []
+    for c, is_int, after in zip(cols, ints, consts[1:]):
+        if not is_int and c.tobytes() == c[:1].tobytes() * len(c):
+            text = "%.12g" % c[0]
+            kept_consts[-1] += (_json_text(text) if json_cells else text) + after
+        else:
+            kept_consts.append(after)
+            kept_cols.append(c)
+            kept_ints.append(is_int)
+    return kept_consts, kept_cols, kept_ints
+
+
+def _template_text(consts: list[str], cols: list, ints: list[bool], rows: int,
                    json_cells: bool) -> str:
-    """The rows of a table with an int column or few cells, spelled by one
-    ``%`` pass over a row template; ``consts[j]`` comes before cell j and
-    ``consts[-1]`` after the last."""
+    """``rows`` rows of a table with an int column or few cells, spelled by
+    one ``%`` pass over a row template; ``consts[j]`` comes before cell j and
+    ``consts[-1]`` after the last.  With no column left, every row is the
+    constant pieces."""
     cells = [c if is_int else c.tolist() for c, is_int in zip(cols, ints)]
     if json_cells:
         cells = [c if is_int else [_json_text("%.12g" % v) for v in c]
@@ -373,7 +410,7 @@ def _template_text(consts: list[str], cols: list, ints: list[bool],
     # A list first: tuple() of an iterator resizes, which piled tuples into
     # Python's free lists (0.8 MB over 18 000 small tables, Python 3.11).
     values = list(itertools.chain.from_iterable(zip(*cells)))
-    return (row * len(cols[0])) % tuple(values)
+    return (row * rows) % tuple(values)
 
 
 def _chunk_text(consts: tuple[bytes, ...], cols: list, json_cells: bool,

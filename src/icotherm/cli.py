@@ -11,12 +11,15 @@ mc              seeded demon simulation               (trials,seed,successes,
 
 Temperatures are in delta/k_B units; energies scale with --delta.  Output is
 byte-identical for identical arguments; numbers carry 12 significant digits.
-The commands pass the kernel's columns to one table writer,
-``icotherm._text._table_text``.  It spells a table with an int column
-(``mc``'s), or of fewer than 256 cells, with one ``%`` pass over a row
-template.  A larger float table has the digits of whole columns spelled in
-numpy, exactly as ``%.12g`` spells them, and Python's ``%`` spells the few
-cells the numpy pass cannot prove.
+The commands compute only the columns they print (``probs`` and ``heat``
+take theirs from ``kernel._probs`` and ``kernel._heats``) and pass them to
+one table writer, ``icotherm._text._table_text``.  It spells a float column
+that holds one bit pattern in every row once, joined into the text around
+it: ``probs``' phi, and the computational basis' P and zero heats.  It
+spells a table with an int column (``mc``'s), or of fewer than 256 cells
+left, with one ``%`` pass over a row template.  A larger float table has
+the digits of whole columns spelled in numpy, exactly as ``%.12g`` spells
+them, and Python's ``%`` spells the few cells the numpy pass cannot prove.
 Exit codes: 0 success, 2 argument error, 3 numerical validation failure.
 """
 
@@ -167,27 +170,31 @@ def _check_out(path: str) -> None:
         raise type(e)(e.errno, e.strerror, path) from None
 
 
-def _switched(args) -> tuple[np.ndarray, kernel.Switched]:
-    """Reported temperatures and both outcomes over the requested grid."""
+def _grid_and_phi(args) -> tuple[np.ndarray, np.ndarray, float]:
+    """The requested grid's t, its absolute temperatures and phi, checked."""
     h = TwoLevelHamiltonian(args.delta)
     t, temps = grid(args.t_min, args.t_max, args.steps, h.delta)
-    phi = _check_phi(args.phi)
-    return t, kernel.switched(h.delta, phi, temps, args.basis)
+    return t, temps, _check_phi(args.phi)
 
 
 def _cmd_probs(args) -> None:
-    t, (plus, minus) = _switched(args)
+    t, temps, phi = _grid_and_phi(args)
     _emit(["t", "phi", "p_plus", "p_minus"],
-          [t, np.full(len(t), args.phi), plus.prob, minus.prob], args)
+          [t, np.full(len(t), phi), *kernel._probs(args.delta, phi, temps, args.basis)],
+          args)
 
 
 def _cmd_heat(args) -> None:
-    t, (plus, minus) = _switched(args)
-    _emit(["t", "dq_plus", "dq_minus"], [t, plus.dq, minus.dq], args)
+    t, temps, phi = _grid_and_phi(args)
+    _emit(["t", "dq_plus", "dq_minus"],
+          [t, *kernel._heats(args.delta, phi, temps, args.basis)], args)
 
 
 def _cmd_fridge(args) -> None:
-    p = CycleParams(delta=args.delta, t_reset=args.t_reset, phi=args.phi,
+    # The grid holds the temperatures, and its rules name its points: the
+    # mixed state's t = inf passes every temperature rule of CycleParams.
+    p = CycleParams(delta=args.delta, t_hot=math.inf, t_cold=math.inf,
+                    t_reset=args.t_reset, phi=args.phi,
                     entropy_base=_ENTROPY_BASES[args.entropy_base])
     t, _ = grid(args.t_min, args.t_max, args.steps, p.delta, min_steps=2)
     c = kernel.cycles(p.delta, p.phi, t, t, p.t_reset, p.entropy_base)

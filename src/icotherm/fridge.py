@@ -116,8 +116,9 @@ class CycleParams:
     the ancilla angle in radians; entropy_base selects the logarithm base of
     the erasure entropy (natural log by default, base 2 rescales w and eta by
     1/ln 2).  t_hot and t_cold may be inf (the maximally mixed state), but a
-    finite one times delta must neither leave the float range nor underflow
-    to 0 (``kernel.absolute``'s rules); t_reset and t_reset * delta must be
+    finite one times delta must neither leave the float range, underflow to
+    0 nor be subnormal where the thermal population is not 0
+    (``kernel.absolute``'s rules); t_reset and t_reset * delta must be
     finite: infinite erasure is no cycle.
     """
 

@@ -14,6 +14,10 @@ gap = p_g - p_e the |+>/|-> outcomes are, with no step that cancels:
 |0>/|1> leave P = cos²(phi/2) or sin²(phi/2), the thermal state and dQ = 0.
 :func:`switched` evaluates these over a grid in one numpy pass, :func:`cycles`
 the refrigerator cycle (P-, W, Q_C, eta); ``fridge`` and the CLI report them.
+The ``probs`` and ``heat`` tables take only the columns they print, from
+``_probs`` and ``_heats``: P-+ needs x alone, dQ-+ no conditional
+population, and the computational basis no thermal population at all.
+:func:`switched` builds on the same helpers, so each formula is written once.
 
 Each value is within a few units in the last place of the exact closed form
 of the double arguments, times 1 + delta/T (the condition number of exp), so
@@ -30,9 +34,12 @@ blocks from them (``switch_closed_form``'s, bit for bit), and the circuit
 runs every gate.
 
 The kernel does not check its arguments; only :func:`absolute` and the
-degenerate verdict of :func:`cycles` raise ``ValueError``.  ``exp``, ``expm1``
-and ``log`` run per element as the ``math`` functions: numpy's differ from the
-C library's in the last bit for several percent of inputs.
+degenerate verdict of :func:`cycles` raise ``ValueError``.  The
+transcendental functions run per element as the ``math`` functions:
+``exp`` (in ``thermo._thermal_excited``), ``expm1`` (the gap, and
+:func:`cycles`' hot-cold difference), and ``log`` and ``log1p`` (the erasure
+entropy of :func:`cycles`).  numpy's differ from the C library's in the last
+bit for several percent of inputs.
 """
 
 from __future__ import annotations
@@ -49,6 +56,8 @@ __all__ = ["BASES", "Branch", "Switched", "Cycles", "DegenerateCycleError",
 
 # Ancilla measurement bases: the outcome names reported in the plus/minus slots.
 BASES = {"pm": ("plus", "minus"), "computational": ("zero", "one")}
+# The smallest normal double: a T below it is subnormal.
+_TINY = float(np.finfo(float).tiny)
 
 
 class DegenerateCycleError(ValueError):
@@ -94,12 +103,22 @@ def absolute(t, delta: float) -> np.ndarray:
     An infinite t gives T = inf, the maximally mixed state.  A finite t whose
     product with delta leaves the float range, or a positive t whose product
     underflows to 0, raises ``ValueError``: T = inf or 0 is not the t given.
+    So does a positive t whose product is subnormal while exp(-delta/T) > 0:
+    such a T keeps too few bits for delta/T, and so for p_e.  Where
+    exp(-delta/T) is 0, p_e is exactly 0 at T and at the t given.  The
+    verdicts are checked in this order, each naming its first grid point.
     """
     t = np.asarray(t, dtype=float)
     with np.errstate(over="ignore"):
         temps = t * delta
-    for bad, verdict in ((np.isinf(temps) & np.isfinite(t), "exceeds the float range"),
-                         ((temps == 0.0) & (t > 0.0), "underflows to 0")):
+    verdicts = [(np.isinf(temps) & np.isfinite(t), "exceeds the float range")]
+    small = temps < _TINY
+    if small.any():  # the rules of a small T
+        subnormal = small & (temps > 0.0)
+        subnormal[subnormal] = _thermal_excited(delta, temps[subnormal]) > 0.0
+        verdicts += [((temps == 0.0) & (t > 0.0), "underflows to 0"),
+                     (subnormal, "is subnormal")]
+    for bad, verdict in verdicts:
         if bad.any():
             raise ValueError(f"temperature {float(t[bad][0])} times delta {delta} "
                              f"{verdict}")
@@ -108,31 +127,69 @@ def absolute(t, delta: float) -> np.ndarray:
 
 def _branch(outcome: str, prob: np.ndarray, p_g: np.ndarray, p_e: np.ndarray,
             dq: np.ndarray) -> Branch:
-    """The outcome with its populations and heat masked where degenerate."""
+    """The outcome with its populations masked where degenerate; ``dq``
+    comes masked (see :func:`_pm_heats`)."""
     degenerate = prob <= PROB_FLOOR
     return Branch(outcome, prob, np.where(degenerate, np.nan, p_g),
-                  np.where(degenerate, np.nan, p_e),
-                  np.where(degenerate, 0.0, dq), degenerate)
+                  np.where(degenerate, np.nan, p_e), dq, degenerate)
+
+
+def _pm_probs(phi: float, p_e: np.ndarray) -> tuple[np.ndarray, ...]:
+    """x = p_g p_e, P+ and P- at thermal excited populations ``p_e``."""
+    s = math.sin(phi)
+    x = (1.0 - p_e) * p_e
+    return (x, (1.0 + s) / 2.0 - (1.5 * s) * x,
+            math.cos(phi) ** 2 / (1.0 + s) / 2.0 + (1.5 * s) * x)
+
+
+def _pm_heats(delta: float, phi: float, temps: np.ndarray, x: np.ndarray,
+              plus: np.ndarray, minus: np.ndarray) -> tuple[np.ndarray, ...]:
+    """gap = p_g - p_e, dQ+ and dQ- at absolute temperatures ``temps``, from
+    :func:`_pm_probs`' x, P+ and P-; a heat is 0 where its P is at or below
+    ``PROB_FLOOR``."""
+    with np.errstate(over="ignore"):
+        em1 = _each(math.expm1, -delta / temps)
+    gap = -em1 / (2.0 + em1)
+    dq = (delta * math.sin(phi) / 2.0) * x * gap
+    # 0.0 - dq is +0.0 where dq is.
+    return (gap, np.where(plus <= PROB_FLOOR, 0.0, 0.0 - dq),
+            np.where(minus <= PROB_FLOOR, 0.0, dq))
 
 
 def _pm(delta: float, phi: float, temps: np.ndarray,
         p_e: np.ndarray) -> tuple[Branch, Branch]:
     """|+> and |-> at absolute temperatures ``temps`` of thermal p_e ``p_e``."""
-    s = math.sin(phi)
+    x, plus, minus = _pm_probs(phi, p_e)
+    gap, dq_plus, dq_minus = _pm_heats(delta, phi, temps, x, plus, minus)
     p_g = 1.0 - p_e
-    x = p_g * p_e
-    with np.errstate(over="ignore"):
-        em1 = _each(math.expm1, -delta / temps)
-    gap = -em1 / (2.0 + em1)
+    s = math.sin(phi)
     shift = (s / 2.0) * x * gap
-    dq = (delta * s / 2.0) * x * gap
-    plus = (1.0 + s) / 2.0 - (1.5 * s) * x
-    minus = math.cos(phi) ** 2 / (1.0 + s) / 2.0 + (1.5 * s) * x
-    # _branch masks the quotients where P = 0; 0.0 - dq is +0.0 where dq is.
+    # _branch masks the quotients where P = 0.
     with np.errstate(divide="ignore", invalid="ignore"):
         up, down = shift / plus, shift / minus
-    return (_branch("plus", plus, p_g + up, p_e - up, 0.0 - dq),
-            _branch("minus", minus, p_g - down, p_e + down, dq))
+    return (_branch("plus", plus, p_g + up, p_e - up, dq_plus),
+            _branch("minus", minus, p_g - down, p_e + down, dq_minus))
+
+
+def _probs(delta: float, phi: float, temps: np.ndarray,
+           basis: str) -> tuple[np.ndarray, np.ndarray]:
+    """P of both outcomes at each absolute temperature: ``probs``' columns,
+    as :func:`switched` gives them.  In the computational basis P does not
+    depend on T, and no thermal population is computed."""
+    if basis == "pm":
+        return _pm_probs(phi, _thermal_excited(delta, temps))[1:]
+    return tuple(np.full(temps.shape, p) for p in _ancilla_weights(phi)[:2])
+
+
+def _heats(delta: float, phi: float, temps: np.ndarray,
+           basis: str) -> tuple[np.ndarray, np.ndarray]:
+    """dQ of both outcomes at each absolute temperature: ``heat``'s columns,
+    as :func:`switched` gives them.  The computational basis leaves the
+    thermal state, so both are 0 and no thermal population is computed."""
+    if basis == "pm":
+        return _pm_heats(delta, phi, temps,
+                         *_pm_probs(phi, _thermal_excited(delta, temps)))[1:]
+    return np.zeros(temps.shape), np.zeros(temps.shape)
 
 
 def switched(delta: float, phi: float, temps, basis: str = "pm") -> Switched:
@@ -142,10 +199,10 @@ def switched(delta: float, phi: float, temps, basis: str = "pm") -> Switched:
     p_e = _thermal_excited(delta, temps)
     if basis == "pm":
         return Switched(*_pm(delta, phi, temps, p_e))
-    probs = _ancilla_weights(phi)[:2]
-    return Switched(*(_branch(outcome, np.full_like(p_e, prob), 1.0 - p_e, p_e,
-                              np.zeros_like(p_e))
-                      for outcome, prob in zip(BASES[basis], probs)))
+    return Switched(*(_branch(outcome, prob, 1.0 - p_e, p_e, dq)
+                      for outcome, prob, dq in zip(BASES[basis],
+                                                   _probs(delta, phi, temps, basis),
+                                                   _heats(delta, phi, temps, basis))))
 
 
 def _xlogx(a: np.ndarray) -> np.ndarray:

@@ -334,6 +334,15 @@ REJECTED = {
            _UNDERFLOW) for cmd in _TABLES),
         ("mc", ["mc", "--t-min", "1e-300", "--delta", "1e-300"],
          "temperature 1e-300 times delta 1e-300 underflows to 0")],
+    # A subnormal T keeps too few bits for delta/T; the first grid point.
+    "TestSubnormalTemperature.test_rejected_before_output": [
+        *((cmd, [cmd, "--delta", "1e-320", "--steps", "2"],
+           "temperature 0.2 times delta 1e-320 is subnormal")
+          for cmd in ("probs", "heat", "circuit-verify")),
+        ("fridge", ["fridge", "--delta", "1e-318", "--steps", "2"],
+         "temperature 0.2 times delta 1e-318 is subnormal"),
+        ("mc", ["mc", "--t-min", "0.5", "--delta", "1e-318"],
+         "temperature 0.5 times delta 1e-318 is subnormal")],
     "TestRejected.test_exit_2": [(" ".join(argv), argv, message) for argv, message in [
         (["heat", "--t-min", "1", "--t-max", "1", "--steps", "3"],
          "t_min must be strictly below t_max for steps > 1"),
@@ -391,8 +400,8 @@ def exits_2(capsys, monkeypatch, tmp_path):
     file, to stdout (False) and to --out (True), warnings as errors."""
     def check(argv, message, modes=(False, True)):
         if message not in _RESULT_VERDICTS:  # an argument rule
-            for owner, name in ((cli.kernel, "switched"), (cli.kernel, "cycles"),
-                                (cli, "verify_grid")):
+            for owner, name in ((cli.kernel, "_probs"), (cli.kernel, "_heats"),
+                                (cli.kernel, "cycles"), (cli, "verify_grid")):
                 monkeypatch.setattr(owner, name, _never)
         path = tmp_path / "rows.csv"
         for to_file in modes:
@@ -450,6 +459,11 @@ class TestTemperatureOverflow:
 
 
 class TestTemperatureUnderflow:
+    def test_rejected_before_output(self, exits_2, rejected):
+        exits_2(*rejected)
+
+
+class TestSubnormalTemperature:
     def test_rejected_before_output(self, exits_2, rejected):
         exits_2(*rejected)
 
@@ -574,7 +588,7 @@ class TestParserCache:
 
 class TestEarlyOutRejection:
     @pytest.mark.parametrize("argv, owner, stage", [
-        (["probs", "--steps", "100000000"], cli.kernel, "switched"),
+        (["probs", "--steps", "100000000"], cli.kernel, "_probs"),
         (["circuit-verify", "--steps", "12"], cli, "verify_grid"),
     ])
     def test_missing_directory_rejected_before_compute(self, capsys, monkeypatch,
@@ -591,7 +605,7 @@ class TestEarlyOutRejection:
 
     def test_file_in_directory_path_names_the_file(self, capsys, monkeypatch,
                                                     tmp_path):
-        monkeypatch.setattr(cli.kernel, "switched", None)
+        monkeypatch.setattr(cli.kernel, "_probs", None)
         (tmp_path / "afile").write_text("")
         path = tmp_path / "afile" / "sub" / "x"
         with pytest.raises(NotADirectoryError) as opened:
@@ -603,7 +617,7 @@ class TestEarlyOutRejection:
         assert str(path) in err
 
     @pytest.mark.parametrize("argv, owner, stage", [
-        (["probs", "--steps", "100000000"], cli.kernel, "switched"),
+        (["probs", "--steps", "100000000"], cli.kernel, "_probs"),
         (["circuit-verify", "--steps", "12"], cli, "verify_grid"),
     ])
     @pytest.mark.parametrize("name", [
@@ -759,6 +773,50 @@ def _columns(header, rows):
     return [[row[j] for row in rows] for j in range(len(header))]
 
 
+# The values a constant column holds: every kind of float the writer spells
+# its own way, the subnormals among them.
+_CONSTANTS = st.one_of(
+    st.sampled_from(_EDGE_FLOATS),
+    st.floats(),
+    st.integers(-10 ** 6, 10 ** 6).map(float),
+    st.tuples(st.floats(0.0, 2.2250738585072014e-308, exclude_max=True),
+              st.sampled_from([1.0, -1.0])).map(lambda v: v[0] * v[1]),
+)
+_FOLD_KINDS = ("constant", "one_differs", "varying")
+
+
+@st.composite
+def folded_tables(draw):
+    """(header, rows, extra): float columns at any position, each constant,
+    constant but for one cell of another bit pattern (-0.0 among 0.0, and
+    0.0 among -0.0), or varying; 2 to 12, or 60 to 700, rows."""
+    kinds = draw(st.lists(st.sampled_from(_FOLD_KINDS), min_size=1, max_size=6))
+    header = [f"k{j}%" if j % 2 else f"k{j}" for j in range(len(kinds))]
+    n = draw(st.one_of(st.integers(2, 12), st.integers(60, 700)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    edge = np.array(_EDGE_FLOATS)
+    cols = []
+    for kind in kinds:
+        if kind == "varying":
+            col = np.where(rng.random(n) < 0.3, rng.choice(edge, n),
+                           10.0 ** rng.uniform(-40, 40, n) * rng.choice([-1.0, 1.0], n))
+        else:
+            value = draw(_CONSTANTS)
+            col = np.full(n, value)
+            if kind == "one_differs":
+                col[rng.integers(n)] = -value if value == 0.0 else draw(_FLOATS)
+        cols.append(col.tolist())
+    extra = draw(st.one_of(st.none(),
+                           st.fixed_dictionaries({"rng": st.text(max_size=12)})))
+    return header, [list(row) for row in zip(*cols)], extra
+
+
+def _constant(column):
+    """Every cell of a float column has the first one's bit pattern."""
+    bits = np.asarray(column, dtype=float).view(np.uint64)
+    return bool(np.all(bits == bits[0]))
+
+
 @pytest.mark.bit_exact
 class TestTableWriter:
     """``_emit`` writes exactly what csv.writer / json.dumps(indent=2) wrote."""
@@ -783,6 +841,73 @@ class TestTableWriter:
             cli._emit(header, _columns(header, rows),
                       argparse.Namespace(format=fmt, out=str(path)), extra)
             assert path.read_bytes() == expected.encode()
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(table=folded_tables(), fmt=st.sampled_from(["csv", "json"]))
+    @example(table=(["a", "b"], [[0.0, 1.0], [-0.0, 2.0], [0.0, 3.0]], None), fmt="json")
+    @example(table=(["a", "b", "c"], [[math.nan, math.inf, -0.0]] * 3, None), fmt="csv")
+    @example(table=(["a", "b", "c"], [[math.nan, -math.inf, 5e-324]] * 3,
+                    {"rng": "50% pcg64"}), fmt="json")
+    @example(table=(["p", "q"], [[1.0, 0.25], [1.0, 0.5]], None), fmt="json")
+    def test_constant_columns_fold(self, table, fmt):
+        # A constant float column is spelled once, and the route follows the
+        # cells that are left: the digit pass from _DIGIT_MIN_CELLS of them.
+        header, rows, extra = table
+        expected = oracles.emit_text(header, rows, fmt, extra)
+        columns = _columns(header, rows)
+        with mock.patch.object(_text, "_chunk_text", wraps=_text._chunk_text) as chunk:
+            assert "".join(_text._table_text(header, columns, fmt, extra)) == expected
+        varying = sum(not _constant(c) for c in columns)
+        assert chunk.called == (len(rows) * varying >= _text._DIGIT_MIN_CELLS)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_constant_columns_fold_across_chunks(self, chunk_rows, fmt):
+        # Constant columns between, before and after varying ones, over two
+        # chunks; the -0.0 column and the 0.0 with one -0.0 are apart.
+        n = _text._CHUNK_ROWS + 5
+        header, rows, extra = _boundary_table(4, n, seed=11)
+        zeros = [0.0] * n
+        zeros[n // 2] = -0.0
+        consts = [[-0.0] * n, [0.1] * n, zeros, [1e300] * n, [math.nan] * n]
+        cols = [consts[0], _columns(header, rows)[0], consts[1], consts[2],
+                *_columns(header, rows)[1:], consts[3], consts[4]]
+        header = [f"c{j}" for j in range(len(cols))]
+        rows = [list(row) for row in zip(*cols)]
+        expected = oracles.emit_text(header, rows, fmt, extra)
+        assert "".join(_text._table_text(header, cols, fmt, extra)) == expected
+        assert chunk_rows == [_text._CHUNK_ROWS, 5]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("n", [2, 3, _text._DIGIT_MIN_CELLS + 1])
+    def test_all_constant_table_is_one_row_repeated(self, chunk_rows, fmt, n):
+        header = ["t", "50%", "z", "w"]
+        rows = [[0.25, math.inf, -0.0, 7.0]] * n
+        expected = oracles.emit_text(header, rows, fmt, {"rng": "%d"})
+        pieces = _text._table_text(header, _columns(header, rows), fmt, {"rng": "%d"})
+        assert pieces == [expected] and chunk_rows == []
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_int_column_is_not_folded(self, chunk_rows, fmt):
+        # An int column keeps its cells; a constant float column beside it
+        # folds, and the table still takes the % template.
+        n = 300
+        header = ["seed", "p", "q"]
+        rows = [[7, 0.5, i / 7] for i in range(n)]
+        expected = oracles.emit_text(header, rows, fmt)
+        with mock.patch.object(_text, "_template_text",
+                               wraps=_text._template_text) as template:
+            assert "".join(_text._table_text(header, _columns(header, rows), fmt)) == expected
+        (_, cols, ints, rows_arg, _), _ = template.call_args
+        assert (ints, len(cols), rows_arg, chunk_rows) == ([True, False], 2, n, [])
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_one_row_folds_nothing(self, fmt):
+        header = ["trials", "p"]
+        rows = [[10, 0.5]]
+        with mock.patch.object(_text, "_folded", wraps=_text._folded) as folded:
+            assert ("".join(_text._table_text(header, _columns(header, rows), fmt))
+                    == oracles.emit_text(header, rows, fmt))
+        assert not folded.called
 
     def test_json_near_whole_numbers_and_powers_of_ten(self):
         # Values within 1e-9 (relative) of the integers -50..50 and of

@@ -117,6 +117,32 @@ def test_switched_equals_matrix_path(basis, phi, delta):
             _three_way(_cond(t), branch.dq[i], m_dq, dq, Decimal(delta) * (p_e + e))
 
 
+@pytest.mark.parametrize("basis", sorted(kernel.BASES))
+@pytest.mark.parametrize("phi", PHIS)
+@pytest.mark.parametrize("delta", DELTAS)
+def test_printed_columns_equal_switched_bit_for_bit(basis, phi, delta):
+    """``probs``' and ``heat``'s columns, computed alone, are switched's bits:
+    degenerate points (t = 0.02 at phi = pi/2, |1> at phi = 0) and T = inf
+    included."""
+    temps = np.array(T_GRID) * delta
+    sw = kernel.switched(delta, phi, temps, basis)
+    columns = (*kernel._probs(delta, phi, temps, basis),
+               *kernel._heats(delta, phi, temps, basis))
+    want = [sw.plus.prob, sw.minus.prob, sw.plus.dq, sw.minus.dq]
+    if basis == "computational":
+        # switched takes these columns from the same helpers: the weights,
+        # and +0.0 heats, spelled independently.
+        c2, s2 = math.cos(phi / 2) ** 2, math.sin(phi / 2) ** 2
+        want += [np.full(len(temps), c2), np.full(len(temps), s2),
+                 np.zeros(len(temps)), np.zeros(len(temps))]
+        columns *= 2
+    for got, expected in zip(columns, want, strict=True):
+        assert got.dtype == np.float64
+        assert got.tobytes() == expected.tobytes()
+    assert sw.minus.degenerate.any() == (phi in (math.pi / 2, 0.0) and
+                                         (basis == "pm") == (phi != 0.0))
+
+
 @pytest.mark.parametrize("phi, delta, t_hot, base", [
     (PHIS[0], 1.0, None, math.e), (PHIS[1], 1.7, None, 2.0),
     (PHIS[2], 1.0, 0.4, 2.0), (PHIS[3], 1.7, math.inf, math.e),
@@ -350,6 +376,25 @@ def test_absolute_rejects_finite_underflow():
     with pytest.raises(ValueError, match=r"temperature 1e-05 times delta "
                                          r"1e-320 underflows to 0"):
         kernel.absolute([1.0, 1e-5], 1e-320)
+
+
+def test_absolute_rejects_a_subnormal_temperature_with_a_thermal_population():
+    # T = 0.2e-320 keeps a few bits: p_e at -delta/T would be wrong.  Where
+    # exp(-delta/T) is 0, p_e is exactly 0 and the subnormal T is kept.
+    with pytest.raises(ValueError, match=r"^temperature 0\.2 times delta "
+                                         r"1e-320 is subnormal$"):
+        kernel.absolute([math.inf, 0.2, 3.0], 1e-320)
+    with pytest.raises(ValueError, match=r"^temperature 0\.01 times delta "
+                                         r"1e-310 is subnormal$"):
+        kernel.absolute([1e-5, 0.01, 0.1], 1e-310)
+    np.testing.assert_array_equal(kernel.absolute([1e-5, 1e3], 1e-310),
+                                  [1e-5 * 1e-310, 1e3 * 1e-310])
+    # The smallest normal T is kept, the double below it is not.
+    tiny = 2.2250738585072014e-308
+    assert kernel.absolute([1.0], tiny)[0] == tiny
+    below = np.nextafter(tiny, 0.0)
+    with pytest.raises(ValueError, match="is subnormal"):
+        kernel.absolute([1.0], below)
 
 
 def test_no_warning_at_zero_probability():

@@ -19,8 +19,10 @@ the two digests must be equal.  Per round it prints both sides' summed call
 times, their ratio A/B (above 1 means B is faster) and first/second, the
 summed time of whichever tree ran first over that of whichever ran second
 (above 1 means the tree that runs second is faster).  The last line gives
-the medians over the rounds.  Exits 1 if any request's bytes differ or any
-check fails, else 0.
+the medians over the rounds, and a percentile-bootstrap 95 % interval of the
+median A/B: each of ``BOOTSTRAP_DRAWS`` draws resamples the requests with
+replacement, the same requests in every round, from a generator seeded with
+``--seed``.  Exits 1 if any request's bytes differ or any check fails, else 0.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -63,8 +67,27 @@ def run_one(wl, op, chk: Checker) -> tuple[float, str]:
     return seconds, wl.check(op, result, chk)[2]
 
 
+BOOTSTRAP_DRAWS = 2000
+
+
 def _ratio(x: float, y: float) -> float:
     return x / y if y else math.nan
+
+
+def bootstrap_interval(times: np.ndarray, seed: int) -> tuple[float, float]:
+    """Percentile-bootstrap 95 % interval of the median over rounds of A/B.
+
+    ``times[r, i]`` holds request i's seconds on A and on B in round r.  A
+    draw weights each request by how often it is drawn, n draws with
+    replacement from n requests, and takes every round's weighted A/B.
+    """
+    rounds, n, _ = times.shape
+    weights = np.random.default_rng(seed).multinomial(
+        n, np.full(n, 1.0 / n), size=BOOTSTRAP_DRAWS).astype(float)
+    sums = weights @ times  # (rounds, draws, 2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        medians = np.median(sums[..., 0] / sums[..., 1], axis=0)
+    return tuple(np.percentile(medians, [2.5, 97.5]).tolist())
 
 
 def main() -> int:
@@ -90,6 +113,8 @@ def main() -> int:
         ops = list(itertools.islice(sides[0].ops(args.seed), args.requests))
         bad = 0
         ratios, orders = [], []
+        # Seconds of each request on A and on B, per round; 0 where it failed.
+        times = np.zeros((args.rounds, len(ops), 2))
         for rnd in range(-1, args.rounds):  # round -1: the probe, untimed
             batch = sides[0].probe() if rnd < 0 else ops
             spent = [0.0, 0.0]
@@ -108,6 +133,8 @@ def main() -> int:
                         continue
                     spent[s] += seconds
                     by_order[pos] += seconds
+                    if rnd >= 0:
+                        times[rnd, i, s] = seconds
                 if digests[0] != digests[1] and None not in digests:
                     argv = op["argv"] if isinstance(op, dict) else op
                     print(f"{what}: outputs differ: {argv}")
@@ -119,8 +146,10 @@ def main() -> int:
             print(f"round {rnd + 1}: A {spent[0]:.4f} s, B {spent[1]:.4f} s, "
                   f"A/B x{ratios[-1]:.4f}, first/second x{orders[-1]:.4f}",
                   flush=True)
+    lo, hi = bootstrap_interval(times, args.seed)
     print(f"{args.workload}, seed {args.seed}, {args.requests} requests x "
-          f"{args.rounds} rounds: median A/B x{statistics.median(ratios):.4f}, "
+          f"{args.rounds} rounds: median A/B x{statistics.median(ratios):.4f} "
+          f"(95 % bootstrap interval x{lo:.4f}-x{hi:.4f}), "
           f"first/second x{statistics.median(orders):.4f}; "
           f"{bad} request(s) differ or fail")
     return 1 if bad else 0
